@@ -14,6 +14,7 @@ from .core import (
     InfeasibleKError,
     ORTHONORMAL_TOL,
     SolverTrace,
+    cluster_sums,
     make_indicator,
 )
 from .evaluation import kind_objective, kmeans_objective
@@ -53,9 +54,10 @@ class SrParams:
             raise ValueError("tol must be positive")
 
 
-def _squared_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _squared_distances(x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances from each row of x (squared norms `x_sq`) to each center."""
     d2 = (
-        (x**2).sum(axis=1)[:, None]
+        x_sq[:, None]
         - 2.0 * x @ centers.T
         + (centers**2).sum(axis=1)[None, :]
     )
@@ -138,8 +140,9 @@ def lloyd_solve(data, k: int, init_centers, params: KmeansParams | None = None) 
     n = x.shape[0]
     trace = SolverTrace()
     labels = np.zeros(n, dtype=int)
+    x_sq = (x**2).sum(axis=1)
     for it in range(1, params.max_iters + 1):
-        d2 = _squared_distances(x, centers)
+        d2 = _squared_distances(x, x_sq, centers)
         labels = np.argmin(d2, axis=1)
         dist_to_own = d2[np.arange(n), labels]
         if np.bincount(labels, minlength=k).min() == 0:
@@ -148,8 +151,7 @@ def lloyd_solve(data, k: int, init_centers, params: KmeansParams | None = None) 
             )
         trace.objective_history.append(float(dist_to_own.sum()))
         trace.outer_iters = it
-        new_centers = np.zeros_like(centers)
-        np.add.at(new_centers, labels, x)
+        new_centers = cluster_sums(x, labels, k)
         new_centers /= np.bincount(labels, minlength=k)[:, None]
         shift = float(np.linalg.norm(new_centers - centers))
         scale = max(float(np.linalg.norm(centers)), OBJECTIVE_FLOOR)

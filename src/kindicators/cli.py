@@ -92,7 +92,11 @@ def write_matrix_csv(path, matrix) -> None:
 
 
 def read_labels_csv(path) -> np.ndarray:
-    """Read one 0-based integer label per line."""
+    """Read one 0-based integer label per line.
+
+    A line may spell its integer as a float ("3.0"); non-finite, fractional
+    or out-of-int64-range values are rejected with DataFileError.
+    """
     labels: list[int] = []
     try:
         with open(path) as fh:
@@ -101,9 +105,13 @@ def read_labels_csv(path) -> np.ndarray:
                 if not text:
                     continue
                 try:
-                    labels.append(int(float(text)))
+                    value = float(text)
                 except ValueError as exc:
                     raise DataFileError(f"{path}:{line_no}: {exc}") from exc
+                # is_integer() is False for inf and nan as well.
+                if not value.is_integer() or abs(value) >= 2.0**63:
+                    raise DataFileError(f"{path}:{line_no}: label {text!r} is not an integer id")
+                labels.append(int(value))
     except OSError as exc:
         raise DataFileError(f"{path}: {exc}") from exc
     if not labels:

@@ -300,6 +300,19 @@ def make_indicator(labels, k: int, values: str = "normalized") -> IndicatorMatri
     return IndicatorMatrix(h, labels)
 
 
+def cluster_sums(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Per-cluster column sums of the rows of `x`: a k x d matrix.
+
+    One weighted `bincount` per column; each adds the rows in index order,
+    the same order (and so the same bits) as ``np.add.at(sums, labels, x)``,
+    at a fraction of its cost.
+    """
+    return np.stack(
+        [np.bincount(labels, weights=x[:, j], minlength=k) for j in range(x.shape[1])],
+        axis=1,
+    )
+
+
 def validate_embedding(matrix) -> EmbeddedData:
     """Check or repair a data matrix so its columns are orthonormal.
 

@@ -22,10 +22,11 @@ from .core import (
     InfeasibleKError,
     RelaxedAssignment,
     SolverTrace,
+    cluster_sums,
     make_indicator,
 )
 from .evaluation import kind_objective, kmeans_objective
-from .projections import DEGENERATE_SV_TOL, RotatedBasis, procrustes_rotation
+from .projections import DEGENERATE_SV_TOL, procrustes_rotation
 
 # Objectives at or below this are treated as zero (the model's global floor).
 OBJECTIVE_FLOOR = 1e-12
@@ -63,34 +64,45 @@ class KindapParams:
 
 
 def inner_solve(
-    start: RotatedBasis,
+    rotation: np.ndarray,
     basis: EmbeddedData,
     params: KindapParams,
     trace: SolverTrace | None = None,
-) -> tuple[RelaxedAssignment, RotatedBasis, int]:
-    """Alternate box and Procrustes projections from `start` until the gap stalls.
+) -> tuple[RelaxedAssignment, np.ndarray, int]:
+    """Alternate box and Procrustes projections from U = B R until the gap stalls.
 
-    Each iteration clamps the current rotated basis into the box, then projects
-    the result back onto the rotation set; the squared gap ||U - N||_F^2 is
-    recorded per iteration and is nonincreasing because both projections are
-    exact. Stops once the relative gap improvement drops below
-    `params.tol_inner` or `params.max_inner` is reached.
+    B is `basis.matrix` and R starts at `rotation`. Each iteration clamps the
+    current rotated basis U = B R into the box, giving N, then projects N
+    back onto the rotation set. The squared gap ||B R - N||_F^2 is read off
+    the Procrustes singular values sigma of B'N as ||B||_F^2 + ||N||_F^2 -
+    2 sum(sigma) (Schoenemann 1966), so it costs one dot product instead of
+    a pass over an n x k difference; it is recorded per iteration and is
+    nonincreasing because both projections are exact. Stops once the
+    relative gap improvement drops below `params.tol_inner` or
+    `params.max_inner` is reached.
 
-    Returns the final relaxed assignment, rotated basis, and iteration count.
-    When `trace` is given, the gap sequence is appended to its
-    objective_history and near-degenerate projections are noted in its
-    warnings.
+    Per iteration the work is two GEMMs with an n x k operand (B'N and B R),
+    one in-place clip and one k x k SVD; the only n x k memory is two buffers
+    allocated once per call.
+
+    Returns the final relaxed assignment, the k x k rotation of the last
+    projection, and the iteration count. When `trace` is given, the gap
+    sequence is appended to its objective_history and near-degenerate
+    projections are noted in its warnings.
     """
-    u = start.matrix
-    rotation = start.rotation
+    b = basis.matrix
+    b_sq = float(np.vdot(b, b))
+    u = b @ rotation
+    n_mat = np.empty_like(u)
     prev = None
     history: list[float] = []
     iters = 0
     for t in range(1, params.max_inner + 1):
-        n_mat = np.clip(u, 0.0, 1.0)
-        rotation, sigma = procrustes_rotation(n_mat, basis.matrix)
-        u = basis.matrix @ rotation
-        gap = float(((u - n_mat) ** 2).sum())
+        np.clip(u, 0.0, 1.0, out=n_mat)
+        rotation, sigma = procrustes_rotation(n_mat, b)
+        # Exact in real arithmetic; in floating point a zero gap can come out
+        # a few ulps below zero.
+        gap = max(b_sq + float(np.vdot(n_mat, n_mat)) - 2.0 * float(sigma.sum()), 0.0)
         history.append(gap)
         iters = t
         if trace is not None and sigma[-1] < DEGENERATE_SV_TOL:
@@ -98,9 +110,11 @@ def inner_solve(
         if prev is not None and prev - gap <= params.tol_inner * max(prev, OBJECTIVE_FLOOR):
             break
         prev = gap
+        np.matmul(b, rotation, out=u)
     if trace is not None:
         trace.objective_history.extend(history)
-    return RelaxedAssignment(n_mat), RotatedBasis(u, rotation), iters
+    # RelaxedAssignment copies its input, so the buffer can be handed over as is.
+    return RelaxedAssignment(n_mat), rotation, iters
 
 
 def repair_empty_columns(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -177,6 +191,9 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
     `params.max_outer`; the best-scoring labeling ever seen is returned, along
     with its indicator-form k-means objective, the final relaxed assignment,
     and the full trace.
+
+    Only the k x k rotation passes from one phase to the next; the n x k
+    working memory is the two buffers each :func:`inner_solve` call allocates.
     """
     if params is None:
         params = KindapParams()
@@ -184,13 +201,13 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
     if n < k:
         raise InfeasibleKError(f"{n} objects cannot form {k} clusters")
     trace = SolverTrace()
-    current = RotatedBasis(basis.matrix, np.eye(k))
+    rotation = np.eye(k)
     best_f = np.inf
     best_labels: np.ndarray | None = None
     last_relaxed: RelaxedAssignment | None = None
     f_prev = None
     for outer in range(1, params.max_outer + 1):
-        relaxed, current, inner_iters = inner_solve(current, basis, params, trace=trace)
+        relaxed, _, inner_iters = inner_solve(rotation, basis, params, trace=trace)
         last_relaxed = relaxed
         trace.inner_iters_per_outer.append(inner_iters)
         trace.outer_iters = outer
@@ -210,7 +227,6 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
         rotation, sigma = procrustes_rotation(rounded.matrix, basis.matrix)
         if sigma[-1] < DEGENERATE_SV_TOL:
             trace.warnings.append(f"degenerate restart projection at outer iteration {outer}")
-        current = RotatedBasis(basis.matrix @ rotation, rotation)
     assert best_labels is not None
     return ClusterResult(
         labels=best_labels,
@@ -228,6 +244,4 @@ def warm_start_centers(basis: EmbeddedData, result: ClusterResult) -> np.ndarray
         raise ValueError("labels length must match the embedding")
     make_indicator(labels, basis.k)  # validation only: every cluster nonempty
     sizes = np.bincount(labels, minlength=basis.k).astype(float)
-    centers = np.zeros((basis.k, basis.k))
-    np.add.at(centers, labels, basis.matrix)
-    return centers / sizes[:, None]
+    return cluster_sums(basis.matrix, labels, basis.k) / sizes[:, None]

@@ -2,7 +2,9 @@
 
 Test-only surface: these enumerate partitions or sample rotations
 exhaustively, so they stay out of the installed package and are capped at
-sizes where exponential work is still instant.
+sizes where exponential work is still instant. `reference_kindap_solve`
+keeps the KindAP loop in its first, allocate-every-iteration form, as the
+path the production kernel must reproduce.
 """
 
 from __future__ import annotations
@@ -10,6 +12,17 @@ from __future__ import annotations
 from itertools import product
 
 import numpy as np
+
+from kindicators.core import (
+    ClusterResult,
+    InfeasibleKError,
+    RelaxedAssignment,
+    SolverTrace,
+    make_indicator,
+)
+from kindicators.evaluation import kind_objective, kmeans_objective
+from kindicators.kindap import OBJECTIVE_FLOOR, KindapParams, round_to_indicator
+from kindicators.projections import DEGENERATE_SV_TOL, RotatedBasis, procrustes_rotation
 
 MAX_N = 12
 MAX_K = 4
@@ -148,3 +161,77 @@ def sampled_rotation_min(basis_matrix, target, samples: int, rng: np.random.Gene
     rotated = np.einsum("nk,mkj->mnj", b, rotations)
     gaps = np.sqrt(((rotated - t[None]) ** 2).sum(axis=(1, 2)))
     return float(gaps.min())
+
+
+def _reference_inner_solve(start, basis, params, trace=None):
+    """The KindAP inner loop as first written: fresh n x k temporaries every
+    iteration and the gap summed entrywise as ||U - N||_F^2."""
+    u = start.matrix
+    rotation = start.rotation
+    prev = None
+    history: list[float] = []
+    iters = 0
+    for t in range(1, params.max_inner + 1):
+        n_mat = np.clip(u, 0.0, 1.0)
+        rotation, sigma = procrustes_rotation(n_mat, basis.matrix)
+        u = basis.matrix @ rotation
+        gap = float(((u - n_mat) ** 2).sum())
+        history.append(gap)
+        iters = t
+        if trace is not None and sigma[-1] < DEGENERATE_SV_TOL:
+            trace.warnings.append(f"degenerate projection at inner iteration {t}")
+        if prev is not None and prev - gap <= params.tol_inner * max(prev, OBJECTIVE_FLOOR):
+            break
+        prev = gap
+    if trace is not None:
+        trace.objective_history.extend(history)
+    return RelaxedAssignment(n_mat), RotatedBasis(u, rotation), iters
+
+
+def reference_kindap_solve(basis, params=None):
+    """KindAP as first written, restarting each inner phase from a RotatedBasis.
+
+    The reference that the buffer-reusing kernel in `kindicators.kindap` is
+    gated against: labels and iteration counts must match exactly.
+    """
+    if params is None:
+        params = KindapParams()
+    n, k = basis.matrix.shape
+    if n < k:
+        raise InfeasibleKError(f"{n} objects cannot form {k} clusters")
+    trace = SolverTrace()
+    current = RotatedBasis(basis.matrix, np.eye(k))
+    best_f = np.inf
+    best_labels = None
+    last_relaxed = None
+    f_prev = None
+    for outer in range(1, params.max_outer + 1):
+        relaxed, current, inner_iters = _reference_inner_solve(current, basis, params, trace=trace)
+        last_relaxed = relaxed
+        trace.inner_iters_per_outer.append(inner_iters)
+        trace.outer_iters = outer
+        rounded = round_to_indicator(relaxed, mode=params.rounding)
+        f = kind_objective(basis, make_indicator(rounded.labels, k))
+        trace.outer_objective_history.append(f)
+        if f < best_f:
+            best_f = f
+            best_labels = rounded.labels
+        if f <= OBJECTIVE_FLOOR:
+            break
+        if f_prev is not None and f_prev - f <= params.tol_outer * max(f_prev, OBJECTIVE_FLOOR):
+            break
+        f_prev = f
+        # Restart the next outer phase from the projection of the rounded
+        # indicator back onto the rotation set.
+        rotation, sigma = procrustes_rotation(rounded.matrix, basis.matrix)
+        if sigma[-1] < DEGENERATE_SV_TOL:
+            trace.warnings.append(f"degenerate restart projection at outer iteration {outer}")
+        current = RotatedBasis(basis.matrix @ rotation, rotation)
+    assert best_labels is not None
+    return ClusterResult(
+        labels=best_labels,
+        kind_objective=best_f,
+        kmeans_objective=kmeans_objective(basis, best_labels),
+        relaxed=last_relaxed,
+        trace=trace,
+    )

@@ -245,6 +245,21 @@ def test_eval_worked_cases(tmp_path):
     assert json.loads(out.read_text())["accuracy"] == 0.75
 
 
+@pytest.mark.parametrize("bad", ["inf", "nan", "1.7", "-inf", "1e30"])
+def test_eval_rejects_non_integer_labels(tmp_path, bad):
+    pred_path = tmp_path / "pred.csv"
+    truth_path = tmp_path / "truth.csv"
+    pred_path.write_text(f"0\n{bad}\n")
+    write_labels_csv(truth_path, [0, 1])
+    assert main(["eval", "--pred", str(pred_path), "--truth", str(truth_path)]) == 3
+
+
+def test_labels_csv_accepts_integral_floats(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("3\n3.0\n0\n")
+    assert read_labels_csv(path).tolist() == [3, 3, 0]
+
+
 def test_eval_length_mismatch(tmp_path):
     pred_path = tmp_path / "pred.csv"
     truth_path = tmp_path / "truth.csv"

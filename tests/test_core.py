@@ -9,11 +9,22 @@ from kindicators.core import (
     RankDeficientError,
     RelaxedAssignment,
     BinaryIndicator,
+    cluster_sums,
     make_indicator,
     validate_embedding,
 )
 
 from oracles import random_orthonormal
+
+
+def test_cluster_sums_bit_identical_to_add_at():
+    rng = np.random.default_rng(8)
+    for n, d, k in ((20_000, 50, 50), (4_000, 100, 100), (7, 3, 5)):
+        x = rng.standard_normal((n, d))
+        labels = rng.integers(0, k, size=n)
+        reference = np.zeros((k, d))
+        np.add.at(reference, labels, x)
+        assert np.array_equal(cluster_sums(x, labels, k), reference)
 
 
 def test_make_indicator_singletons():

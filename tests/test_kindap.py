@@ -16,10 +16,10 @@ from kindicators.kindap import (
     round_to_indicator,
     warm_start_centers,
 )
-from kindicators.projections import RotatedBasis, project_box
+from kindicators.projections import project_box
 from kindicators.synthgen import SynthSpec, generate
 
-from oracles import exhaustive_best, random_orthonormal
+from oracles import exhaustive_best, random_orthonormal, reference_kindap_solve
 
 
 def _indicator_basis():
@@ -37,11 +37,10 @@ def test_params_validation():
 
 def test_inner_solve_indicator_fixed_point():
     basis = _indicator_basis()
-    start = RotatedBasis(basis.matrix, np.eye(3))
     trace = SolverTrace()
-    relaxed, rotated, iters = inner_solve(start, basis, KindapParams(), trace=trace)
+    relaxed, rotation, iters = inner_solve(np.eye(3), basis, KindapParams(), trace=trace)
     assert iters <= 2
-    gap = float(((rotated.matrix - relaxed.matrix) ** 2).sum())
+    gap = float(((basis.matrix @ rotation - relaxed.matrix) ** 2).sum())
     assert gap <= 1e-12
     assert trace.objective_history[-1] <= 1e-12
 
@@ -49,8 +48,7 @@ def test_inner_solve_indicator_fixed_point():
 def test_inner_solve_monotone_on_synth():
     data = generate(SynthSpec(k=3, rho=0.33, per_cluster=40, seed=1))
     trace = SolverTrace()
-    start = RotatedBasis(data.embedded.matrix, np.eye(3))
-    inner_solve(start, data.embedded, KindapParams(), trace=trace)
+    inner_solve(np.eye(3), data.embedded, KindapParams(), trace=trace)
     history = np.asarray(trace.objective_history)
     assert history.size >= 2
     assert np.all(np.diff(history) <= 1e-12)
@@ -59,13 +57,30 @@ def test_inner_solve_monotone_on_synth():
 def test_inner_solve_never_increases_set_gap():
     rng = np.random.default_rng(21)
     basis = validate_embedding(random_orthonormal(10, 2, rng))
-    start = RotatedBasis(basis.matrix, np.eye(2))
     initial_gap = float(
-        np.linalg.norm(start.matrix - project_box(start.matrix).matrix)
+        np.linalg.norm(basis.matrix - project_box(basis.matrix).matrix)
     )
-    relaxed, rotated, _ = inner_solve(start, basis, KindapParams())
-    final_gap = float(np.linalg.norm(rotated.matrix - relaxed.matrix))
+    relaxed, rotation, _ = inner_solve(np.eye(2), basis, KindapParams())
+    final_gap = float(np.linalg.norm(basis.matrix @ rotation - relaxed.matrix))
     assert final_gap <= initial_gap + 1e-12
+
+
+def test_inner_gap_matches_direct_residual():
+    # The gap is read off the Procrustes singular values; it must equal the
+    # residual ||B R - N||_F^2 of the rotation and relaxed matrix returned.
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        k = int(rng.integers(2, 13))
+        n = int(rng.integers(k, 200))
+        basis = validate_embedding(random_orthonormal(n, k, rng))
+        start = random_orthonormal(k, k, rng)
+        params = KindapParams(max_inner=int(rng.integers(1, 5)))
+        trace = SolverTrace()
+        relaxed, rotation, iters = inner_solve(start, basis, params, trace=trace)
+        gap = trace.objective_history[-1]
+        direct = float(((basis.matrix @ rotation - relaxed.matrix) ** 2).sum())
+        assert len(trace.objective_history) == iters
+        assert abs(gap - direct) <= 1e-12 * max(1.0, direct)
 
 
 def test_round_keeps_largest_per_row():
@@ -227,3 +242,26 @@ def test_warm_start_centers_matches_mean_oracle():
         members = data.embedded.matrix[result.labels == j]
         expected = np.array([members[:, c].sum() / len(members) for c in range(3)])
         np.testing.assert_allclose(centers[j], expected, atol=1e-12)
+
+
+# The acceptance sweep's cells (tests/test_acceptance.py) plus the k=100,
+# rho=0.33 cell where the replicated baselines fall behind.
+EQUIVALENCE_CELLS = [
+    (k, rho, seed) for k in (10, 25, 50) for rho in (0.33, 0.66) for seed in (1, 2, 3)
+] + [(100, 0.33, 1)]
+
+
+@pytest.mark.parametrize("k, rho, seed", EQUIVALENCE_CELLS)
+def test_kindap_matches_reference_loop(k, rho, seed):
+    data = generate(SynthSpec(k=k, rho=rho, per_cluster=40, ambient_dim=300, seed=seed))
+    old = reference_kindap_solve(data.embedded)
+    new = kindap_solve(data.embedded)
+    assert np.array_equal(new.labels, old.labels)
+    assert new.trace.inner_iters_per_outer == old.trace.inner_iters_per_outer
+    assert new.trace.outer_iters == old.trace.outer_iters
+    old_history = np.asarray(old.trace.objective_history)
+    new_history = np.asarray(new.trace.objective_history)
+    assert np.all(
+        np.abs(new_history - old_history) <= 1e-10 * np.maximum(1.0, np.abs(old_history))
+    )
+    assert abs(new.kind_objective - old.kind_objective) <= 1e-12
