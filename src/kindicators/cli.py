@@ -57,8 +57,13 @@ class DataFileError(Exception):
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Read a headerless comma-separated matrix; parse errors carry line numbers."""
+    """Read a headerless comma-separated matrix; parse errors carry line numbers.
+
+    Every cell must be a finite number: nan and inf are rejected with
+    DataFileError, like any other malformed cell.
+    """
     rows: list[list[float]] = []
+    line_numbers: list[int] = []
     width = None
     try:
         with open(path, newline="") as fh:
@@ -76,11 +81,16 @@ def read_matrix_csv(path) -> np.ndarray:
                         f"{path}:{line_no}: expected {width} columns, got {len(row)}"
                     )
                 rows.append(row)
+                line_numbers.append(line_no)
     except OSError as exc:
         raise DataFileError(f"{path}: {exc}") from exc
     if not rows:
         raise DataFileError(f"{path}: empty matrix")
-    return np.asarray(rows, dtype=float)
+    matrix = np.asarray(rows, dtype=float)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise DataFileError(f"{path}:{line_numbers[np.argmin(finite)]}: non-finite value")
+    return matrix
 
 
 def write_matrix_csv(path, matrix) -> None:
@@ -457,6 +467,13 @@ def _cmd_embed(args) -> int:
     if not 1 <= args.knn < n:
         raise UsageError(f"--knn must satisfy 1 <= knn < n (n={n})")
     graph = knn_graph(matrix, args.knn, weight=args.weight)
+    components, _ = graph.components
+    if components > args.k:
+        print(
+            f"warning: the kNN graph has {components} connected components, more than "
+            f"--k {args.k}, so the embedding is not unique (it keeps the first {args.k})",
+            file=sys.stderr,
+        )
     embedded = spectral_embed(graph, args.k, row_normalize=args.row_normalize)
     out = _require_out(args, "file")
     write_matrix_csv(out, embedded.matrix)

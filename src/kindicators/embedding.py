@@ -1,41 +1,93 @@
-"""Spectral-embedding front end: kNN similarity graph and normalized-Laplacian eigenvectors."""
+"""Spectral-embedding front end: sparse kNN similarity graph and normalized-Laplacian eigenvectors.
+
+No step forms an n x n array. `knn_graph` computes squared distances one
+block of rows at a time, with the block height chosen so that one distance
+tile holds at most TILE_ENTRIES floats, and keeps only each row's neighbors:
+O(block * n + n * knn) memory. `spectral_embed` reads the Laplacian's null
+space off the graph's connected components, exactly, and asks an
+eigensolver only for the eigenvectors beyond it: O(nnz + n * k) memory.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .core import (
     EigSolverError,
     EmbeddedData,
     IsolatedVertexError,
-    _readonly,
     fix_column_signs,
     validate_embedding,
 )
 
 WEIGHT_SCHEMES = ("binary", "gaussian")
+# Largest distance tile knn_graph holds at once: 4M float64 entries, 32 MB.
+TILE_ENTRIES = 1 << 22
+# Smallest Lanczos basis handed to ARPACK, which is otherwise twice the
+# wanted pairs plus one. When the complement of the null space is no larger
+# than the basis, the graph is too small for ARPACK and the deflated problem
+# is solved densely.
+MIN_LANCZOS_VECTORS = 20
+# Seed of the start vector the Lanczos iteration begins from.
+LANCZOS_SEED = 0
 
 
 @dataclass(eq=False)
 class SimilarityGraph:
-    """Symmetric nonnegative weight matrix with zero diagonal."""
+    """Symmetric nonnegative weight matrix with zero diagonal, stored as CSR.
 
-    weights: np.ndarray
+    `matrix` accepts a scipy sparse matrix or any dense array-like; it is kept
+    as a read-only `scipy.sparse.csr_array` with sorted indices and no explicit
+    zeros, so its stored entries are exactly the graph's edges.
+    """
+
+    matrix: sparse.csr_array
     knn: int
 
     def __post_init__(self):
-        self.weights = _readonly(self.weights)
-        n, m = self.weights.shape
-        if n != m:
+        w = sparse.csr_array(self.matrix, dtype=float, copy=True)
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weight matrix must be square")
-        if np.any(self.weights < 0):
+        w.sum_duplicates()
+        w.eliminate_zeros()
+        if not np.all(np.isfinite(w.data)):
+            raise ValueError("weights must be finite")
+        if np.any(w.data < 0):
             raise ValueError("weights must be nonnegative")
-        if np.max(np.abs(self.weights - self.weights.T)) > 0:
+        if np.any((w - w.T).data != 0):
             raise ValueError("weights must be symmetric")
-        if np.any(np.diag(self.weights) != 0):
+        if np.any(w.diagonal() != 0):
             raise ValueError("diagonal must be zero")
+        for part in (w.data, w.indices, w.indptr):
+            part.setflags(write=False)
+        self.matrix = w
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Read-only dense n x n view of the weights: O(n^2) memory, for small graphs and tests."""
+        dense = self.matrix.toarray()
+        dense.setflags(write=False)
+        return dense
+
+    @cached_property
+    def components(self) -> tuple[int, np.ndarray]:
+        """Connected-component count and read-only per-vertex component ids.
+
+        Components are numbered in the order of their smallest vertex.
+        """
+        count, labels = connected_components(self.matrix, directed=False)
+        _, first_vertex = np.unique(labels, return_index=True)
+        rank = np.empty(count, dtype=int)
+        rank[np.argsort(first_vertex)] = np.arange(count)
+        ids = rank[labels]
+        ids.setflags(write=False)
+        return count, ids
 
 
 def knn_graph(data, knn: int, weight: str = "binary") -> SimilarityGraph:
@@ -46,43 +98,126 @@ def knn_graph(data, knn: int, weight: str = "binary") -> SimilarityGraph:
     The default weight is 0/1; "gaussian" rescales edges by
     exp(-d^2 / (2 h^2)) with bandwidth h equal to the median neighbor
     distance.
+
+    Cost: O(n^2 d) time in blocked GEMMs and O(block * n + n * knn) memory,
+    where one block of rows times n is at most TILE_ENTRIES floats.
     """
     x = np.asarray(data, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("data must be a 2-D matrix")
     n = x.shape[0]
     if not 1 <= knn < n:
         raise ValueError(f"need 1 <= knn < n, got knn={knn}, n={n}")
     if weight not in WEIGHT_SCHEMES:
         raise ValueError(f"weight must be one of {WEIGHT_SCHEMES}")
-    d2 = (
-        (x**2).sum(axis=1)[:, None]
-        - 2.0 * x @ x.T
-        + (x**2).sum(axis=1)[None, :]
-    )
-    d2 = np.maximum(0.5 * (d2 + d2.T), 0.0)
-    np.fill_diagonal(d2, np.inf)
-    # Stable sort keeps the original (lower-index-first) order on ties.
-    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :knn]
-    adj = np.zeros((n, n))
-    adj[np.repeat(np.arange(n), knn), neighbors.ravel()] = 1.0
-    w = np.maximum(adj, adj.T)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("data must be finite")
+    sq_norms = np.einsum("ij,ij->i", x, x)
+    block = max(1, TILE_ENTRIES // n)
+    neighbors = np.empty((n, knn), dtype=np.intp)
+    neighbor_d2 = np.empty((n, knn))
+    tile = np.empty((min(block, n), n))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        rows = np.arange(stop - start)
+        d2 = tile[: stop - start]
+        # Scaling an operand by -2 is exact, so this is bitwise -2 x_B x'.
+        np.matmul(-2.0 * x[start:stop], x.T, out=d2)
+        d2 += sq_norms[start:stop, None]
+        d2 += sq_norms[None, :]
+        np.maximum(d2, 0.0, out=d2)
+        d2[rows, start + rows] = np.inf
+        # The knn + 1 smallest of each row, the largest of them last. A row
+        # whose (knn + 1)-th distance equals its knn-th has ties across the
+        # cut, so it takes every candidate at or below that distance.
+        part = np.argpartition(d2, knn, axis=1)[:, : knn + 1].copy()
+        part_d2 = np.take_along_axis(d2, part, axis=1)
+        kth = part_d2[:, :knn].max(axis=1)
+        tied = part_d2[:, knn] == kth
+        tied_row, tied_col = np.nonzero(d2[tied] <= kth[tied, None])
+        row = np.concatenate([np.repeat(rows[~tied], knn), rows[tied][tied_row]])
+        col = np.concatenate([part[~tied, :knn].ravel(), tied_col])
+        dist = d2[row, col]
+        # Order by (row, distance, index) and keep each row's first knn.
+        order = np.lexsort((col, dist, row))
+        first = np.searchsorted(row[order], rows)
+        keep = order[(first[:, None] + np.arange(knn)).ravel()]
+        neighbors[start:stop] = col[keep].reshape(-1, knn)
+        neighbor_d2[start:stop] = dist[keep].reshape(-1, knn)
     if weight == "gaussian":
-        bandwidth = float(np.median(np.sqrt(d2[np.arange(n)[:, None], neighbors])))
-        w = np.where(w > 0, np.exp(-d2 / (2.0 * bandwidth**2)), 0.0)
-    return SimilarityGraph(w, knn)
+        bandwidth = float(np.median(np.sqrt(neighbor_d2)))
+        values = np.exp(-neighbor_d2.ravel() / (2.0 * bandwidth**2))
+    else:
+        values = np.ones(n * knn)
+    directed = sparse.csr_array(
+        (values, (np.repeat(np.arange(n), knn), neighbors.ravel())), shape=(n, n)
+    )
+    return SimilarityGraph(directed.maximum(directed.T), knn)
+
+
+def _null_space(sqrt_degrees: np.ndarray, labels: np.ndarray, count: int) -> np.ndarray:
+    """Orthonormal columns sqrt(deg) * 1_C / ||.|| for components C = 0..count-1."""
+    members = np.flatnonzero(labels < count)
+    null = np.zeros((labels.size, count))
+    null[members, labels[members]] = sqrt_degrees[members]
+    return null / np.linalg.norm(null, axis=0)
+
+
+def _complement_eigenvectors(w, inv_sqrt: np.ndarray, null: np.ndarray, wanted: int) -> np.ndarray:
+    """Top `wanted` eigenvectors of D^-1/2 W D^-1/2 orthogonal to the null space.
+
+    Works on the deflated, shifted operator P (M + 2I) P with P = I - Q Q'.
+    On the complement of Q its eigenvalues lie in [1, 3]; Q itself maps to
+    0, so a largest-first solver never returns a null direction.
+    """
+    n, known = null.shape
+
+    def apply(v):
+        v = v.reshape(n, -1)
+        v = v - null @ (null.T @ v)
+        out = inv_sqrt[:, None] * (w @ (inv_sqrt[:, None] * v)) + 2.0 * v
+        return out - null @ (null.T @ out)
+
+    lanczos = max(2 * wanted + 1, MIN_LANCZOS_VECTORS)
+    # Every component has two or more vertices, so known <= n / 2 and the
+    # dense branch runs only for n <= max(2 * MIN_LANCZOS_VECTORS, 2k + 1).
+    if lanczos >= n - known:
+        operator = apply(np.eye(n))
+        try:
+            _, vectors = np.linalg.eigh(0.5 * (operator + operator.T))
+        except np.linalg.LinAlgError as exc:
+            raise EigSolverError(f"eigendecomposition failed: {exc}") from exc
+        return vectors[:, ::-1][:, :wanted]
+    start = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
+    start -= null @ (null.T @ start)
+    operator = LinearOperator((n, n), matvec=apply, dtype=float)
+    try:
+        values, vectors = eigsh(operator, k=wanted, which="LA", v0=start, ncv=lanczos)
+    except ArpackError as exc:
+        raise EigSolverError(f"eigendecomposition failed: {exc}") from exc
+    return vectors[:, np.argsort(-values, kind="stable")]
 
 
 def spectral_embed(graph: SimilarityGraph, k: int, row_normalize: bool = False) -> EmbeddedData:
     """Eigenvectors of the k smallest eigenvalues of the symmetric normalized Laplacian.
 
-    Forms L = I - D^(-1/2) W D^(-1/2) and returns its k bottom eigenvectors
-    with a deterministic column-sign convention. With `row_normalize`, rows
-    are rescaled to unit norm and the columns re-orthonormalized. The output
-    always satisfies the embedded-data contract.
+    For L = I - D^(-1/2) W D^(-1/2) the eigenvalue 0 has one eigenvector
+    sqrt(deg) * 1_C per connected component C; these come first, normalized
+    and ordered by each component's smallest vertex. When the graph has
+    c < k components, the other k - c columns are the next eigenvectors of L,
+    computed on the operator with the null space deflated (Lanczos, or a
+    dense solve when the graph is too small for it) with a deterministic
+    column-sign convention. When c > k, the bottom-k eigenspace is not unique
+    and the first k components are used.
+
+    With `row_normalize`, rows are rescaled to unit norm and the columns
+    re-orthonormalized. The output always satisfies the embedded-data
+    contract.
 
     Raises IsolatedVertexError for zero-degree vertices and EigSolverError if
-    the eigendecomposition fails.
+    the eigensolver fails.
     """
-    w = graph.weights
+    w = graph.matrix
     n = w.shape[0]
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
@@ -90,27 +225,13 @@ def spectral_embed(graph: SimilarityGraph, k: int, row_normalize: bool = False) 
     isolated = np.flatnonzero(degrees <= 0)
     if isolated.size:
         raise IsolatedVertexError(isolated[0])
-    inv_sqrt = 1.0 / np.sqrt(degrees)
-    laplacian = np.eye(n) - inv_sqrt[:, None] * w * inv_sqrt[None, :]
-    laplacian = 0.5 * (laplacian + laplacian.T)
-    try:
-        _, vectors = np.linalg.eigh(laplacian)
-    except np.linalg.LinAlgError as exc:
-        raise EigSolverError(f"eigendecomposition failed: {exc}") from exc
-    u = fix_column_signs(vectors[:, :k])
+    sqrt_degrees = np.sqrt(degrees)
+    count, labels = graph.components
+    u = _null_space(sqrt_degrees, labels, min(count, k))
+    if count < k:
+        rest = _complement_eigenvectors(w, 1.0 / sqrt_degrees, u, k - count)
+        u = np.hstack([u, fix_column_signs(rest)])
     if row_normalize:
         norms = np.linalg.norm(u, axis=1)
         u = u / np.maximum(norms, np.finfo(float).tiny)[:, None]
     return validate_embedding(u)
-
-
-def laplacian_eigenvalues(graph: SimilarityGraph) -> np.ndarray:
-    """All eigenvalues of the symmetric normalized Laplacian, ascending."""
-    w = graph.weights
-    degrees = w.sum(axis=1)
-    isolated = np.flatnonzero(degrees <= 0)
-    if isolated.size:
-        raise IsolatedVertexError(isolated[0])
-    inv_sqrt = 1.0 / np.sqrt(degrees)
-    laplacian = np.eye(w.shape[0]) - inv_sqrt[:, None] * w * inv_sqrt[None, :]
-    return np.linalg.eigvalsh(0.5 * (laplacian + laplacian.T))

@@ -35,7 +35,9 @@ def accuracy(pred, truth) -> float:
     """Fraction of objects matched under the best cluster-id assignment.
 
     Builds the confusion matrix and solves the maximum-weight (rectangular)
-    assignment, so the score is invariant to relabeling either side.
+    assignment, so the score is invariant to relabeling either side. The
+    matrix has one row per distinct predicted id and one column per distinct
+    true id, whatever the ids' values.
     """
     pred = np.asarray(pred, dtype=int)
     truth = np.asarray(truth, dtype=int)
@@ -47,8 +49,10 @@ def accuracy(pred, truth) -> float:
         raise LengthMismatchError("labels must be nonempty")
     if pred.min() < 0 or truth.min() < 0:
         raise BadLabelError("labels must be nonnegative")
-    confusion = np.zeros((pred.max() + 1, truth.max() + 1))
-    np.add.at(confusion, (pred, truth), 1.0)
+    pred_ids, pred = np.unique(pred, return_inverse=True)
+    truth_ids, truth = np.unique(truth, return_inverse=True)
+    shape = (pred_ids.size, truth_ids.size)
+    confusion = np.bincount(pred * shape[1] + truth, minlength=shape[0] * shape[1]).reshape(shape)
     rows, cols = linear_sum_assignment(confusion, maximize=True)
     return float(confusion[rows, cols].sum() / pred.size)
 

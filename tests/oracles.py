@@ -4,7 +4,10 @@ Test-only surface: these enumerate partitions or sample rotations
 exhaustively, so they stay out of the installed package and are capped at
 sizes where exponential work is still instant. `reference_kindap_solve`
 keeps the KindAP loop in its first, allocate-every-iteration form, as the
-path the production kernel must reproduce.
+path the production kernel must reproduce. `dense_knn_graph`,
+`dense_spectral_embed` and `laplacian_eigenvalues` keep the spectral front
+end in its first, dense n x n form (full distance matrix, stable argsort,
+full `eigh`), as the path the sparse front end is gated against.
 """
 
 from __future__ import annotations
@@ -15,11 +18,17 @@ import numpy as np
 
 from kindicators.core import (
     ClusterResult,
+    EigSolverError,
+    EmbeddedData,
     InfeasibleKError,
+    IsolatedVertexError,
     RelaxedAssignment,
     SolverTrace,
+    fix_column_signs,
     make_indicator,
+    validate_embedding,
 )
+from kindicators.embedding import WEIGHT_SCHEMES, SimilarityGraph
 from kindicators.evaluation import kind_objective, kmeans_objective
 from kindicators.kindap import OBJECTIVE_FLOOR, KindapParams, round_to_indicator
 from kindicators.projections import DEGENERATE_SV_TOL, RotatedBasis, procrustes_rotation
@@ -235,3 +244,70 @@ def reference_kindap_solve(basis, params=None):
         relaxed=last_relaxed,
         trace=trace,
     )
+
+
+def dense_knn_graph(data, knn: int, weight: str = "binary") -> SimilarityGraph:
+    """The kNN graph built from the full n x n squared-distance matrix.
+
+    Same contract as `kindicators.embedding.knn_graph`: symmetrized, self
+    excluded, distance ties resolved toward the lower index by a stable sort.
+    """
+    x = np.asarray(data, dtype=float)
+    n = x.shape[0]
+    if not 1 <= knn < n:
+        raise ValueError(f"need 1 <= knn < n, got knn={knn}, n={n}")
+    if weight not in WEIGHT_SCHEMES:
+        raise ValueError(f"weight must be one of {WEIGHT_SCHEMES}")
+    d2 = (
+        (x**2).sum(axis=1)[:, None]
+        - 2.0 * x @ x.T
+        + (x**2).sum(axis=1)[None, :]
+    )
+    d2 = np.maximum(0.5 * (d2 + d2.T), 0.0)
+    np.fill_diagonal(d2, np.inf)
+    # Stable sort keeps the original (lower-index-first) order on ties.
+    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :knn]
+    adj = np.zeros((n, n))
+    adj[np.repeat(np.arange(n), knn), neighbors.ravel()] = 1.0
+    w = np.maximum(adj, adj.T)
+    if weight == "gaussian":
+        bandwidth = float(np.median(np.sqrt(d2[np.arange(n)[:, None], neighbors])))
+        w = np.where(w > 0, np.exp(-d2 / (2.0 * bandwidth**2)), 0.0)
+    return SimilarityGraph(w, knn)
+
+
+def _dense_laplacian(graph: SimilarityGraph) -> np.ndarray:
+    w = graph.weights
+    degrees = w.sum(axis=1)
+    isolated = np.flatnonzero(degrees <= 0)
+    if isolated.size:
+        raise IsolatedVertexError(isolated[0])
+    inv_sqrt = 1.0 / np.sqrt(degrees)
+    laplacian = np.eye(w.shape[0]) - inv_sqrt[:, None] * w * inv_sqrt[None, :]
+    return 0.5 * (laplacian + laplacian.T)
+
+
+def dense_spectral_embed(graph: SimilarityGraph, k: int, row_normalize: bool = False) -> EmbeddedData:
+    """Bottom-k eigenvectors of the normalized Laplacian from a full `eigh`.
+
+    Inside a repeated eigenvalue (the null space of a disconnected graph) the
+    basis is whatever LAPACK returns, so compare against it by subspace, not
+    column by column.
+    """
+    n = graph.weights.shape[0]
+    if not 2 <= k <= n:
+        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+    try:
+        _, vectors = np.linalg.eigh(_dense_laplacian(graph))
+    except np.linalg.LinAlgError as exc:
+        raise EigSolverError(f"eigendecomposition failed: {exc}") from exc
+    u = fix_column_signs(vectors[:, :k])
+    if row_normalize:
+        norms = np.linalg.norm(u, axis=1)
+        u = u / np.maximum(norms, np.finfo(float).tiny)[:, None]
+    return validate_embedding(u)
+
+
+def laplacian_eigenvalues(graph: SimilarityGraph) -> np.ndarray:
+    """All eigenvalues of the symmetric normalized Laplacian, ascending."""
+    return np.linalg.eigvalsh(_dense_laplacian(graph))

@@ -104,6 +104,56 @@ def test_embed_rejects_large_knn(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+def test_matrix_commands_reject_non_finite_cells(tmp_path, capsys, bad):
+    matrix = np.random.default_rng(3).standard_normal((8, 3))
+    csv_path = tmp_path / "m.csv"
+    write_matrix_csv(csv_path, matrix)
+    lines = csv_path.read_text().splitlines()
+    lines[4] = lines[4].split(",", 1)[0] + f",{bad}," + lines[4].rsplit(",", 1)[1]
+    csv_path.write_text("\n".join(lines) + "\n")
+    truth_path = tmp_path / "truth.csv"
+    write_labels_csv(truth_path, [0, 1] * 4)
+    commands = [
+        ["embed", str(csv_path), "--k", "2", "--knn", "3", "--out", str(tmp_path / "e.csv")],
+        ["cluster", str(csv_path), "--method", "kindap", "--out", str(tmp_path / "r.json")],
+        ["eval", "--pred", str(truth_path), "--truth", str(truth_path), "--embedded", str(csv_path)],
+    ]
+    for argv in commands:
+        assert main(argv) == 3
+        assert "m.csv:5: non-finite value" in capsys.readouterr().err
+
+
+def test_embed_warns_when_components_exceed_k(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    centers = np.array([[0.0, 0.0], [50.0, 0.0], [0.0, 50.0]])
+    raw_path = tmp_path / "raw.csv"
+    write_matrix_csv(raw_path, np.vstack([c + rng.normal(0, 0.1, size=(6, 2)) for c in centers]))
+    emb_path = tmp_path / "emb.csv"
+    argv = ["embed", str(raw_path), "--knn", "2", "--out", str(emb_path), "--quiet"]
+    assert main(argv + ["--k", "2"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: the kNN graph has 3 connected components")
+    assert read_matrix_csv(emb_path).shape == (18, 2)
+    assert main(argv + ["--k", "3"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_embed_eigensolver_failure_exits_numeric(tmp_path, monkeypatch):
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    from kindicators import embedding
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(embedding, "eigsh", no_convergence)
+    raw_path = tmp_path / "raw.csv"
+    write_matrix_csv(raw_path, np.random.default_rng(5).standard_normal((200, 3)))
+    argv = ["embed", str(raw_path), "--k", "4", "--knn", "8", "--out", str(tmp_path / "e.csv")]
+    assert main(argv) == 4
+
+
 def test_cluster_deterministic_modulo_timing(tmp_path):
     from kindicators.synthgen import SynthSpec, generate
 

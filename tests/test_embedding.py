@@ -1,10 +1,24 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from kindicators.core import IsolatedVertexError, validate_embedding
-from kindicators.embedding import SimilarityGraph, knn_graph, laplacian_eigenvalues, spectral_embed
+from kindicators import embedding
+from kindicators.core import EigSolverError, IsolatedVertexError, validate_embedding
+from kindicators.embedding import SimilarityGraph, knn_graph, spectral_embed
 from kindicators.evaluation import accuracy
 from kindicators.kindap import kindap_solve
+from kindicators.synthgen import SynthSpec, generate
+
+from oracles import dense_knn_graph, dense_spectral_embed, laplacian_eigenvalues
+
+# The raw_pipeline benchmark dataset: 2,000 points in 300 dimensions whose
+# kNN graph (knn=10) has exactly k=20 components.
+RAW_PIPELINE_SPEC = SynthSpec(k=20, per_cluster=100, rho=0.66)
+RAW_PIPELINE_KNN = 10
+RAW_PIPELINE_EDGES = 11_644
 
 
 def _brute_force_knn(data, knn):
@@ -159,3 +173,197 @@ def test_embedding_permutation_gives_same_partition():
     labels_perm = kindap_solve(spectral_embed(knn_graph(data[perm], 4), 3)).labels
     assert accuracy(labels_base, truth) == 1.0
     assert accuracy(labels_perm, truth[perm]) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# The sparse front end against the dense oracle
+
+
+def _distance(a, b) -> float:
+    """Rotation-minimal subspace distance min_R ||a R - b||_F, accurate near 0.
+
+    With s the sines of the principal angles (singular values of the part of
+    b outside range(a)), the squared distance is sum(2 - 2 cos) written as
+    sum(2 s^2 / (1 + cos)), which keeps full relative precision for tiny
+    angles where the 2k - 2 ||a'b||_* form cancels to about 1e-8.
+    """
+    s = np.minimum(np.linalg.svd(b - a @ (a.T @ b), compute_uv=False), 1.0)
+    return float(np.sqrt(np.sum(2.0 * s**2 / (1.0 + np.sqrt(1.0 - s**2)))))
+
+
+@pytest.fixture(scope="module")
+def raw_pipeline():
+    data = generate(RAW_PIPELINE_SPEC)
+    return data, knn_graph(data.raw, RAW_PIPELINE_KNN), dense_knn_graph(data.raw, RAW_PIPELINE_KNN)
+
+
+def _lattice():
+    """A 5 x 5 integer grid plus two duplicated points: exact distance ties everywhere."""
+    grid = np.array([[i, j] for i in range(5) for j in range(5)], dtype=float)
+    return np.vstack([grid, grid[[7, 18]]])
+
+
+@pytest.mark.parametrize("knn", [1, 4, 9])
+@pytest.mark.parametrize("tile_rows", [None, 1, 3])
+def test_knn_graph_edges_equal_dense_oracle(monkeypatch, knn, tile_rows):
+    rng = np.random.default_rng(11)
+    for data in (rng.standard_normal((60, 5)), _lattice(), np.eye(12)):
+        if tile_rows is not None:
+            # Blocks of `tile_rows` rows, so ties and neighbors cross block edges.
+            monkeypatch.setattr(embedding, "TILE_ENTRIES", tile_rows * len(data))
+        np.testing.assert_array_equal(
+            knn_graph(data, knn).weights, dense_knn_graph(data, knn).weights
+        )
+
+
+def test_knn_graph_lattice_ties_match_brute_force():
+    data = _lattice()
+    for knn in (2, 5):
+        np.testing.assert_array_equal(knn_graph(data, knn).weights, _brute_force_knn(data, knn))
+
+
+def test_knn_graph_raw_pipeline_edges_equal_dense_oracle(raw_pipeline):
+    _, graph, dense = raw_pipeline
+    assert graph.matrix.nnz // 2 == RAW_PIPELINE_EDGES
+    np.testing.assert_array_equal(graph.weights, dense.weights)
+
+
+def test_knn_graph_gaussian_weights_match_dense_oracle():
+    rng = np.random.default_rng(12)
+    data = rng.standard_normal((200, 6))
+    for knn in (3, 10):
+        got = knn_graph(data, knn, weight="gaussian").weights
+        want = dense_knn_graph(data, knn, weight="gaussian").weights
+        np.testing.assert_array_equal(got > 0, want > 0)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
+def test_knn_graph_peak_allocation_is_blocked():
+    # One dense 6,000 x 6,000 float64 array is 288 MB; the blocked build
+    # holds a 4M-entry tile (32 MB) plus its partition copy and mask.
+    data = np.random.default_rng(13).standard_normal((6000, 20))
+    tracemalloc.start()
+    try:
+        graph = knn_graph(data, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    assert graph.matrix.nnz >= 6000 * 10
+
+
+def _blobs(rng, centers, per, scale):
+    return np.vstack([c + rng.normal(0, scale, size=(per, len(c))) for c in centers])
+
+
+def _embedding_cases():
+    """(name, data, knn, k): c = k, and c < k both on the Lanczos and the dense path."""
+    rng = np.random.default_rng(14)
+    return [
+        ("c=k raw_pipeline", generate(RAW_PIPELINE_SPEC).raw, RAW_PIPELINE_KNN, 20),
+        ("c<k raw_pipeline", generate(RAW_PIPELINE_SPEC).raw, RAW_PIPELINE_KNN, 25),
+        ("c<k synth", generate(SynthSpec(k=5, per_cluster=100, rho=0.66)).raw, 10, 8),
+        ("c<k blobs", _blobs(rng, rng.normal(0, 3, size=(4, 5)), 150, 1.0), 10, 4),
+        ("c=1 gaussian", rng.standard_normal((1500, 10)), 15, 6),
+        ("c=1 small dense path", rng.standard_normal((30, 3)), 5, 4),
+    ]
+
+
+@pytest.mark.parametrize("case", _embedding_cases(), ids=lambda c: c[0])
+def test_spectral_embed_subspace_matches_dense_oracle(case):
+    _, data, knn, k = case
+    graph = knn_graph(data, knn)
+    eigenvalues = laplacian_eigenvalues(graph)
+    assert eigenvalues[k] - eigenvalues[k - 1] > 1e-3  # the bottom-k space is well defined
+    got = spectral_embed(graph, k).matrix
+    want = dense_spectral_embed(graph, k).matrix
+    assert _distance(want, got) <= 1e-8
+
+
+def test_spectral_embed_dense_and_lanczos_paths_agree(monkeypatch):
+    rng = np.random.default_rng(15)
+    graph = knn_graph(_blobs(rng, rng.normal(0, 3, size=(3, 4)), 100, 1.0), 8)
+    lanczos = spectral_embed(graph, 6).matrix
+    monkeypatch.setattr(embedding, "MIN_LANCZOS_VECTORS", 10**6)
+    dense = spectral_embed(graph, 6).matrix
+    assert _distance(dense, lanczos) <= 1e-8
+
+
+def test_raw_pipeline_partition_and_iterations_match_dense_oracle(raw_pipeline):
+    data, graph, dense_graph = raw_pipeline
+    sparse_result = kindap_solve(spectral_embed(graph, RAW_PIPELINE_SPEC.k))
+    dense_result = kindap_solve(dense_spectral_embed(dense_graph, RAW_PIPELINE_SPEC.k))
+    assert accuracy(sparse_result.labels, dense_result.labels) == 1.0
+    assert accuracy(sparse_result.labels, data.truth) == 1.0
+    assert sum(sparse_result.trace.inner_iters_per_outer) <= sum(
+        dense_result.trace.inner_iters_per_outer
+    )
+
+
+def test_constant_start_lanczos_misses_the_null_space(raw_pipeline):
+    # Inside the k-fold eigenvalue 1 of D^-1/2 W D^-1/2, Lanczos from a
+    # constant start vector sees one direction; rounding lets only some of
+    # the others in. The component null space has all k exactly.
+    _, graph, dense = raw_pipeline
+    k = RAW_PIPELINE_SPEC.k
+    w = graph.matrix
+    inv_sqrt = sparse.diags(1.0 / np.sqrt(w.sum(axis=1)))
+    values, vectors = eigsh(inv_sqrt @ w @ inv_sqrt, k=k, which="LA", v0=np.ones(w.shape[0]))
+    assert np.sum(values > 1.0 - 1e-10) < k
+    reference = dense_spectral_embed(dense, k).matrix
+    assert _distance(reference, vectors) > 1.0
+    assert _distance(reference, spectral_embed(graph, k).matrix) <= 1e-8
+
+
+def test_null_space_columns_follow_smallest_vertex():
+    # Components {0, 3, 5}, {1, 2}, {4, 6}, as triangles and single edges.
+    w = np.zeros((7, 7))
+    for i, j in [(0, 3), (3, 5), (0, 5), (1, 2), (4, 6)]:
+        w[i, j] = w[j, i] = 1.0
+    graph = SimilarityGraph(w, knn=1)
+    count, labels = graph.components
+    assert count == 3
+    np.testing.assert_array_equal(labels, [0, 1, 1, 0, 2, 0, 2])
+    for k in (2, 3):
+        u = spectral_embed(graph, k).matrix
+        expected = np.zeros((7, 3))
+        expected[[0, 3, 5], 0] = 1.0 / np.sqrt(3.0)
+        expected[[1, 2], 1] = expected[[4, 6], 2] = 1.0 / np.sqrt(2.0)
+        np.testing.assert_allclose(u, expected[:, :k], atol=1e-15)
+
+
+def test_eigensolver_failure_is_eig_solver_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(embedding, "eigsh", no_convergence)
+    graph = knn_graph(np.random.default_rng(16).standard_normal((200, 3)), 8)
+    with pytest.raises(EigSolverError):
+        spectral_embed(graph, 4)
+
+
+def test_similarity_graph_is_csr_and_checks_its_input():
+    w = np.array([[0.0, 2.0], [2.0, 0.0]])
+    for value in (w, sparse.coo_array(w)):
+        graph = SimilarityGraph(value, knn=1)
+        assert isinstance(graph.matrix, sparse.csr_array)
+        assert graph.matrix.nnz == 2
+        assert not graph.weights.flags.writeable
+        assert not graph.matrix.data.flags.writeable
+    bad = {
+        "square": np.zeros((2, 3)),
+        "nonnegative": -w,
+        "symmetric": np.array([[0.0, 1.0], [2.0, 0.0]]),
+        "diagonal": np.eye(2),
+        "finite": np.array([[0.0, np.nan], [np.nan, 0.0]]),
+    }
+    for word, value in bad.items():
+        with pytest.raises(ValueError, match=word):
+            SimilarityGraph(value, knn=1)
+
+
+def test_knn_graph_rejects_non_finite_data():
+    data = np.random.default_rng(17).standard_normal((10, 2))
+    data[3, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        knn_graph(data, 3)

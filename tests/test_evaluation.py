@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -64,6 +65,32 @@ def test_accuracy_symmetric_under_relabeling_both_sides():
     relabel = np.array([2, 0, 1])
     assert accuracy(relabel[pred], truth) == pytest.approx(base, abs=1e-12)
     assert accuracy(pred, relabel[truth]) == pytest.approx(base, abs=1e-12)
+
+
+def test_accuracy_memory_bounded_by_distinct_ids():
+    # Indexed by raw id, the confusion matrix for pred id 3,000,000,000
+    # against truth ids {0, 1} has (3e9 + 1) x 2 float64 cells: 44.7 GiB.
+    pred = np.array([3_000_000_000, 3_000_000_000, 0, 0, 0])
+    truth = np.array([1, 1, 0, 0, 1])
+    tracemalloc.start()
+    try:
+        score = accuracy(pred, truth)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert score == 0.8
+    assert peak < 1e6
+
+
+def test_accuracy_depends_only_on_the_partition():
+    rng = np.random.default_rng(2)
+    sparse_ids = np.array([0, 7, 123_456, 3_000_000_000, 2**62])
+    for _ in range(20):
+        pred = rng.integers(0, 5, size=30)
+        truth = rng.integers(0, 4, size=30)
+        base = accuracy(pred, truth)
+        assert accuracy(sparse_ids[pred], truth) == base
+        assert accuracy(pred, sparse_ids[truth]) == base
 
 
 def test_accuracy_length_mismatch():
