@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BinaryIndicator,
     ClusteringError,
     ClusterResult,
     EmbeddedData,
@@ -20,6 +19,15 @@ from .core import (
 from .evaluation import kind_objective, kmeans_objective
 from .kindap import OBJECTIVE_FLOOR, repair_empty_columns
 from .projections import procrustes_rotation
+
+# A norm-expanded squared distance at or below this fraction of
+# ||x_i||^2 + ||c||^2 is within rounding of zero; k-means++ recomputes it by
+# direct difference, so a duplicate of a chosen center weighs exactly 0.
+CANCELLATION_BAND = 1e-8
+
+# Replication objectives within this distance of the best, relative to
+# max(1, |best|), count as tied; the lowest index among them wins.
+REPLICATION_TIE_RTOL = 1e-12
 
 
 @dataclass
@@ -55,13 +63,30 @@ class SrParams:
 
 
 def _squared_distances(x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distances from each row of x (squared norms `x_sq`) to each center."""
-    d2 = (
-        x_sq[:, None]
-        - 2.0 * x @ centers.T
-        + (centers**2).sum(axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+    """Squared distances from each row of x (squared norms `x_sq`) to each center.
+
+    Built in place in the n x k product x c'.
+    """
+    d2 = x @ centers.T
+    d2 *= -2.0
+    d2 += x_sq[:, None]
+    d2 += (centers**2).sum(axis=1)
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _distances_to_row(x: np.ndarray, x_sq: np.ndarray, idx: int) -> np.ndarray:
+    """Squared distances from each row of x to row `idx`: one GEMV.
+
+    Rows inside the cancellation band are recomputed by direct difference.
+    """
+    center = x[idx]
+    d2 = x @ center
+    d2 *= -2.0
+    d2 += x_sq
+    d2 += x_sq[idx]
+    near = np.flatnonzero(d2 <= CANCELLATION_BAND * (x_sq + x_sq[idx]))
+    d2[near] = ((x[near] - center) ** 2).sum(axis=1)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def kmeans_pp_init(data, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -70,14 +95,18 @@ def kmeans_pp_init(data, k: int, rng: np.random.Generator) -> np.ndarray:
     When all remaining squared distances are zero (duplicate points), the next
     center falls back to a uniform choice among unchosen indices, so the k
     chosen indices are always distinct.
+
+    Cost: one GEMV with the n x d data per center, from the norm expansion
+    ||x_i||^2 + ||c||^2 - 2 x_i'c with the row norms computed once.
     """
     x = np.asarray(data, dtype=float)
     n = x.shape[0]
     if n < k:
         raise InfeasibleKError(f"{n} points cannot seed {k} centers")
+    x_sq = np.einsum("ij,ij->i", x, x)
     chosen = np.empty(k, dtype=int)
     chosen[0] = int(rng.integers(n))
-    d2 = ((x - x[chosen[0]]) ** 2).sum(axis=1)
+    d2 = _distances_to_row(x, x_sq, chosen[0])
     for t in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -86,8 +115,16 @@ def kmeans_pp_init(data, k: int, rng: np.random.Generator) -> np.ndarray:
         else:
             idx = int(rng.choice(n, p=d2 / total))
         chosen[t] = idx
-        d2 = np.minimum(d2, ((x - x[idx]) ** 2).sum(axis=1))
+        np.minimum(d2, _distances_to_row(x, x_sq, idx), out=d2)
     return x[chosen].copy()
+
+
+def _best_replication(objectives) -> int:
+    """Lowest index whose objective ties the best within REPLICATION_TIE_RTOL."""
+    values = np.asarray(objectives, dtype=float)
+    best = float(values.min())
+    cutoff = best + REPLICATION_TIE_RTOL * max(1.0, abs(best))
+    return int(np.flatnonzero(values <= cutoff)[0])
 
 
 def _seize_for_empty(x, labels, centers, dist_to_own):
@@ -172,7 +209,8 @@ def kmeans_solve(data, k: int, params: KmeansParams | None = None) -> ClusterRes
 
     Each replication draws from its own seed-derived stream (indexed spawning
     of the base seed), so results do not depend on execution order. The
-    replication with the lowest objective wins; ties go to the lowest index.
+    replication with the lowest objective wins; objectives within
+    REPLICATION_TIE_RTOL of the best tie, and ties go to the lowest index.
     """
     if params is None:
         params = KmeansParams()
@@ -186,7 +224,7 @@ def kmeans_solve(data, k: int, params: KmeansParams | None = None) -> ClusterRes
         centers = kmeans_pp_init(x, k, rng)
         results.append(lloyd_solve(x, k, centers, params))
     objectives = [r.kmeans_objective for r in results]
-    best = int(np.argmin(objectives))
+    best = _best_replication(objectives)
     winner = results[best]
     winner.trace.replication_index = best
     winner.trace.replication_objectives = objectives
@@ -211,19 +249,33 @@ def _sr_once(basis: EmbeddedData, rotation: np.ndarray, params: SrParams):
     unconstrained set, but the repair can push uphill, so an iterate that
     increases the objective is rejected and the run stops with the previous
     one; the recorded history is therefore nonincreasing.
+
+    Cost per iteration: the U R and U'H GEMMs and one k x k SVD. The
+    one-hot H lives in one reused n x k buffer, and the objective is read
+    off the Procrustes singular values, clamped at 0.
     """
     u_hat = basis.matrix
     n, k = u_hat.shape
+    # ||U R - H||^2 = ||U||^2 + n - 2 tr(R'U'H) for orthogonal R and one-hot
+    # H, and at the Procrustes rotation the trace is the sum of the singular
+    # values of U'H.
+    offset = float(np.einsum("ij,ij->", u_hat, u_hat)) + n
+    rows = np.arange(n)
+    scores = np.empty((n, k))
+    onehot = np.zeros((n, k))
     history: list[float] = []
     prev = None
     out_labels = np.zeros(n, dtype=int)
     out_obj = np.inf
+    labels = None
     for _ in range(1, params.max_iters + 1):
-        scores = u_hat @ rotation
+        np.matmul(u_hat, rotation, out=scores)
+        if labels is not None:
+            onehot[rows, labels] = 0.0
         labels = repair_empty_columns(scores, np.argmax(scores, axis=1))
-        b = BinaryIndicator.from_labels(labels, k)
-        rotation, _ = procrustes_rotation(b.matrix, u_hat)
-        obj = float(((u_hat @ rotation - b.matrix) ** 2).sum())
+        onehot[rows, labels] = 1.0
+        rotation, sigma = procrustes_rotation(onehot, u_hat)
+        obj = max(offset - 2.0 * float(sigma.sum()), 0.0)
         if prev is not None and obj > prev:
             break
         history.append(obj)
@@ -241,9 +293,11 @@ def sr_solve(basis: EmbeddedData, params: SrParams | None = None) -> ClusterResu
 
     Runs `params.replications` restarts from random orthogonal rotations
     (seed-derived independent streams) and keeps the one with the lowest
-    rotation-fit objective. The returned result reports the winning labels'
-    kind and k-means objectives for cross-model comparison; the rotation-fit
-    objective itself lives in the trace.
+    rotation-fit objective; objectives within REPLICATION_TIE_RTOL of the
+    best tie (equal partitions under different cluster numberings differ in
+    the last bits), and ties go to the lowest index. The returned result
+    reports the winning labels' kind and k-means objectives for cross-model
+    comparison; the rotation-fit objective itself lives in the trace.
     """
     if params is None:
         params = SrParams()
@@ -256,7 +310,7 @@ def sr_solve(basis: EmbeddedData, params: SrParams | None = None) -> ClusterResu
         rng = np.random.default_rng(stream)
         runs.append(_sr_once(basis, _random_orthogonal(k, rng), params))
     objectives = [obj for _, obj, _ in runs]
-    best = int(np.argmin(objectives))
+    best = _best_replication(objectives)
     labels, _, history = runs[best]
     trace = SolverTrace(
         outer_iters=len(history),

@@ -19,6 +19,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .core import (
+    ClusteringError,
     EigSolverError,
     EmbeddedData,
     IsolatedVertexError,
@@ -101,6 +102,10 @@ def knn_graph(data, knn: int, weight: str = "binary") -> SimilarityGraph:
 
     Cost: O(n^2 d) time in blocked GEMMs and O(block * n + n * knn) memory,
     where one block of rows times n is at most TILE_ENTRIES floats.
+
+    Raises ClusteringError when a squared row norm exceeds a quarter of the
+    largest float (squared distances would overflow), and for "gaussian"
+    weights when the median neighbor distance is 0 (mostly duplicate rows).
     """
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
@@ -113,6 +118,13 @@ def knn_graph(data, knn: int, weight: str = "binary") -> SimilarityGraph:
     if not np.all(np.isfinite(x)):
         raise ValueError("data must be finite")
     sq_norms = np.einsum("ij,ij->i", x, x)
+    # A squared distance is at most 4 max ||x_i||^2, so this bound keeps
+    # every distance finite.
+    if np.any(sq_norms > np.finfo(float).max / 4):
+        raise ClusteringError(
+            "data too large in magnitude: a squared row norm exceeds 1/4 of the "
+            "largest float, so distances would overflow; rescale the data"
+        )
     block = max(1, TILE_ENTRIES // n)
     neighbors = np.empty((n, knn), dtype=np.intp)
     neighbor_d2 = np.empty((n, knn))
@@ -146,7 +158,13 @@ def knn_graph(data, knn: int, weight: str = "binary") -> SimilarityGraph:
         neighbor_d2[start:stop] = dist[keep].reshape(-1, knn)
     if weight == "gaussian":
         bandwidth = float(np.median(np.sqrt(neighbor_d2)))
-        values = np.exp(-neighbor_d2.ravel() / (2.0 * bandwidth**2))
+        scale = 2.0 * bandwidth**2
+        if scale == 0.0:
+            raise ClusteringError(
+                f"gaussian weights need a positive bandwidth, but the median neighbor "
+                f"distance is {bandwidth:g} (duplicate rows); use --weight binary"
+            )
+        values = np.exp(-neighbor_d2.ravel() / scale)
     else:
         values = np.ones(n * knn)
     directed = sparse.csr_array(

@@ -57,11 +57,12 @@ def generate(spec: SynthSpec) -> SynthDataset:
     rng = np.random.default_rng(spec.seed)
     n = spec.k * spec.per_cluster
     truth = np.repeat(np.arange(spec.k), spec.per_cluster)
-    centers = np.zeros((spec.k, spec.ambient_dim))
-    centers[np.arange(spec.k), np.arange(spec.k)] = np.sqrt(2.0)
-    directions = rng.standard_normal((n, spec.ambient_dim))
-    directions /= np.linalg.norm(directions, axis=1)[:, None]
-    raw = centers[truth] + spec.rho * directions
+    raw = rng.standard_normal((n, spec.ambient_dim))
+    raw /= np.linalg.norm(raw, axis=1)[:, None]
+    # Scale the unit directions by rho, then move each point to its center
+    # sqrt(2) e_truth, all in the one n x d buffer.
+    raw *= spec.rho
+    raw[np.arange(n), truth] += np.sqrt(2.0)
     left, _, _ = np.linalg.svd(raw, full_matrices=False)
     embedded = EmbeddedData(fix_column_signs(left[:, : spec.k]))
     return SynthDataset(raw=raw, truth=truth, embedded=embedded)

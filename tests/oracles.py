@@ -8,6 +8,10 @@ path the production kernel must reproduce. `dense_knn_graph`,
 `dense_spectral_embed` and `laplacian_eigenvalues` keep the spectral front
 end in its first, dense n x n form (full distance matrix, stable argsort,
 full `eigh`), as the path the sparse front end is gated against.
+`reference_squared_distances`, `reference_kmeans_pp_init`,
+`reference_sr_once` and `reference_generate` keep the baselines' distance,
+seeding and rotation loops and the synthetic generator in their first,
+temporary-per-step form, as the paths the lean versions are gated against.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from itertools import product
 import numpy as np
 
 from kindicators.core import (
+    BinaryIndicator,
     ClusterResult,
     EigSolverError,
     EmbeddedData,
@@ -30,8 +35,14 @@ from kindicators.core import (
 )
 from kindicators.embedding import WEIGHT_SCHEMES, SimilarityGraph
 from kindicators.evaluation import kind_objective, kmeans_objective
-from kindicators.kindap import OBJECTIVE_FLOOR, KindapParams, round_to_indicator
+from kindicators.kindap import (
+    OBJECTIVE_FLOOR,
+    KindapParams,
+    repair_empty_columns,
+    round_to_indicator,
+)
 from kindicators.projections import DEGENERATE_SV_TOL, RotatedBasis, procrustes_rotation
+from kindicators.synthgen import SynthDataset
 
 MAX_N = 12
 MAX_K = 4
@@ -311,3 +322,77 @@ def dense_spectral_embed(graph: SimilarityGraph, k: int, row_normalize: bool = F
 def laplacian_eigenvalues(graph: SimilarityGraph) -> np.ndarray:
     """All eigenvalues of the symmetric normalized Laplacian, ascending."""
     return np.linalg.eigvalsh(_dense_laplacian(graph))
+
+
+def reference_squared_distances(x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared point-to-center distances as first written, with fresh n x k temporaries."""
+    d2 = (
+        x_sq[:, None]
+        - 2.0 * x @ centers.T
+        + (centers**2).sum(axis=1)[None, :]
+    )
+    return np.maximum(d2, 0.0)
+
+
+def reference_kmeans_pp_init(data, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding as first written: three n x d passes per center."""
+    x = np.asarray(data, dtype=float)
+    n = x.shape[0]
+    if n < k:
+        raise InfeasibleKError(f"{n} points cannot seed {k} centers")
+    chosen = np.empty(k, dtype=int)
+    chosen[0] = int(rng.integers(n))
+    d2 = ((x - x[chosen[0]]) ** 2).sum(axis=1)
+    for t in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            unchosen = np.setdiff1d(np.arange(n), chosen[:t])
+            idx = int(rng.choice(unchosen))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        chosen[t] = idx
+        d2 = np.minimum(d2, ((x - x[idx]) ** 2).sum(axis=1))
+    return x[chosen].copy()
+
+
+def reference_sr_once(basis: EmbeddedData, rotation: np.ndarray, params):
+    """One spectral-rotation run as first written: a validated one-hot matrix
+    per iteration and the objective summed entrywise as ||U R - H||_F^2."""
+    u_hat = basis.matrix
+    n, k = u_hat.shape
+    history: list[float] = []
+    prev = None
+    out_labels = np.zeros(n, dtype=int)
+    out_obj = np.inf
+    for _ in range(1, params.max_iters + 1):
+        scores = u_hat @ rotation
+        labels = repair_empty_columns(scores, np.argmax(scores, axis=1))
+        b = BinaryIndicator.from_labels(labels, k)
+        rotation, _ = procrustes_rotation(b.matrix, u_hat)
+        obj = float(((u_hat @ rotation - b.matrix) ** 2).sum())
+        if prev is not None and obj > prev:
+            break
+        history.append(obj)
+        out_labels, out_obj = labels, obj
+        if obj <= OBJECTIVE_FLOOR:
+            break
+        if prev is not None and prev - obj <= params.tol * max(prev, OBJECTIVE_FLOOR):
+            break
+        prev = obj
+    return out_labels, out_obj, history
+
+
+def reference_generate(spec) -> SynthDataset:
+    """The synthetic generator as first written, adding a gathered n x d
+    center matrix to a scaled copy of the directions."""
+    rng = np.random.default_rng(spec.seed)
+    n = spec.k * spec.per_cluster
+    truth = np.repeat(np.arange(spec.k), spec.per_cluster)
+    centers = np.zeros((spec.k, spec.ambient_dim))
+    centers[np.arange(spec.k), np.arange(spec.k)] = np.sqrt(2.0)
+    directions = rng.standard_normal((n, spec.ambient_dim))
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    raw = centers[truth] + spec.rho * directions
+    left, _, _ = np.linalg.svd(raw, full_matrices=False)
+    embedded = EmbeddedData(fix_column_signs(left[:, : spec.k]))
+    return SynthDataset(raw=raw, truth=truth, embedded=embedded)

@@ -1,21 +1,30 @@
 import numpy as np
 import pytest
 
+from kindicators import baselines
 from kindicators.baselines import (
     KmeansParams,
     SrParams,
+    _best_replication,
     _random_orthogonal,
     _sr_once,
+    _squared_distances,
     kmeans_pp_init,
     kmeans_solve,
     lloyd_solve,
     sr_solve,
 )
+from kindicators.cli import stable_cell_seed
 from kindicators.core import make_indicator, validate_embedding
 from kindicators.evaluation import accuracy
 from kindicators.synthgen import SynthSpec, generate
 
-from oracles import exhaustive_best
+from oracles import (
+    exhaustive_best,
+    reference_kmeans_pp_init,
+    reference_sr_once,
+    reference_squared_distances,
+)
 
 
 def test_kmeans_pp_all_points_is_permutation():
@@ -181,7 +190,9 @@ def test_sr_monotone_histories_and_selection():
     for history in trace.replication_histories:
         assert np.all(np.diff(np.asarray(history)) <= 1e-12)
     objectives = trace.replication_objectives
-    assert objectives[trace.replication_index] == min(objectives)
+    best = min(objectives)
+    tied = [i for i, v in enumerate(objectives) if v <= best + 1e-12 * max(1.0, abs(best))]
+    assert trace.replication_index == tied[0]
 
 
 def test_sr_deterministic():
@@ -198,3 +209,133 @@ def test_random_orthogonal_is_orthogonal():
     for k in (2, 3, 5):
         q = _random_orthogonal(k, rng)
         np.testing.assert_allclose(q.T @ q, np.eye(k), atol=1e-12)
+
+
+def test_best_replication_ties_within_rounding():
+    assert _best_replication([1.0 + 1e-13, 1.0]) == 0
+    assert _best_replication([1.0 + 2e-12, 1.0]) == 1
+    # Below 1 in magnitude the tolerance is absolute.
+    assert _best_replication([5e-13, 0.0]) == 0
+    assert _best_replication([2e-12, 0.0]) == 1
+    assert _best_replication([1e6 + 1e-7, 1e6]) == 0
+    assert _best_replication([1e6 + 1e-5, 1e6]) == 1
+    assert _best_replication([3.0, 2.0, 2.0, 1.0]) == 3
+
+
+def test_sr_winner_is_first_of_replications_tied_by_rounding():
+    # Replications that reach the same partition under different cluster
+    # numberings differ in the last bits of their objectives; the winner is
+    # the lowest-index one, whatever the rounding.
+    k, rho, seed, index = 50, 0.66, 2, 1
+    data = generate(SynthSpec(k=k, rho=rho, per_cluster=40, seed=seed))
+    params = SrParams(replications=10, seed=stable_cell_seed(seed, k, rho, "sr", index))
+    result = sr_solve(data.embedded, params)
+    objectives = result.trace.replication_objectives
+    best = min(objectives)
+    tied = [i for i, v in enumerate(objectives) if v <= best + 1e-12 * max(1.0, abs(best))]
+    assert len(tied) > 1
+    assert result.trace.replication_index == tied[0]
+    streams = np.random.SeedSequence(params.seed).spawn(params.replications)
+    for i in tied:
+        rotation = _random_orthogonal(k, np.random.default_rng(streams[i]))
+        labels, _, _ = _sr_once(data.embedded, rotation, params)
+        assert accuracy(labels, result.labels) == 1.0
+
+
+# Gates of the lean baselines against the loops they replace
+# (tests/oracles.py): the acceptance sweep's 18 cells, with the sweep's own
+# per-cell solver seeds, and the benchmark's two k=100 datasets.
+SWEEP_CELLS = [
+    (k, rho, seed, index)
+    for k in (10, 25, 50)
+    for rho in (0.33, 0.66)
+    for index, seed in enumerate((1, 2, 3))
+]
+MANY_K_CELLS = [(100, rho, 0, 0) for rho in (0.33, 0.66)]
+
+
+def _cell_data(k, rho, seed):
+    return generate(SynthSpec(k=k, rho=rho, per_cluster=40, seed=seed))
+
+
+@pytest.mark.parametrize("k, rho, seed, index", SWEEP_CELLS + MANY_K_CELLS)
+def test_kmeans_pp_init_matches_reference(k, rho, seed, index):
+    x = _cell_data(k, rho, seed).embedded.matrix
+    base = stable_cell_seed(seed, k, rho, "kmeans", index)
+    for stream in np.random.SeedSequence(base).spawn(10):
+        new = kmeans_pp_init(x, k, np.random.default_rng(stream))
+        old = reference_kmeans_pp_init(x, k, np.random.default_rng(stream))
+        assert np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("k, rho, seed, index", SWEEP_CELLS[::3] + MANY_K_CELLS[:1])
+def test_kmeans_solve_matches_reference(k, rho, seed, index, monkeypatch):
+    x = _cell_data(k, rho, seed).embedded.matrix
+    params = KmeansParams(replications=10, seed=stable_cell_seed(seed, k, rho, "kmeans", index))
+    new = kmeans_solve(x, k, params)
+    monkeypatch.setattr(baselines, "_squared_distances", reference_squared_distances)
+    old = []
+    for stream in np.random.SeedSequence(params.seed).spawn(params.replications):
+        centers = reference_kmeans_pp_init(x, k, np.random.default_rng(stream))
+        old.append(lloyd_solve(x, k, centers, params))
+    old_objectives = [r.kmeans_objective for r in old]
+    assert new.trace.replication_objectives == old_objectives
+    assert new.trace.replication_histories == [r.trace.objective_history for r in old]
+    assert new.trace.replication_index == int(np.argmin(old_objectives))
+    assert np.array_equal(new.labels, old[new.trace.replication_index].labels)
+
+
+@pytest.mark.parametrize("k, rho, seed, index", SWEEP_CELLS + MANY_K_CELLS[1:])
+def test_sr_matches_reference(k, rho, seed, index):
+    data = _cell_data(k, rho, seed)
+    params = SrParams(replications=10, seed=stable_cell_seed(seed, k, rho, "sr", index))
+    old_runs = []
+    for stream in np.random.SeedSequence(params.seed).spawn(params.replications):
+        rotation = _random_orthogonal(k, np.random.default_rng(stream))
+        new_labels, new_obj, new_history = _sr_once(data.embedded, rotation, params)
+        old_labels, old_obj, old_history = reference_sr_once(data.embedded, rotation, params)
+        assert np.array_equal(new_labels, old_labels)
+        assert len(new_history) == len(old_history)
+        old_history = np.asarray(old_history)
+        assert np.all(
+            np.abs(np.asarray(new_history) - old_history)
+            <= 1e-12 * np.maximum(1.0, np.abs(old_history))
+        )
+        assert new_obj == new_history[-1]
+        old_runs.append((old_labels, old_obj))
+    winner = sr_solve(data.embedded, params)
+    old_labels, _ = old_runs[int(np.argmin([obj for _, obj in old_runs]))]
+    assert accuracy(winner.labels, old_labels) == 1.0
+
+
+def test_squared_distances_bit_identical_to_reference():
+    rng = np.random.default_rng(25)
+    for n, d, k in ((7, 3, 2), (200, 10, 9), (4000, 100, 100)):
+        x = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4)
+        centers = x[rng.choice(n, size=k, replace=False)] + rng.normal(0, 0.1, size=(k, d))
+        x_sq = (x**2).sum(axis=1)
+        new = _squared_distances(x, x_sq, centers)
+        assert np.array_equal(new, reference_squared_distances(x, x_sq, centers))
+        assert np.all(new >= 0.0)
+
+
+def test_kmeans_pp_near_duplicates_keep_direct_distances():
+    # In 50 dimensions the norm expansion of a zero distance rounds to about
+    # 1e-13. Points within the cancellation band of a center get their
+    # distance by direct difference instead: exact duplicates weigh exactly
+    # 0 and a near-duplicate keeps its direct value.
+    rng = np.random.default_rng(26)
+    base = 3.0 * rng.standard_normal(50)
+    data = np.vstack([base, base, base + 1e-7 * rng.standard_normal(50), rng.standard_normal(50)])
+    x_sq = (data**2).sum(axis=1)
+    d2 = baselines._distances_to_row(data, x_sq, 0)
+    assert d2[0] == 0.0 and d2[1] == 0.0
+    assert d2[2] == ((data[2] - data[0]) ** 2).sum()
+    assert d2[3] == pytest.approx(((data[3] - data[0]) ** 2).sum(), rel=1e-12)
+    # Every row twice: once each distinct row is a center, all weights are 0
+    # and the uniform fallback picks the unchosen duplicates.
+    rows = rng.standard_normal((4, 50))
+    twice = np.vstack([rows, rows])
+    for seed in range(20):
+        centers = kmeans_pp_init(twice, 8, np.random.default_rng(seed))
+        assert np.array_equal(np.sort(centers, axis=0), np.sort(twice, axis=0))

@@ -124,6 +124,38 @@ def test_matrix_commands_reject_non_finite_cells(tmp_path, capsys, bad):
         assert "m.csv:5: non-finite value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("knn", [1, 5])
+def test_embed_rejects_data_whose_distances_overflow(tmp_path, capsys, knn):
+    # 1e200 is finite, but its square is not: the squared distances of row 3
+    # overflow to inf. At knn=1 that gave an embedding built from nan
+    # distances; at knn=5 row 3 tied with itself and picked itself.
+    matrix = np.random.default_rng(6).standard_normal((20, 3))
+    matrix[3, 1] = 1e200
+    raw_path = tmp_path / "raw.csv"
+    write_matrix_csv(raw_path, matrix)
+    emb_path = tmp_path / "emb.csv"
+    argv = ["embed", str(raw_path), "--k", "2", "--knn", str(knn), "--out", str(emb_path)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "rescale the data" in err and "Traceback" not in err
+    assert not emb_path.exists()
+
+
+def test_embed_gaussian_on_mostly_duplicate_rows_names_binary_weights(tmp_path, capsys):
+    # 15 of 20 rows coincide, so the median neighbor distance, the Gaussian
+    # bandwidth, is 0.
+    rng = np.random.default_rng(7)
+    matrix = np.vstack([np.tile([1.0, 2.0, 3.0], (15, 1)), rng.standard_normal((5, 3))])
+    raw_path = tmp_path / "raw.csv"
+    write_matrix_csv(raw_path, matrix)
+    emb_path = tmp_path / "emb.csv"
+    argv = ["embed", str(raw_path), "--k", "2", "--knn", "3", "--out", str(emb_path)]
+    assert main(argv + ["--weight", "gaussian"]) == 3
+    err = capsys.readouterr().err
+    assert "--weight binary" in err and "Traceback" not in err
+    assert not emb_path.exists()
+
+
 def test_embed_warns_when_components_exceed_k(tmp_path, capsys):
     rng = np.random.default_rng(4)
     centers = np.array([[0.0, 0.0], [50.0, 0.0], [0.0, 50.0]])

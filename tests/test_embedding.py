@@ -6,7 +6,12 @@ from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from kindicators import embedding
-from kindicators.core import EigSolverError, IsolatedVertexError, validate_embedding
+from kindicators.core import (
+    ClusteringError,
+    EigSolverError,
+    IsolatedVertexError,
+    validate_embedding,
+)
 from kindicators.embedding import SimilarityGraph, knn_graph, spectral_embed
 from kindicators.evaluation import accuracy
 from kindicators.kindap import kindap_solve
@@ -367,3 +372,24 @@ def test_knn_graph_rejects_non_finite_data():
     data[3, 1] = np.nan
     with pytest.raises(ValueError, match="finite"):
         knn_graph(data, 3)
+
+
+def test_knn_graph_rejects_overflowing_squared_norms():
+    data = np.random.default_rng(18).standard_normal((10, 2))
+    data[3, 1] = 1e200
+    for knn in (1, 5):
+        with pytest.raises(ClusteringError, match="rescale"):
+            knn_graph(data, knn)
+    # Just inside the bound every distance, and so every weight, is finite.
+    data[3, 1] = 0.99 * np.sqrt(np.finfo(float).max / 4)
+    data[4, 1] = -data[3, 1]
+    graph = knn_graph(data, 5, weight="gaussian")
+    assert np.all(np.isfinite(graph.matrix.data))
+
+
+def test_knn_graph_gaussian_needs_positive_bandwidth():
+    rng = np.random.default_rng(19)
+    data = np.vstack([np.zeros((15, 3)), rng.standard_normal((5, 3))])
+    with pytest.raises(ClusteringError, match="--weight binary"):
+        knn_graph(data, 3, weight="gaussian")
+    assert knn_graph(data, 3).matrix.nnz > 0

@@ -6,6 +6,8 @@ from kindicators.evaluation import accuracy
 from kindicators.kindap import kindap_solve
 from kindicators.synthgen import SynthSpec, generate
 
+from oracles import reference_generate
+
 
 def test_spec_validation():
     with pytest.raises(ValueError):
@@ -79,3 +81,20 @@ def test_separable_instances_are_solvable():
         data.embedded.matrix, 3, centers, KmeansParams(replications=1)
     )
     assert accuracy(lloyd_result.labels, data.truth) == 1.0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SynthSpec(k=2, per_cluster=1, rho=0.1, ambient_dim=2, seed=0),
+        SynthSpec(k=5, per_cluster=7, rho=0.66, ambient_dim=9, seed=4),
+        SynthSpec(k=10, per_cluster=40, rho=0.33, ambient_dim=300, seed=1),
+        SynthSpec(k=20, per_cluster=25, rho=3.0, ambient_dim=50, seed=9),
+    ],
+)
+def test_generate_bit_identical_to_reference(spec):
+    new = generate(spec)
+    old = reference_generate(spec)
+    assert np.array_equal(new.raw, old.raw)
+    assert np.array_equal(new.truth, old.truth)
+    assert np.array_equal(new.embedded.matrix, old.embedded.matrix)
