@@ -1,11 +1,15 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from kindicators import cli
 from kindicators.cli import (
     BENCH_FIELDS,
+    DataFileError,
+    _read_matrix_csv_by_rows,
     main,
     read_labels_csv,
     read_matrix_csv,
@@ -45,6 +49,97 @@ def test_matrix_csv_parse_error_carries_line_number(tmp_path):
     path.write_text("1.0,2.0\n3.0,oops\n")
     code = main(["cluster", str(path), "--method", "kindap"])
     assert code == 3
+
+
+def _read_outcome(read, path):
+    try:
+        m = read(path)
+    except (DataFileError, csv.Error) as exc:
+        return type(exc).__name__, str(exc)
+    return m.shape, m.tobytes()
+
+
+# Plain numeric files the two readers must agree on, valid and malformed,
+# plus bytes where np.loadtxt alone would differ from csv + float().
+CSV_CASES = {
+    "lf": "1,2\n3,4\n",
+    "crlf": "1,2\r\n3,4\r\n",
+    "cr": "1,2\r3,4\r",
+    "blank_lines": "1,2\n\n\r\n3,4",
+    "spaces_signs": " 1 , +2 \n-0,.5\n",
+    "exponents": "5.,1e-400\n1E+5,-7e3\n",
+    "one_cell": "42\n",
+    "one_column": "1\n2\n3\n",
+    "empty_cell": "1,,2\n",
+    "trailing_comma": "1,2,\n",
+    "inner_space": "1 2,3\n",
+    "space_line": "1,2\n \n3,4\n",
+    "ragged": "1,2\n3\n",
+    "bad_exponent": "1e,2\n",
+    "double_sign": "--1,2\n",
+    "double_point": "1..2,3\n",
+    "no_digits": ",\n",
+    "overflow": "1e400,2\n",
+    "empty": "",
+    "only_newlines": "\n\n",
+    "file_separator": "1,2\x1c\n",
+    "no_break_space": "1,2\xa0\n",
+    "vertical_tab": "1\x0b,2\n",
+    "over_field_limit": "0" * csv.field_size_limit() + "1,2\n",
+}
+
+
+@pytest.mark.parametrize("text", CSV_CASES.values(), ids=CSV_CASES.keys())
+def test_matrix_csv_fast_path_matches_row_reader(tmp_path, text):
+    # On plain numeric files read_matrix_csv takes np.loadtxt; every file must
+    # come out as from the csv + float() reader: same bits and shape, or the
+    # same error (np.loadtxt strips "\x1c", str.splitlines breaks lines at it,
+    # and np.loadtxt reads cells longer than csv's field limit; float() and
+    # csv.reader do none of these).
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _read_outcome(read_matrix_csv, path) == _read_outcome(_read_matrix_csv_by_rows, path)
+
+
+def test_matrix_csv_fast_path_bit_identical_on_random_data(tmp_path, monkeypatch):
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((50, 30)) * 10.0 ** rng.integers(-300, 300, size=(50, 30))
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, m)
+    expected = _read_matrix_csv_by_rows(path)
+
+    def row_reader_called(path):
+        raise AssertionError("plain numeric file fell back to the row reader")
+
+    monkeypatch.setattr(cli, "_read_matrix_csv_by_rows", row_reader_called)
+    got = read_matrix_csv(path)
+    assert got.shape == m.shape and got.tobytes() == expected.tobytes() == m.tobytes()
+
+
+def test_matrix_csv_fast_path_streams_lines(tmp_path):
+    # The row reader holds every cell as a Python float before the array
+    # exists (peak 6.2 MB here); the fast path holds the array and a line.
+    m = np.random.default_rng(5).standard_normal((500, 300))
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, m)
+    tracemalloc.start()
+    try:
+        read_matrix_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * m.nbytes
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [('"1",2\n', [[1.0, 2.0]]), ("1_0,2\n", [[10.0, 2.0]]), ("1\t,2\n", [[1.0, 2.0]])],
+    ids=["quoted", "underscore", "tab"],
+)
+def test_matrix_csv_other_bytes_use_row_reader(tmp_path, text, expected):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    np.testing.assert_array_equal(read_matrix_csv(path), expected)
 
 
 def test_synth_writes_expected_shapes(tmp_path):
@@ -419,7 +514,6 @@ def test_validate_result_payload_rejects_bad_documents():
         "params": {},
     }
     validate_result_payload(good)
-    from kindicators.cli import DataFileError
 
     for corrupt in (
         {**good, "schema": 2},
