@@ -21,13 +21,7 @@ from .core import (
 from .embedding import SimilarityGraph, knn_graph, spectral_embed
 from .evaluation import SoftIndicator, accuracy, kind_objective, kmeans_objective, soft_indicator
 from .kindap import KindapParams, inner_solve, kindap_solve, round_to_indicator, warm_start_centers
-from .projections import (
-    RotatedBasis,
-    procrustes_project,
-    project_box,
-    projection_distance,
-    subspace_distance,
-)
+from .projections import RotatedBasis, projection_distance, subspace_distance
 from .synthgen import SynthDataset, SynthSpec, generate
 
 __version__ = "0.1.0"
@@ -59,8 +53,6 @@ __all__ = [
     "knn_graph",
     "lloyd_solve",
     "make_indicator",
-    "procrustes_project",
-    "project_box",
     "projection_distance",
     "round_to_indicator",
     "soft_indicator",

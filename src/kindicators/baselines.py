@@ -11,7 +11,6 @@ from .core import (
     ClusterResult,
     EmbeddedData,
     InfeasibleKError,
-    ORTHONORMAL_TOL,
     SolverTrace,
     cluster_sums,
     make_indicator,
@@ -47,19 +46,8 @@ class KmeansParams:
 
 
 @dataclass
-class SrParams:
-    replications: int = 10
+class SrParams(KmeansParams):
     max_iters: int = 100
-    tol: float = 1e-6
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
 
 
 def _squared_distances(x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -127,46 +115,23 @@ def _best_replication(objectives) -> int:
     return int(np.flatnonzero(values <= cutoff)[0])
 
 
-def _seize_for_empty(x, labels, centers, dist_to_own):
-    """Give each empty cluster the point farthest from its current center."""
-    k = centers.shape[0]
-    sizes = np.bincount(labels, minlength=k)
-    for j in range(k):
-        if sizes[j] > 0:
-            continue
-        candidates = np.where(sizes[labels] >= 2, dist_to_own, -np.inf)
-        i = int(np.argmax(candidates))
-        if candidates[i] == -np.inf:
-            raise InfeasibleKError("cannot repair empty cluster: n < k")
-        sizes[labels[i]] -= 1
-        labels[i] = j
-        sizes[j] += 1
-        centers[j] = x[i]
-        dist_to_own[i] = 0.0
-    return labels, centers, dist_to_own
-
-
 def _kind_objective_if_embedded(x: np.ndarray, labels: np.ndarray) -> float | None:
     """Kind objective of the labels when x is a column-orthonormal n x k matrix."""
-    n, d = x.shape
-    if n < d or np.max(np.abs(x.T @ x - np.eye(d))) > ORTHONORMAL_TOL:
-        return None
     try:
-        h = make_indicator(labels, d)
-    except ClusteringError:
+        return kind_objective(EmbeddedData(x), make_indicator(labels, x.shape[1]))
+    except (ValueError, ClusteringError):
         return None
-    sigma = np.linalg.svd(x.T @ h.matrix, compute_uv=False)
-    return max(2.0 * d - 2.0 * float(sigma.sum()), 0.0)
 
 
 def lloyd_solve(data, k: int, init_centers, params: KmeansParams | None = None) -> ClusterResult:
     """Standard assign/update k-means iteration from the given centers.
 
     Records the within-cluster sum of squares after every assignment step
-    (nonincreasing across iterations); empty clusters are repaired by seizing
-    the point farthest from its current center, deterministically. Stops when
-    the Frobenius movement of the centers falls below `params.tol` relative to
-    their norm, or at `params.max_iters`.
+    (nonincreasing across iterations). Empty clusters are repaired by
+    :func:`repair_empty_columns` scored by each point's distance to its own
+    center: each empty cluster seizes the farthest point and is centered on
+    it. Stops when the Frobenius movement of the centers falls below
+    `params.tol` relative to their norm, or at `params.max_iters`.
     """
     if params is None:
         params = KmeansParams()
@@ -175,6 +140,8 @@ def lloyd_solve(data, k: int, init_centers, params: KmeansParams | None = None) 
     if centers.shape != (k, x.shape[1]):
         raise ValueError(f"init_centers must be {k} x {x.shape[1]}")
     n = x.shape[0]
+    if n < k:
+        raise InfeasibleKError(f"{n} points cannot form {k} clusters")
     trace = SolverTrace()
     labels = np.zeros(n, dtype=int)
     x_sq = (x**2).sum(axis=1)
@@ -183,9 +150,11 @@ def lloyd_solve(data, k: int, init_centers, params: KmeansParams | None = None) 
         labels = np.argmin(d2, axis=1)
         dist_to_own = d2[np.arange(n), labels]
         if np.bincount(labels, minlength=k).min() == 0:
-            labels, centers, dist_to_own = _seize_for_empty(
-                x, labels, centers, dist_to_own
-            )
+            repaired = repair_empty_columns(np.broadcast_to(dist_to_own[:, None], d2.shape), labels)
+            moved = np.flatnonzero(repaired != labels)
+            labels = repaired
+            centers[labels[moved]] = x[moved]
+            dist_to_own[moved] = 0.0
         trace.objective_history.append(float(dist_to_own.sum()))
         trace.outer_iters = it
         new_centers = cluster_sums(x, labels, k)

@@ -104,13 +104,25 @@ def read_matrix_csv(path) -> np.ndarray:
     return _read_matrix_csv_by_rows(path)
 
 
+def _not_utf8(path) -> DataFileError:
+    """A DataFileError naming the line of the file's first non-UTF-8 byte."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = len((data[: exc.start] + b"x").splitlines())
+        return DataFileError(f"{path}:{line_no}: not UTF-8 text ({exc.reason})")
+    return DataFileError(f"{path}: not UTF-8 text")
+
+
 def _read_matrix_csv_by_rows(path) -> np.ndarray:
     rows: list[list[float]] = []
     line_numbers: list[int] = []
     width = None
     try:
-        with open(path, newline="") as fh:
-            for line_no, record in enumerate(csv.reader(fh), start=1):
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            for line_no, record in enumerate(reader, start=1):
                 if not record:
                     continue
                 try:
@@ -127,6 +139,10 @@ def _read_matrix_csv_by_rows(path) -> np.ndarray:
                 line_numbers.append(line_no)
     except OSError as exc:
         raise DataFileError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    except csv.Error as exc:
+        raise DataFileError(f"{path}:{reader.line_num}: {exc}") from exc
     if not rows:
         raise DataFileError(f"{path}: empty matrix")
     matrix = np.asarray(rows, dtype=float)
@@ -152,7 +168,7 @@ def read_labels_csv(path) -> np.ndarray:
     """
     labels: list[int] = []
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 text = line.strip()
                 if not text:
@@ -167,6 +183,8 @@ def read_labels_csv(path) -> np.ndarray:
                 labels.append(int(value))
     except OSError as exc:
         raise DataFileError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if not labels:
         raise DataFileError(f"{path}: empty label file")
     return np.asarray(labels, dtype=int)
@@ -239,8 +257,8 @@ def validate_result_payload(payload: dict) -> None:
     labels = payload["labels"]
     if not isinstance(labels, list) or not labels:
         raise DataFileError("labels must be a nonempty list")
-    if not all(isinstance(v, int) and v >= 0 for v in labels):
-        raise DataFileError("labels must be nonnegative integers")
+    if not all(isinstance(v, int) and 0 <= v < 2**63 for v in labels):
+        raise DataFileError("labels must be integers in 0..2**63 - 1")
     for key in ("kind_objective", "kmeans_objective"):
         value = payload.get(key)
         if value is not None and (not isinstance(value, (int, float)) or value < 0):
@@ -260,10 +278,12 @@ def write_json(path, payload) -> None:
 
 def read_json(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise DataFileError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     except json.JSONDecodeError as exc:
         raise DataFileError(f"{path}:{exc.lineno}: {exc.msg}") from exc
 
@@ -288,7 +308,7 @@ def run_method(
     """
     k = embedded.k
     if method == "kindap":
-        params = kindap_params or KindapParams(seed=seed)
+        params = kindap_params or KindapParams()
         result = kindap_solve(embedded, params)
         soft = soft_indicator(result.relaxed).s
         return (
@@ -299,7 +319,7 @@ def run_method(
             {},
         )
     if method == "kindap+l":
-        params = kindap_params or KindapParams(seed=seed)
+        params = kindap_params or KindapParams()
         stage_one = kindap_solve(embedded, params)
         centers = warm_start_centers(embedded, stage_one)
         polish = kmeans_params or KmeansParams(replications=1, seed=seed)
@@ -525,39 +545,45 @@ def _cmd_embed(args) -> int:
     return EXIT_OK
 
 
-def _kindap_params_from(args) -> KindapParams:
-    return KindapParams(
-        max_outer=args.max_outer,
-        max_inner=args.max_inner,
-        tol_inner=args.tol_inner,
-        tol_outer=args.tol_outer,
-        seed=args.seed,
-        rounding=args.rounding,
-    )
+def _read_embedding(path, labels=None) -> EmbeddedData:
+    """Read and validate an embedding CSV; given `labels`, check one per row."""
+    try:
+        embedded = validate_embedding(read_matrix_csv(path))
+    except ValueError as exc:
+        raise DataFileError(f"{path}: {exc}") from exc
+    if labels is not None and labels.size != embedded.n:
+        raise DataFileError(f"{path}: {embedded.n} rows but {labels.size} labels")
+    return embedded
 
 
 def _cmd_cluster(args) -> int:
-    matrix = read_matrix_csv(args.input)
-    embedded = validate_embedding(matrix)
+    try:
+        kindap_params = KindapParams(
+            max_outer=args.max_outer,
+            max_inner=args.max_inner,
+            tol_inner=args.tol_inner,
+            tol_outer=args.tol_outer,
+            rounding=args.rounding,
+        )
+        kmeans_params = KmeansParams(
+            replications=args.replications if args.method == "kmeans" else 1,
+            max_iters=args.max_iters,
+            tol=args.tol,
+            seed=args.seed,
+        )
+        sr_params = SrParams(
+            replications=args.replications,
+            max_iters=args.max_iters,
+            tol=args.tol,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    embedded = _read_embedding(args.input)
     if args.k is not None and args.k != embedded.k:
         raise UsageError(
             f"--k {args.k} does not match the embedding width {embedded.k}"
         )
-    if args.replications < 1:
-        raise UsageError("--replications must be >= 1")
-    kindap_params = _kindap_params_from(args)
-    kmeans_params = KmeansParams(
-        replications=args.replications if args.method == "kmeans" else 1,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        seed=args.seed,
-    )
-    sr_params = SrParams(
-        replications=args.replications,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        seed=args.seed,
-    )
     started = time.perf_counter()
     result, soft, _, _, extra = run_method(
         args.method,
@@ -608,7 +634,7 @@ def _cmd_eval(args) -> int:
         "accuracy": accuracy(pred, truth),
     }
     if args.embedded is not None:
-        embedded = validate_embedding(read_matrix_csv(args.embedded))
+        embedded = _read_embedding(args.embedded, pred)
         metrics["kind_objective"] = kind_objective(
             embedded, make_indicator(pred, embedded.k)
         )
@@ -617,19 +643,9 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_list(text: str, flag: str, convert) -> list:
     try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from exc
-    if not values:
-        raise UsageError(f"{flag} must be a nonempty comma-separated list")
-    return values
-
-
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
+        values = [convert(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"{flag}: {exc}") from exc
     if not values:
@@ -638,10 +654,10 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 
 
 def _cmd_bench(args) -> int:
-    k_list = _parse_int_list(args.k_list, "--k-list")
-    rho_list = _parse_float_list(args.rho_list, "--rho-list")
+    k_list = _parse_list(args.k_list, "--k-list", int)
+    rho_list = _parse_list(args.rho_list, "--rho-list", float)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    seeds = _parse_int_list(args.seeds, "--seeds")
+    seeds = _parse_list(args.seeds, "--seeds", int)
     if args.replications < 1:
         raise UsageError("--replications must be >= 1")
     cells = run_bench(

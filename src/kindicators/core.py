@@ -66,10 +66,6 @@ class ZeroRowError(ClusteringError):
         super().__init__(f"row {self.row} of the relaxed assignment is all zero")
 
 
-class DegenerateProjectionWarning(UserWarning):
-    """The Procrustes projection was nearly non-unique; the SVD rotation is used anyway."""
-
-
 def _readonly(values, dtype=float) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
@@ -270,22 +266,21 @@ class ClusterResult:
             raise ValueError("k-means objective must be finite and nonnegative")
 
 
-def make_indicator(labels, k: int, values: str = "normalized") -> IndicatorMatrix:
-    """Build an indicator matrix from integer labels.
+def make_indicator(labels, k: int) -> IndicatorMatrix:
+    """Build the normalized indicator matrix of integer labels.
+
+    Places 1/sqrt(n_j) at (i, labels[i]), so each column has unit norm with
+    equal weights.
 
     Args:
         labels: length-n sequence of cluster ids in 0..k-1; every cluster must
             be nonempty.
         k: number of clusters.
-        values: "normalized" or "unit"; both place 1/sqrt(n_j) at
-            (i, labels[i]) so each column has unit norm with equal weights.
 
     Raises:
         BadLabelError: some id is negative or >= k.
         EmptyClusterError: some cluster id in 0..k-1 is unused.
     """
-    if values not in ("normalized", "unit"):
-        raise ValueError(f"unknown value convention {values!r}")
     labels = np.asarray(labels, dtype=int)
     if labels.ndim != 1 or labels.size == 0:
         raise BadLabelError("labels must be a nonempty 1-D sequence")

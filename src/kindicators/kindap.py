@@ -40,18 +40,17 @@ class KindapParams:
 
     Tolerances are relative objective improvements; iteration caps are
     generous compared to the handful of outer and dozens of inner iterations
-    typically needed. `seed` is reserved for degenerate repairs; the solver
-    itself is deterministic and never draws from it. `rounding` picks the
-    value written into the kept entry when rounding the relaxed assignment:
-    "magnitude" keeps the relaxed value (columns renormalized), "binary" uses
-    the equal-weight 1/sqrt(n_j) convention.
+    typically needed. The solver is deterministic and draws no random
+    numbers. `rounding` picks the value written into the kept entry when
+    rounding the relaxed assignment: "magnitude" keeps the relaxed value
+    (columns renormalized), "binary" uses the equal-weight 1/sqrt(n_j)
+    convention.
     """
 
     max_outer: int = 50
     max_inner: int = 200
     tol_inner: float = 1e-5
     tol_outer: float = 1e-5
-    seed: int = 0
     rounding: str = "magnitude"
 
     def __post_init__(self):
@@ -144,21 +143,15 @@ def repair_empty_columns(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return labels
 
 
-def round_to_indicator(
-    relaxed: RelaxedAssignment,
-    rng=None,
-    mode: str = "magnitude",
-) -> IndicatorMatrix:
+def round_to_indicator(relaxed: RelaxedAssignment, mode: str = "magnitude") -> IndicatorMatrix:
     """Round a relaxed assignment to the nearest indicator-structured matrix.
 
     Keeps each row's largest entry (ties go to the lowest column index), zeroes
     the rest, repairs empty columns with :func:`repair_empty_columns`, and
     normalizes every column to unit norm. "magnitude" mode preserves the kept
     values' relative sizes; "binary" mode writes the equal-weight value
-    1/sqrt(n_j) instead. `rng` is accepted for interface stability; the repair
-    rule is deterministic and never draws from it.
+    1/sqrt(n_j) instead.
     """
-    del rng
     if mode not in ROUNDING_MODES:
         raise ValueError(f"mode must be one of {ROUNDING_MODES}")
     n_mat = relaxed.matrix

@@ -6,17 +6,11 @@ an n x n projector, so memory stays linear in the number of objects.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DegenerateProjectionWarning,
-    EmbeddedData,
-    RelaxedAssignment,
-    _readonly,
-)
+from .core import _readonly
 
 # Below this singular value the Procrustes projection is treated as non-unique.
 DEGENERATE_SV_TOL = 1e-12
@@ -41,16 +35,6 @@ class RotatedBasis:
             raise ValueError("rotation must be orthogonal")
 
 
-def project_box(u) -> RelaxedAssignment:
-    """Project entrywise onto the box [0, 1].
-
-    Equals max(0, .) whenever entries never exceed 1, which holds for any
-    column-orthonormal input; the upper clamp makes box membership
-    unconditional for arbitrary callers.
-    """
-    return RelaxedAssignment(np.clip(np.asarray(u, dtype=float), 0.0, 1.0))
-
-
 def procrustes_rotation(target, basis_matrix) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal k x k rotation R minimizing ||B R - target||_F for orthonormal B.
 
@@ -60,25 +44,6 @@ def procrustes_rotation(target, basis_matrix) -> tuple[np.ndarray, np.ndarray]:
     """
     p, sigma, qt = np.linalg.svd(np.asarray(basis_matrix).T @ np.asarray(target))
     return p @ qt, sigma
-
-
-def procrustes_project(target, basis: EmbeddedData) -> tuple[RotatedBasis, float]:
-    """Project `target` onto the set of rotations of `basis`.
-
-    Returns the nearest rotated basis and the nuclear norm of basis' target.
-    Warns with DegenerateProjectionWarning when the projection is nearly
-    non-unique (smallest singular value below DEGENERATE_SV_TOL); the
-    SVD-derived rotation is still returned.
-    """
-    rotation, sigma = procrustes_rotation(np.asarray(target, dtype=float), basis.matrix)
-    if sigma[-1] < DEGENERATE_SV_TOL:
-        warnings.warn(
-            f"Procrustes projection is nearly non-unique "
-            f"(smallest singular value {sigma[-1]:.3e})",
-            DegenerateProjectionWarning,
-            stacklevel=2,
-        )
-    return RotatedBasis(basis.matrix @ rotation, rotation), float(sigma.sum())
 
 
 def _nuclear_norm(a, b) -> float:

@@ -12,6 +12,9 @@ full `eigh`), as the path the sparse front end is gated against.
 `reference_sr_once` and `reference_generate` keep the baselines' distance,
 seeding and rotation loops and the synthetic generator in their first,
 temporary-per-step form, as the paths the lean versions are gated against.
+`reference_lloyd_solve` keeps Lloyd's iteration with its own farthest-point
+seizure for empty clusters and its own kind-objective formula, as the path
+the shared `repair_empty_columns` and `kind_objective` are gated against.
 """
 
 from __future__ import annotations
@@ -20,8 +23,11 @@ from itertools import product
 
 import numpy as np
 
+from kindicators.baselines import KmeansParams
 from kindicators.core import (
+    ORTHONORMAL_TOL,
     BinaryIndicator,
+    ClusteringError,
     ClusterResult,
     EigSolverError,
     EmbeddedData,
@@ -29,6 +35,7 @@ from kindicators.core import (
     IsolatedVertexError,
     RelaxedAssignment,
     SolverTrace,
+    cluster_sums,
     fix_column_signs,
     make_indicator,
     validate_embedding,
@@ -380,6 +387,76 @@ def reference_sr_once(basis: EmbeddedData, rotation: np.ndarray, params):
             break
         prev = obj
     return out_labels, out_obj, history
+
+
+def _reference_seize_for_empty(x, labels, centers, dist_to_own):
+    """Give each empty cluster the point farthest from its current center."""
+    k = centers.shape[0]
+    sizes = np.bincount(labels, minlength=k)
+    for j in range(k):
+        if sizes[j] > 0:
+            continue
+        candidates = np.where(sizes[labels] >= 2, dist_to_own, -np.inf)
+        i = int(np.argmax(candidates))
+        if candidates[i] == -np.inf:
+            raise InfeasibleKError("cannot repair empty cluster: n < k")
+        sizes[labels[i]] -= 1
+        labels[i] = j
+        sizes[j] += 1
+        centers[j] = x[i]
+        dist_to_own[i] = 0.0
+    return labels, centers, dist_to_own
+
+
+def _reference_kind_objective_if_embedded(x: np.ndarray, labels: np.ndarray) -> float | None:
+    """Kind objective of the labels when x is a column-orthonormal n x k matrix."""
+    n, d = x.shape
+    if n < d or np.max(np.abs(x.T @ x - np.eye(d))) > ORTHONORMAL_TOL:
+        return None
+    try:
+        h = make_indicator(labels, d)
+    except ClusteringError:
+        return None
+    sigma = np.linalg.svd(x.T @ h.matrix, compute_uv=False)
+    return max(2.0 * d - 2.0 * float(sigma.sum()), 0.0)
+
+
+def reference_lloyd_solve(data, k: int, init_centers, params: KmeansParams | None = None) -> ClusterResult:
+    """Lloyd's iteration as first written, with its own empty-cluster seizure."""
+    if params is None:
+        params = KmeansParams()
+    x = np.asarray(data, dtype=float)
+    centers = np.array(init_centers, dtype=float)
+    if centers.shape != (k, x.shape[1]):
+        raise ValueError(f"init_centers must be {k} x {x.shape[1]}")
+    n = x.shape[0]
+    trace = SolverTrace()
+    labels = np.zeros(n, dtype=int)
+    x_sq = (x**2).sum(axis=1)
+    for it in range(1, params.max_iters + 1):
+        d2 = reference_squared_distances(x, x_sq, centers)
+        labels = np.argmin(d2, axis=1)
+        dist_to_own = d2[np.arange(n), labels]
+        if np.bincount(labels, minlength=k).min() == 0:
+            labels, centers, dist_to_own = _reference_seize_for_empty(
+                x, labels, centers, dist_to_own
+            )
+        trace.objective_history.append(float(dist_to_own.sum()))
+        trace.outer_iters = it
+        new_centers = cluster_sums(x, labels, k)
+        new_centers /= np.bincount(labels, minlength=k)[:, None]
+        shift = float(np.linalg.norm(new_centers - centers))
+        scale = max(float(np.linalg.norm(centers)), OBJECTIVE_FLOOR)
+        centers = new_centers
+        if shift <= params.tol * scale:
+            break
+    final_obj = float(((x - centers[labels]) ** 2).sum())
+    return ClusterResult(
+        labels=labels,
+        kind_objective=_reference_kind_objective_if_embedded(x, labels),
+        kmeans_objective=final_obj,
+        trace=trace,
+    )
 
 
 def reference_generate(spec) -> SynthDataset:

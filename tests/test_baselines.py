@@ -15,13 +15,15 @@ from kindicators.baselines import (
     sr_solve,
 )
 from kindicators.cli import stable_cell_seed
-from kindicators.core import make_indicator, validate_embedding
+from kindicators.core import InfeasibleKError, make_indicator, validate_embedding
 from kindicators.evaluation import accuracy
+from kindicators.kindap import repair_empty_columns
 from kindicators.synthgen import SynthSpec, generate
 
 from oracles import (
     exhaustive_best,
     reference_kmeans_pp_init,
+    reference_lloyd_solve,
     reference_sr_once,
     reference_squared_distances,
 )
@@ -114,6 +116,59 @@ def test_lloyd_repairs_empty_cluster():
     result = lloyd_solve(data, 2, init, KmeansParams(replications=1))
     assert set(result.labels) == {0, 1}
     assert accuracy(result.labels, [0, 0, 1, 1]) == 1.0
+
+
+def test_lloyd_rejects_fewer_points_than_clusters():
+    data = np.array([[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(InfeasibleKError):
+        lloyd_solve(data, 3, np.zeros((3, 2)), KmeansParams(replications=1))
+
+
+def _assert_same_lloyd(new, old):
+    assert np.array_equal(new.labels, old.labels)
+    assert np.array(new.trace.objective_history).tobytes() == np.array(old.trace.objective_history).tobytes()
+    assert new.kmeans_objective == old.kmeans_objective
+    assert new.kind_objective == old.kind_objective
+
+
+def _inits_with_empty_clusters(rng):
+    """Seeded Lloyd starts that leave one or several clusters empty.
+
+    On embedded data (kind objective defined) and on rounded data whose
+    distances tie: duplicated centers leave all but the first copy empty,
+    and a far-away center starts with no point.
+    """
+    embedded = generate(SynthSpec(k=6, rho=0.5, per_cluster=10, ambient_dim=20, seed=27)).embedded.matrix
+    rounded = np.round(rng.standard_normal((60, 3)) * 2.0) / 2.0
+    for x, k in ((embedded, 6), (rounded, 5)):
+        n = x.shape[0]
+        for _ in range(40):
+            centers = x[rng.choice(n, size=k, replace=False)].copy()
+            copies = int(rng.integers(1, k))
+            centers[k - copies :] = centers[0]
+            if rng.random() < 0.3:
+                centers[k - 1] = 100.0
+            yield x, k, centers[rng.permutation(k)]
+
+
+def test_lloyd_repair_matches_reference(monkeypatch):
+    # Lloyd's empty-cluster repair is repair_empty_columns scored by the
+    # distance to the own center; it must reproduce the farthest-point
+    # seizure it replaced bit for bit.
+    empties = []
+
+    def counting_repair(values, labels):
+        empties.append(int((np.bincount(labels, minlength=values.shape[1]) == 0).sum()))
+        return repair_empty_columns(values, labels)
+
+    monkeypatch.setattr(baselines, "repair_empty_columns", counting_repair)
+    for i, (x, k, centers) in enumerate(_inits_with_empty_clusters(np.random.default_rng(28))):
+        # Loose tolerances let the centers the repair sets decide where the
+        # run stops.
+        params = KmeansParams(replications=1, tol=(1e-6, 0.05, 0.3)[i % 3])
+        new = lloyd_solve(x, k, centers, params)
+        _assert_same_lloyd(new, reference_lloyd_solve(x, k, centers, params))
+    assert 1 in empties and max(empties) >= 3
 
 
 def test_kmeans_objective_identity_on_orthonormal_data():
@@ -269,20 +324,20 @@ def test_kmeans_pp_init_matches_reference(k, rho, seed, index):
 
 
 @pytest.mark.parametrize("k, rho, seed, index", SWEEP_CELLS[::3] + MANY_K_CELLS[:1])
-def test_kmeans_solve_matches_reference(k, rho, seed, index, monkeypatch):
+def test_kmeans_solve_matches_reference(k, rho, seed, index):
     x = _cell_data(k, rho, seed).embedded.matrix
     params = KmeansParams(replications=10, seed=stable_cell_seed(seed, k, rho, "kmeans", index))
     new = kmeans_solve(x, k, params)
-    monkeypatch.setattr(baselines, "_squared_distances", reference_squared_distances)
     old = []
     for stream in np.random.SeedSequence(params.seed).spawn(params.replications):
         centers = reference_kmeans_pp_init(x, k, np.random.default_rng(stream))
-        old.append(lloyd_solve(x, k, centers, params))
+        old.append(reference_lloyd_solve(x, k, centers, params))
+        _assert_same_lloyd(lloyd_solve(x, k, centers, params), old[-1])
     old_objectives = [r.kmeans_objective for r in old]
     assert new.trace.replication_objectives == old_objectives
     assert new.trace.replication_histories == [r.trace.objective_history for r in old]
     assert new.trace.replication_index == int(np.argmin(old_objectives))
-    assert np.array_equal(new.labels, old[new.trace.replication_index].labels)
+    _assert_same_lloyd(new, old[new.trace.replication_index])
 
 
 @pytest.mark.parametrize("k, rho, seed, index", SWEEP_CELLS + MANY_K_CELLS[1:])

@@ -54,7 +54,7 @@ def test_matrix_csv_parse_error_carries_line_number(tmp_path):
 def _read_outcome(read, path):
     try:
         m = read(path)
-    except (DataFileError, csv.Error) as exc:
+    except DataFileError as exc:
         return type(exc).__name__, str(exc)
     return m.shape, m.tobytes()
 
@@ -86,6 +86,8 @@ CSV_CASES = {
     "no_break_space": "1,2\xa0\n",
     "vertical_tab": "1\x0b,2\n",
     "over_field_limit": "0" * csv.field_size_limit() + "1,2\n",
+    # Written with surrogateescape: the byte 0xff, which is not UTF-8.
+    "not_utf8": "\udcff,1\n2,3\n",
 }
 
 
@@ -97,7 +99,7 @@ def test_matrix_csv_fast_path_matches_row_reader(tmp_path, text):
     # and np.loadtxt reads cells longer than csv's field limit; float() and
     # csv.reader do none of these).
     path = tmp_path / "m.csv"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert _read_outcome(read_matrix_csv, path) == _read_outcome(_read_matrix_csv_by_rows, path)
 
 
@@ -199,14 +201,28 @@ def test_embed_rejects_large_knn(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+# Bad cells and the error each gets; "\udcff" is written as the byte 0xff,
+# which is not UTF-8.
+BAD_CELLS = {
+    "nan": "non-finite value",
+    "inf": "non-finite value",
+    "-inf": "non-finite value",
+    "1e400": "non-finite value",
+    "\udcff": "not UTF-8 text",
+    "0" * 131_073: "field larger than field limit",
+}
+
+
+@pytest.mark.parametrize(
+    "bad", BAD_CELLS, ids=["nan", "inf", "-inf", "1e400", "not_utf8", "over_field_limit"]
+)
 def test_matrix_commands_reject_non_finite_cells(tmp_path, capsys, bad):
     matrix = np.random.default_rng(3).standard_normal((8, 3))
     csv_path = tmp_path / "m.csv"
     write_matrix_csv(csv_path, matrix)
     lines = csv_path.read_text().splitlines()
     lines[4] = lines[4].split(",", 1)[0] + f",{bad}," + lines[4].rsplit(",", 1)[1]
-    csv_path.write_text("\n".join(lines) + "\n")
+    csv_path.write_text("\n".join(lines) + "\n", errors="surrogateescape")
     truth_path = tmp_path / "truth.csv"
     write_labels_csv(truth_path, [0, 1] * 4)
     commands = [
@@ -216,7 +232,7 @@ def test_matrix_commands_reject_non_finite_cells(tmp_path, capsys, bad):
     ]
     for argv in commands:
         assert main(argv) == 3
-        assert "m.csv:5: non-finite value" in capsys.readouterr().err
+        assert f"m.csv:5: {BAD_CELLS[bad]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("knn", [1, 5])
@@ -339,6 +355,67 @@ def test_cluster_rejects_mismatched_k(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--max-inner", "0"],
+        ["--tol-inner", "-1"],
+        ["--method", "sr", "--tol", "0"],
+        ["--max-iters", "0"],
+        ["--method", "kmeans", "--max-iters", "0"],
+    ],
+    ids=["max_inner", "tol_inner", "sr_tol", "max_iters", "kmeans_max_iters"],
+)
+def test_cluster_bad_solver_flag_values_are_usage_errors(tmp_path, capsys, flags):
+    emb_path = tmp_path / "emb.csv"
+    write_matrix_csv(emb_path, make_indicator([0, 0, 1, 1], 2).matrix)
+    assert main(["cluster", str(emb_path), "--method", "kindap", *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+SHAPE_CASES = {
+    "one_column": "need n >= d >= 2",
+    "one_row": "need n >= d >= 2",
+    "label_count": "emb.csv: 4 rows but 5 labels",
+    "huge_label": "labels must be integers in 0..2**63 - 1",
+    "json_not_utf8": "pred.json:2: not UTF-8 text",
+}
+
+
+@pytest.mark.parametrize("case, message", SHAPE_CASES.items(), ids=SHAPE_CASES.keys())
+def test_bad_shapes_and_documents_are_data_errors(tmp_path, capsys, case, message):
+    emb_path = tmp_path / "emb.csv"
+    truth_path = tmp_path / "truth.csv"
+    pred_path = tmp_path / "pred.json"
+    labels = [0, 0, 1, 1]
+    embedding = make_indicator(labels, 2).matrix
+    if case == "one_column":
+        embedding = np.ones((4, 1))
+    elif case == "one_row":
+        embedding = np.ones((1, 3))
+    elif case == "label_count":
+        labels = [0, 0, 1, 1, 1]
+    write_matrix_csv(emb_path, embedding)
+    write_labels_csv(truth_path, labels)
+    payload = {
+        "schema": 1, "method": "kindap", "labels": labels,
+        "kmeans_objective": 0.0, "trace": {}, "params": {},
+    }
+    if case == "huge_label":
+        payload["labels"] = [0, 0, 1, 2**63]
+    pred_path.write_text(json.dumps(payload))
+    if case == "json_not_utf8":
+        pred_path.write_bytes(b'{"schema": 1,\n\xff}')
+    commands = [
+        ["eval", "--pred", str(pred_path), "--truth", str(truth_path), "--embedded", str(emb_path)]
+    ]
+    if case in ("one_column", "one_row"):
+        commands.append(["cluster", str(emb_path), "--method", "kindap"])
+    for argv in commands:
+        assert main(argv) == 3
+        assert message in capsys.readouterr().err
+
+
 def test_cluster_rank_deficient_input_is_numerical_failure(tmp_path):
     col = np.arange(1.0, 7.0)[:, None]
     emb_path = tmp_path / "emb.csv"
@@ -422,11 +499,12 @@ def test_eval_worked_cases(tmp_path):
     assert json.loads(out.read_text())["accuracy"] == 0.75
 
 
-@pytest.mark.parametrize("bad", ["inf", "nan", "1.7", "-inf", "1e30"])
+@pytest.mark.parametrize("bad", ["inf", "nan", "1.7", "-inf", "1e30", "\udcff"])
 def test_eval_rejects_non_integer_labels(tmp_path, bad):
     pred_path = tmp_path / "pred.csv"
     truth_path = tmp_path / "truth.csv"
-    pred_path.write_text(f"0\n{bad}\n")
+    # surrogateescape writes "\udcff" as the byte 0xff, which is not UTF-8.
+    pred_path.write_text(f"0\n{bad}\n", errors="surrogateescape")
     write_labels_csv(truth_path, [0, 1])
     assert main(["eval", "--pred", str(pred_path), "--truth", str(truth_path)]) == 3
 
@@ -519,6 +597,7 @@ def test_validate_result_payload_rejects_bad_documents():
         {**good, "schema": 2},
         {**good, "labels": []},
         {**good, "labels": [0, -1]},
+        {**good, "labels": [0, 2**63]},
         {**good, "kmeans_objective": -1.0},
         {key: value for key, value in good.items() if key != "trace"},
     ):

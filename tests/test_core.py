@@ -34,18 +34,10 @@ def test_make_indicator_singletons():
 
 
 def test_make_indicator_normalized_values():
-    h = make_indicator([0, 0, 1], 2, values="normalized")
+    h = make_indicator([0, 0, 1], 2)
     expected = np.array([[1 / np.sqrt(2), 0], [1 / np.sqrt(2), 0], [0, 1]])
     np.testing.assert_allclose(h.matrix, expected)
     assert np.array_equal(h.cluster_sizes, [2, 1])
-
-
-def test_make_indicator_unit_matches_normalized():
-    labels = [0, 1, 1, 2, 2, 2]
-    np.testing.assert_array_equal(
-        make_indicator(labels, 3, values="unit").matrix,
-        make_indicator(labels, 3, values="normalized").matrix,
-    )
 
 
 def test_make_indicator_empty_cluster():

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from kindicators.core import DegenerateProjectionWarning, make_indicator, validate_embedding
-from kindicators.projections import (
-    procrustes_project,
-    project_box,
-    projection_distance,
-    subspace_distance,
-)
+from kindicators.core import make_indicator, validate_embedding
+from kindicators.projections import procrustes_rotation, projection_distance, subspace_distance
 
 from oracles import random_orthonormal, sampled_rotation_min
 
@@ -16,49 +11,29 @@ def _random_basis(n, k, seed):
     return validate_embedding(random_orthonormal(n, k, np.random.default_rng(seed)))
 
 
-def test_project_box_truncates_negatives():
-    out = project_box(np.array([[0.5, -0.2], [1.0, 0.0]]))
-    np.testing.assert_array_equal(out.matrix, [[0.5, 0.0], [1.0, 0.0]])
-
-
-def test_project_box_idempotent_inside_box():
-    rng = np.random.default_rng(0)
-    n = rng.uniform(0, 1, size=(5, 3))
-    np.testing.assert_array_equal(project_box(n).matrix, n)
-
-
-def test_project_box_matches_scalar_clamp_oracle():
-    rng = np.random.default_rng(1)
-    u = rng.standard_normal((6, 3)) * 2
-    out = project_box(u).matrix
-    for i in range(6):
-        for j in range(3):
-            assert out[i, j] == min(max(u[i, j], 0.0), 1.0)
-
-
 def test_procrustes_identity_fixed_point():
     basis = _random_basis(7, 3, 2)
-    projected, nuclear = procrustes_project(basis.matrix, basis)
-    np.testing.assert_allclose(projected.rotation, np.eye(3), atol=1e-12)
-    np.testing.assert_allclose(projected.matrix, basis.matrix, atol=1e-12)
-    assert nuclear == pytest.approx(3.0, abs=1e-12)
+    rotation, sigma = procrustes_rotation(basis.matrix, basis.matrix)
+    np.testing.assert_allclose(rotation, np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(basis.matrix @ rotation, basis.matrix, atol=1e-12)
+    assert float(sigma.sum()) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_procrustes_recovers_exact_rotation():
     rng = np.random.default_rng(3)
     basis = _random_basis(9, 4, 4)
     r0 = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-    projected, _ = procrustes_project(basis.matrix @ r0, basis)
-    np.testing.assert_allclose(projected.matrix, basis.matrix @ r0, atol=1e-8)
-    np.testing.assert_allclose(projected.rotation, r0, atol=1e-8)
+    rotation, _ = procrustes_rotation(basis.matrix @ r0, basis.matrix)
+    np.testing.assert_allclose(basis.matrix @ rotation, basis.matrix @ r0, atol=1e-8)
+    np.testing.assert_allclose(rotation, r0, atol=1e-8)
 
 
 def test_procrustes_never_beaten_by_sampled_rotations():
     rng = np.random.default_rng(5)
     basis = _random_basis(8, 3, 6)
     target = rng.uniform(0, 1, size=(8, 3))
-    projected, _ = procrustes_project(target, basis)
-    closed = float(np.linalg.norm(projected.matrix - target))
+    rotation, _ = procrustes_rotation(target, basis.matrix)
+    closed = float(np.linalg.norm(basis.matrix @ rotation - target))
     sampled = sampled_rotation_min(basis.matrix, target, 10_000, rng)
     assert closed <= sampled + 1e-9
 
@@ -67,35 +42,29 @@ def test_procrustes_returns_nuclear_norm():
     rng = np.random.default_rng(7)
     basis = _random_basis(6, 3, 8)
     target = rng.uniform(0, 1, size=(6, 3))
-    _, nuclear = procrustes_project(target, basis)
-    sigma = np.linalg.svd(basis.matrix.T @ target, compute_uv=False)
-    assert nuclear == pytest.approx(float(sigma.sum()), abs=1e-12)
+    _, sigma = procrustes_rotation(target, basis.matrix)
+    expected = np.linalg.svd(basis.matrix.T @ target, compute_uv=False)
+    assert float(sigma.sum()) == pytest.approx(float(expected.sum()), abs=1e-12)
 
 
 def test_procrustes_idempotent_in_range():
     rng = np.random.default_rng(9)
     basis = _random_basis(6, 3, 10)
     target = rng.uniform(0, 1, size=(6, 3))
-    first, _ = procrustes_project(target, basis)
-    second, _ = procrustes_project(first.matrix, basis)
-    np.testing.assert_allclose(second.matrix, first.matrix, atol=1e-8)
-    np.testing.assert_allclose(second.rotation.T @ first.rotation, np.eye(3), atol=1e-8)
+    first, _ = procrustes_rotation(target, basis.matrix)
+    second, _ = procrustes_rotation(basis.matrix @ first, basis.matrix)
+    np.testing.assert_allclose(basis.matrix @ second, basis.matrix @ first, atol=1e-8)
+    np.testing.assert_allclose(second.T @ first, np.eye(3), atol=1e-8)
 
 
 def test_procrustes_output_stays_in_basis_range():
     rng = np.random.default_rng(30)
     basis = _random_basis(12, 4, 31)
     target = rng.uniform(0, 1, size=(12, 4))
-    projected, _ = procrustes_project(target, basis)
-    residual = basis.matrix @ (basis.matrix.T @ projected.matrix) - projected.matrix
+    rotation, _ = procrustes_rotation(target, basis.matrix)
+    projected = basis.matrix @ rotation
+    residual = basis.matrix @ (basis.matrix.T @ projected) - projected
     assert float(np.linalg.norm(residual)) <= 1e-8
-
-
-def test_procrustes_warns_on_degenerate_target():
-    basis = _random_basis(6, 3, 11)
-    rank_one = np.outer(np.ones(6), [1.0, 0.0, 0.0]) * 0.5
-    with pytest.warns(DegenerateProjectionWarning):
-        procrustes_project(rank_one, basis)
 
 
 def test_subspace_distance_identity_and_symmetry():
