@@ -41,8 +41,8 @@ class KmeansParams:
             raise ValueError("replications must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be finite and positive")
 
 
 @dataclass
@@ -219,8 +219,9 @@ def _sr_once(basis: EmbeddedData, rotation: np.ndarray, params: SrParams):
     increases the objective is rejected and the run stops with the previous
     one; the recorded history is therefore nonincreasing.
 
-    Cost per iteration: the U R and U'H GEMMs and one k x k SVD. The
-    one-hot H lives in one reused n x k buffer, and the objective is read
+    Cost per iteration: the U R GEMM, the k x k product U'H read off
+    :func:`cluster_sums` (H is one-hot, so H'U sums U's rows per cluster),
+    and one k x k SVD; no n x k indicator is built. The objective is read
     off the Procrustes singular values, clamped at 0.
     """
     u_hat = basis.matrix
@@ -229,21 +230,15 @@ def _sr_once(basis: EmbeddedData, rotation: np.ndarray, params: SrParams):
     # H, and at the Procrustes rotation the trace is the sum of the singular
     # values of U'H.
     offset = float(np.einsum("ij,ij->", u_hat, u_hat)) + n
-    rows = np.arange(n)
     scores = np.empty((n, k))
-    onehot = np.zeros((n, k))
     history: list[float] = []
     prev = None
     out_labels = np.zeros(n, dtype=int)
     out_obj = np.inf
-    labels = None
     for _ in range(1, params.max_iters + 1):
         np.matmul(u_hat, rotation, out=scores)
-        if labels is not None:
-            onehot[rows, labels] = 0.0
         labels = repair_empty_columns(scores, np.argmax(scores, axis=1))
-        onehot[rows, labels] = 1.0
-        rotation, sigma = procrustes_rotation(onehot, u_hat)
+        rotation, sigma = procrustes_rotation(cluster_sums(u_hat, labels, k).T)
         obj = max(offset - 2.0 * float(sigma.sum()), 0.0)
         if prev is not None and obj > prev:
             break

@@ -304,49 +304,40 @@ def run_method(
 ):
     """Run one clustering method on validated embedded data.
 
-    Returns (result, soft_values, outer_iters, inner_iters_total, extra_traces).
+    Returns (result, soft_values, extra_traces). For "kindap+l" the result
+    is the Lloyd polish, and the KindAP stage's trace is in `extra_traces`.
     """
     k = embedded.k
     if method == "kindap":
-        params = kindap_params or KindapParams()
-        result = kindap_solve(embedded, params)
-        soft = soft_indicator(result.relaxed).s
-        return (
-            result,
-            soft,
-            result.trace.outer_iters,
-            sum(result.trace.inner_iters_per_outer),
-            {},
-        )
+        result = kindap_solve(embedded, kindap_params or KindapParams())
+        return result, soft_indicator(result.relaxed).s, {}
     if method == "kindap+l":
-        params = kindap_params or KindapParams()
-        stage_one = kindap_solve(embedded, params)
+        stage_one = kindap_solve(embedded, kindap_params or KindapParams())
         centers = warm_start_centers(embedded, stage_one)
         polish = kmeans_params or KmeansParams(replications=1, seed=seed)
         result = lloyd_solve(embedded.matrix, k, centers, polish)
         result.relaxed = stage_one.relaxed
         soft = soft_indicator(stage_one.relaxed).s
-        inner_total = sum(stage_one.trace.inner_iters_per_outer) + len(
-            result.trace.objective_history
-        )
-        return (
-            result,
-            soft,
-            stage_one.trace.outer_iters,
-            inner_total,
-            {"kindap_trace": _trace_payload(stage_one.trace)},
-        )
+        return result, soft, {"kindap_trace": _trace_payload(stage_one.trace)}
     if method == "kmeans":
         params = kmeans_params or KmeansParams(replications=replications, seed=seed)
-        result = kmeans_solve(embedded.matrix, k, params)
-        inner_total = sum(len(h) for h in result.trace.replication_histories)
-        return result, None, result.trace.outer_iters, inner_total, {}
+        return kmeans_solve(embedded.matrix, k, params), None, {}
     if method == "sr":
         params = sr_params or SrParams(replications=replications, seed=seed)
-        result = sr_solve(embedded, params)
-        inner_total = sum(len(h) for h in result.trace.replication_histories)
-        return result, None, result.trace.outer_iters, inner_total, {}
+        return sr_solve(embedded, params), None, {}
     raise UsageError(f"unknown method {method!r} (choose from {', '.join(METHODS)})")
+
+
+def _iteration_counts(result: ClusterResult, extra_traces: dict) -> tuple[int, int]:
+    """Outer and total inner iterations off the traces; "kindap+l" adds Lloyd's to KindAP's."""
+    trace = result.trace
+    stage_one = extra_traces.get("kindap_trace")
+    if stage_one is not None:
+        inner = sum(stage_one["inner_iters_per_outer"]) + len(trace.objective_history)
+        return stage_one["outer_iters"], inner
+    if trace.inner_iters_per_outer:
+        return trace.outer_iters, sum(trace.inner_iters_per_outer)
+    return trace.outer_iters, sum(len(h) for h in trace.replication_histories)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +444,7 @@ def run_bench(
                     cell = BenchCell(method, k, rho, replications, seed)
                     try:
                         started = time.perf_counter()
-                        result, _, outer, inner_total, _ = run_method(
+                        result, _, extra = run_method(
                             method,
                             data.embedded,
                             replications=replications,
@@ -463,8 +454,9 @@ def run_bench(
                         cell.accuracy = accuracy(result.labels, data.truth)
                         cell.kind_objective = result.kind_objective
                         cell.kmeans_objective = result.kmeans_objective
-                        cell.outer_iters = outer
-                        cell.inner_iters_total = inner_total
+                        cell.outer_iters, cell.inner_iters_total = _iteration_counts(
+                            result, extra
+                        )
                         cell.result = result
                     except Exception as exc:
                         cell.error = f"{type(exc).__name__}: {exc}"
@@ -585,7 +577,7 @@ def _cmd_cluster(args) -> int:
             f"--k {args.k} does not match the embedding width {embedded.k}"
         )
     started = time.perf_counter()
-    result, soft, _, _, extra = run_method(
+    result, soft, extra = run_method(
         args.method,
         embedded,
         replications=args.replications,

@@ -5,10 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 # Column-orthonormality tolerance for embedded data (entrywise on U'U - I).
 ORTHONORMAL_TOL = 1e-8
-# Tighter tolerance for indicator matrices, whose Gram matrix is exact by construction.
+# Tighter tolerance for indicator column norms, which are exact by construction.
 INDICATOR_TOL = 1e-10
 # Relative singular-value cutoff below which an input matrix counts as rank deficient.
 RANK_TOL = 1e-10
@@ -118,53 +119,55 @@ class EmbeddedData:
 
 @dataclass(eq=False)
 class IndicatorMatrix:
-    """Nonnegative matrix with orthonormal columns and one positive entry per row.
+    """A partition of n objects into k nonempty clusters, with one positive weight per object.
 
-    Encodes a partition of n objects into k nonempty clusters; `labels[i]` is the
-    column holding row i's positive entry.
+    Stands for the n x k indicator H with `values[i]` at (i, `labels[i]`) and
+    zeros elsewhere, whose columns have unit norm. Only the labels and the
+    values are stored; k is the largest label plus one, since every cluster
+    is nonempty. Products with H go through :func:`cluster_sums`, and
+    `matrix` builds the dense H only when asked.
     """
 
-    matrix: np.ndarray
     labels: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        self.matrix = _readonly(self.matrix)
         self.labels = _readonly(self.labels, dtype=int)
-        n, k = self.matrix.shape
-        if self.labels.shape != (n,):
-            raise ValueError("labels length must match the row count")
-        if np.any(self.matrix < 0):
-            raise ValueError("indicator entries must be nonnegative")
-        if np.any((self.matrix > 0).sum(axis=1) != 1):
-            raise ValueError("each row must have exactly one positive entry")
-        if self.labels.min() < 0 or self.labels.max() >= k:
-            raise BadLabelError(f"labels must lie in 0..{k - 1}")
-        if np.any(self.matrix[np.arange(n), self.labels] <= 0):
-            raise ValueError("labels must point at each row's positive entry")
-        sizes = np.bincount(self.labels, minlength=k)
-        empty = np.flatnonzero(sizes == 0)
+        self.values = _readonly(self.values)
+        if self.labels.ndim != 1 or self.labels.size == 0:
+            raise BadLabelError("labels must be a nonempty 1-D sequence")
+        if self.values.shape != self.labels.shape:
+            raise ValueError("values length must match the labels length")
+        if self.labels.min() < 0:
+            raise BadLabelError("labels must be nonnegative")
+        if not np.all(self.values > 0):
+            raise ValueError("indicator values must be positive")
+        empty = np.flatnonzero(self.cluster_sizes == 0)
         if empty.size:
             raise EmptyClusterError(empty[0])
-        gram = self.matrix.T @ self.matrix
-        if np.max(np.abs(gram - np.eye(k))) > INDICATOR_TOL:
-            raise ValueError("indicator columns must be orthonormal")
+        norms = np.bincount(self.labels, weights=self.values**2)
+        if np.max(np.abs(norms - 1.0)) > INDICATOR_TOL:
+            raise ValueError("indicator columns must have unit norm")
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.labels.size
 
     @property
     def k(self) -> int:
-        return self.matrix.shape[1]
+        return int(self.labels.max()) + 1
 
     @property
-    def values(self) -> np.ndarray:
-        """The positive entry of each row."""
-        return self.matrix[np.arange(self.n), self.labels]
+    def matrix(self) -> np.ndarray:
+        """The dense n x k indicator, read-only, built anew on every access."""
+        h = np.zeros((self.n, self.k))
+        h[np.arange(self.n), self.labels] = self.values
+        h.setflags(write=False)
+        return h
 
     @property
     def cluster_sizes(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.k)
+        return np.bincount(self.labels)
 
 
 @dataclass(eq=False)
@@ -267,10 +270,10 @@ class ClusterResult:
 
 
 def make_indicator(labels, k: int) -> IndicatorMatrix:
-    """Build the normalized indicator matrix of integer labels.
+    """The normalized indicator of integer labels: value 1/sqrt(n_j) in every row of cluster j.
 
-    Places 1/sqrt(n_j) at (i, labels[i]), so each column has unit norm with
-    equal weights.
+    Each column then has unit norm with equal weights. Costs O(n); no n x k
+    array is built.
 
     Args:
         labels: length-n sequence of cluster ids in 0..k-1; every cluster must
@@ -290,22 +293,20 @@ def make_indicator(labels, k: int) -> IndicatorMatrix:
     empty = np.flatnonzero(sizes == 0)
     if empty.size:
         raise EmptyClusterError(empty[0])
-    h = np.zeros((labels.size, k))
-    h[np.arange(labels.size), labels] = 1.0 / np.sqrt(sizes[labels])
-    return IndicatorMatrix(h, labels)
+    return IndicatorMatrix(labels, 1.0 / np.sqrt(sizes[labels]))
 
 
-def cluster_sums(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Per-cluster column sums of the rows of `x`: a k x d matrix.
+def cluster_sums(x: np.ndarray, labels: np.ndarray, k: int, weights=None) -> np.ndarray:
+    """Per-cluster (weighted) sums of the rows of `x`: the k x d product H'x.
 
-    One weighted `bincount` per column; each adds the rows in index order,
-    the same order (and so the same bits) as ``np.add.at(sums, labels, x)``,
-    at a fraction of its cost.
+    H holds `weights[i]` (default 1) at (i, labels[i]); for an indicator H
+    and an embedding U this is S = H'U, the transpose of U'H. A k x n
+    coordinate-format H' times `x` adds the rows in index order: the same
+    bits as ``np.add.at(sums, labels, weights[:, None] * x)``.
     """
-    return np.stack(
-        [np.bincount(labels, weights=x[:, j], minlength=k) for j in range(x.shape[1])],
-        axis=1,
-    )
+    n = labels.size
+    data = np.ones(n) if weights is None else weights
+    return sparse.coo_array((data, (labels, np.arange(n))), shape=(k, n)) @ x
 
 
 def validate_embedding(matrix) -> EmbeddedData:

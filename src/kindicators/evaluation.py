@@ -15,6 +15,7 @@ from .core import (
     RelaxedAssignment,
     ZeroRowError,
     _readonly,
+    cluster_sums,
     make_indicator,
 )
 
@@ -73,12 +74,14 @@ def soft_indicator(relaxed: RelaxedAssignment) -> SoftIndicator:
 def kind_objective(basis: EmbeddedData, indicator: IndicatorMatrix) -> float:
     """Squared rotation-minimal subspace distance between data and indicator ranges.
 
-    Equals 2k minus twice the nuclear norm of basis' H, clamped at 0.
+    Equals 2k minus twice the nuclear norm of U'H, clamped at 0; the k x k
+    product is read off :func:`cluster_sums` as its transpose H'U.
     """
-    if indicator.matrix.shape != basis.matrix.shape:
+    if (indicator.n, indicator.k) != (basis.n, basis.k):
         raise ValueError("basis and indicator shapes must agree")
     k = basis.k
-    sigma = np.linalg.svd(basis.matrix.T @ indicator.matrix, compute_uv=False)
+    s = cluster_sums(basis.matrix, indicator.labels, k, indicator.values)
+    sigma = np.linalg.svd(s, compute_uv=False)
     return max(2.0 * k - 2.0 * float(sigma.sum()), 0.0)
 
 
@@ -87,8 +90,9 @@ def kmeans_objective(basis: EmbeddedData, labels) -> float:
 
     For column-orthonormal data this equals the within-cluster sum of squared
     distances to centroids; the normalized indicator built from `labels`
-    supplies H. Raises EmptyClusterError/BadLabelError for invalid labels.
+    supplies H, and :func:`cluster_sums` the k x k product H'U. Raises
+    EmptyClusterError/BadLabelError for invalid labels.
     """
     h = make_indicator(labels, basis.k)
-    cross = float(np.sum((basis.matrix.T @ h.matrix) ** 2))
+    cross = float(np.sum(cluster_sums(basis.matrix, h.labels, basis.k, h.values) ** 2))
     return max(float(basis.k) - cross, 0.0)

@@ -56,8 +56,8 @@ class KindapParams:
     def __post_init__(self):
         if self.max_outer < 1 or self.max_inner < 1:
             raise ValueError("iteration caps must be >= 1")
-        if self.tol_inner <= 0 or self.tol_outer <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(np.isfinite(t) and t > 0 for t in (self.tol_inner, self.tol_outer)):
+            raise ValueError("tolerances must be finite and positive")
         if self.rounding not in ROUNDING_MODES:
             raise ValueError(f"rounding must be one of {ROUNDING_MODES}")
 
@@ -98,7 +98,7 @@ def inner_solve(
     iters = 0
     for t in range(1, params.max_inner + 1):
         np.clip(u, 0.0, 1.0, out=n_mat)
-        rotation, sigma = procrustes_rotation(n_mat, b)
+        rotation, sigma = procrustes_rotation(b.T @ n_mat)
         # Exact in real arithmetic; in floating point a zero gap can come out
         # a few ulps below zero.
         gap = max(b_sq + float(np.vdot(n_mat, n_mat)) - 2.0 * float(sigma.sum()), 0.0)
@@ -146,11 +146,12 @@ def repair_empty_columns(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
 def round_to_indicator(relaxed: RelaxedAssignment, mode: str = "magnitude") -> IndicatorMatrix:
     """Round a relaxed assignment to the nearest indicator-structured matrix.
 
-    Keeps each row's largest entry (ties go to the lowest column index), zeroes
-    the rest, repairs empty columns with :func:`repair_empty_columns`, and
-    normalizes every column to unit norm. "magnitude" mode preserves the kept
-    values' relative sizes; "binary" mode writes the equal-weight value
-    1/sqrt(n_j) instead.
+    Keeps each row's largest entry (ties go to the lowest column index),
+    repairs empty columns with :func:`repair_empty_columns`, and scales every
+    column to unit norm. "magnitude" mode preserves the kept values' relative
+    sizes; "binary" mode is :func:`make_indicator` of the labels, with the
+    equal-weight value 1/sqrt(n_j). Costs O(nk) for the argmax and O(n)
+    after it; no n x k array is built.
     """
     if mode not in ROUNDING_MODES:
         raise ValueError(f"mode must be one of {ROUNDING_MODES}")
@@ -158,18 +159,13 @@ def round_to_indicator(relaxed: RelaxedAssignment, mode: str = "magnitude") -> I
     n, k = n_mat.shape
     labels = repair_empty_columns(n_mat, np.argmax(n_mat, axis=1))
     if mode == "binary":
-        sizes = np.bincount(labels, minlength=k)
-        kept = 1.0 / np.sqrt(sizes[labels].astype(float))
-    else:
-        kept = n_mat[np.arange(n), labels].copy()
-        # Rows parked by repair can carry a zero; give them unit weight so the
-        # result still has one positive entry per row.
-        kept[kept <= 0] = 1.0
-        norms = np.sqrt(np.bincount(labels, weights=kept**2, minlength=k))
-        kept = kept / norms[labels]
-    h = np.zeros((n, k))
-    h[np.arange(n), labels] = kept
-    return IndicatorMatrix(h, labels)
+        return make_indicator(labels, k)
+    kept = n_mat[np.arange(n), labels]
+    # Rows parked by repair can carry a zero; give them unit weight so every
+    # row keeps a positive entry.
+    kept[kept <= 0] = 1.0
+    norms = np.sqrt(np.bincount(labels, weights=kept**2, minlength=k))
+    return IndicatorMatrix(labels, kept / norms[labels])
 
 
 def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> ClusterResult:
@@ -216,8 +212,9 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
             break
         f_prev = f
         # Restart the next outer phase from the projection of the rounded
-        # indicator back onto the rotation set.
-        rotation, sigma = procrustes_rotation(rounded.matrix, basis.matrix)
+        # indicator H back onto the rotation set, through U'H = (H'U)'.
+        cross = cluster_sums(basis.matrix, rounded.labels, k, rounded.values).T
+        rotation, sigma = procrustes_rotation(cross)
         if sigma[-1] < DEGENERATE_SV_TOL:
             trace.warnings.append(f"degenerate restart projection at outer iteration {outer}")
     assert best_labels is not None
@@ -235,6 +232,5 @@ def warm_start_centers(basis: EmbeddedData, result: ClusterResult) -> np.ndarray
     labels = np.asarray(result.labels, dtype=int)
     if labels.shape != (basis.n,):
         raise ValueError("labels length must match the embedding")
-    make_indicator(labels, basis.k)  # validation only: every cluster nonempty
-    sizes = np.bincount(labels, minlength=basis.k).astype(float)
+    sizes = make_indicator(labels, basis.k).cluster_sizes  # raises on an empty cluster
     return cluster_sums(basis.matrix, labels, basis.k) / sizes[:, None]

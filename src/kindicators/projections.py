@@ -35,14 +35,17 @@ class RotatedBasis:
             raise ValueError("rotation must be orthogonal")
 
 
-def procrustes_rotation(target, basis_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal k x k rotation R minimizing ||B R - target||_F for orthonormal B.
+def procrustes_rotation(cross) -> tuple[np.ndarray, np.ndarray]:
+    """Orthogonal k x k rotation R minimizing ||B R - T||_F, from the k x k product B'T.
 
-    Returns (R, sigma) where sigma holds the singular values of B' target in
-    descending order; their sum is the nuclear norm used for objective
-    accounting, and a tiny sigma[-1] signals a (near-)non-unique projection.
+    B is orthonormal; the caller forms `cross` = B'T (a GEMM, or
+    :func:`~kindicators.core.cluster_sums` when T is an indicator), and R is
+    its polar factor. Returns (R, sigma) where sigma holds the singular values
+    of `cross` in descending order; their sum is the nuclear norm used for
+    objective accounting, and a tiny sigma[-1] signals a (near-)non-unique
+    projection.
     """
-    p, sigma, qt = np.linalg.svd(np.asarray(basis_matrix).T @ np.asarray(target))
+    p, sigma, qt = np.linalg.svd(cross)
     return p @ qt, sigma
 
 

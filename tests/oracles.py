@@ -15,38 +15,46 @@ temporary-per-step form, as the paths the lean versions are gated against.
 `reference_lloyd_solve` keeps Lloyd's iteration with its own farthest-point
 seizure for empty clusters and its own kind-objective formula, as the path
 the shared `repair_empty_columns` and `kind_objective` are gated against.
+`DenseIndicator`, `reference_make_indicator`, `reference_round_to_indicator`
+and `reference_kind_objective` keep the indicator in its first, dense and
+Gram-validated n x k form, with every U'H product a GEMM, as the arithmetic
+that the label-and-weight indicator and `cluster_sums` are gated against.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from kindicators.baselines import KmeansParams
 from kindicators.core import (
+    INDICATOR_TOL,
     ORTHONORMAL_TOL,
+    BadLabelError,
     BinaryIndicator,
     ClusteringError,
     ClusterResult,
     EigSolverError,
     EmbeddedData,
+    EmptyClusterError,
     InfeasibleKError,
     IsolatedVertexError,
     RelaxedAssignment,
     SolverTrace,
+    _readonly,
     cluster_sums,
     fix_column_signs,
-    make_indicator,
     validate_embedding,
 )
 from kindicators.embedding import WEIGHT_SCHEMES, SimilarityGraph
-from kindicators.evaluation import kind_objective, kmeans_objective
+from kindicators.evaluation import kmeans_objective
 from kindicators.kindap import (
     OBJECTIVE_FLOOR,
+    ROUNDING_MODES,
     KindapParams,
     repair_empty_columns,
-    round_to_indicator,
 )
 from kindicators.projections import DEGENERATE_SV_TOL, RotatedBasis, procrustes_rotation
 from kindicators.synthgen import SynthDataset
@@ -190,6 +198,83 @@ def sampled_rotation_min(basis_matrix, target, samples: int, rng: np.random.Gene
     return float(gaps.min())
 
 
+@dataclass(eq=False)
+class DenseIndicator:
+    """The indicator as first written: a validated dense n x k matrix plus labels."""
+
+    matrix: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self):
+        self.matrix = _readonly(self.matrix)
+        self.labels = _readonly(self.labels, dtype=int)
+        n, k = self.matrix.shape
+        if self.labels.shape != (n,):
+            raise ValueError("labels length must match the row count")
+        if np.any(self.matrix < 0):
+            raise ValueError("indicator entries must be nonnegative")
+        if np.any((self.matrix > 0).sum(axis=1) != 1):
+            raise ValueError("each row must have exactly one positive entry")
+        if self.labels.min() < 0 or self.labels.max() >= k:
+            raise BadLabelError(f"labels must lie in 0..{k - 1}")
+        if np.any(self.matrix[np.arange(n), self.labels] <= 0):
+            raise ValueError("labels must point at each row's positive entry")
+        sizes = np.bincount(self.labels, minlength=k)
+        empty = np.flatnonzero(sizes == 0)
+        if empty.size:
+            raise EmptyClusterError(empty[0])
+        gram = self.matrix.T @ self.matrix
+        if np.max(np.abs(gram - np.eye(k))) > INDICATOR_TOL:
+            raise ValueError("indicator columns must be orthonormal")
+
+
+def reference_make_indicator(labels, k: int) -> DenseIndicator:
+    """The normalized indicator of integer labels, built as a dense n x k matrix."""
+    labels = np.asarray(labels, dtype=int)
+    if labels.ndim != 1 or labels.size == 0:
+        raise BadLabelError("labels must be a nonempty 1-D sequence")
+    if labels.min() < 0 or labels.max() >= k:
+        raise BadLabelError(f"labels must lie in 0..{k - 1}")
+    sizes = np.bincount(labels, minlength=k)
+    empty = np.flatnonzero(sizes == 0)
+    if empty.size:
+        raise EmptyClusterError(empty[0])
+    h = np.zeros((labels.size, k))
+    h[np.arange(labels.size), labels] = 1.0 / np.sqrt(sizes[labels])
+    return DenseIndicator(h, labels)
+
+
+def reference_round_to_indicator(relaxed: RelaxedAssignment, mode="magnitude") -> DenseIndicator:
+    """Rounding to an indicator as first written, filling a dense n x k matrix."""
+    if mode not in ROUNDING_MODES:
+        raise ValueError(f"mode must be one of {ROUNDING_MODES}")
+    n_mat = relaxed.matrix
+    n, k = n_mat.shape
+    labels = repair_empty_columns(n_mat, np.argmax(n_mat, axis=1))
+    if mode == "binary":
+        sizes = np.bincount(labels, minlength=k)
+        kept = 1.0 / np.sqrt(sizes[labels].astype(float))
+    else:
+        kept = n_mat[np.arange(n), labels].copy()
+        # Rows parked by repair can carry a zero; give them unit weight so the
+        # result still has one positive entry per row.
+        kept[kept <= 0] = 1.0
+        norms = np.sqrt(np.bincount(labels, weights=kept**2, minlength=k))
+        kept = kept / norms[labels]
+    h = np.zeros((n, k))
+    h[np.arange(n), labels] = kept
+    return DenseIndicator(h, labels)
+
+
+def reference_kind_objective(basis: EmbeddedData, indicator: DenseIndicator) -> float:
+    """The kind objective as first written, from the dense GEMM U'H."""
+    if indicator.matrix.shape != basis.matrix.shape:
+        raise ValueError("basis and indicator shapes must agree")
+    k = basis.k
+    sigma = np.linalg.svd(basis.matrix.T @ indicator.matrix, compute_uv=False)
+    return max(2.0 * k - 2.0 * float(sigma.sum()), 0.0)
+
+
 def _reference_inner_solve(start, basis, params, trace=None):
     """The KindAP inner loop as first written: fresh n x k temporaries every
     iteration and the gap summed entrywise as ||U - N||_F^2."""
@@ -200,7 +285,7 @@ def _reference_inner_solve(start, basis, params, trace=None):
     iters = 0
     for t in range(1, params.max_inner + 1):
         n_mat = np.clip(u, 0.0, 1.0)
-        rotation, sigma = procrustes_rotation(n_mat, basis.matrix)
+        rotation, sigma = procrustes_rotation(basis.matrix.T @ n_mat)
         u = basis.matrix @ rotation
         gap = float(((u - n_mat) ** 2).sum())
         history.append(gap)
@@ -237,8 +322,8 @@ def reference_kindap_solve(basis, params=None):
         last_relaxed = relaxed
         trace.inner_iters_per_outer.append(inner_iters)
         trace.outer_iters = outer
-        rounded = round_to_indicator(relaxed, mode=params.rounding)
-        f = kind_objective(basis, make_indicator(rounded.labels, k))
+        rounded = reference_round_to_indicator(relaxed, mode=params.rounding)
+        f = reference_kind_objective(basis, reference_make_indicator(rounded.labels, k))
         trace.outer_objective_history.append(f)
         if f < best_f:
             best_f = f
@@ -250,7 +335,7 @@ def reference_kindap_solve(basis, params=None):
         f_prev = f
         # Restart the next outer phase from the projection of the rounded
         # indicator back onto the rotation set.
-        rotation, sigma = procrustes_rotation(rounded.matrix, basis.matrix)
+        rotation, sigma = procrustes_rotation(basis.matrix.T @ rounded.matrix)
         if sigma[-1] < DEGENERATE_SV_TOL:
             trace.warnings.append(f"degenerate restart projection at outer iteration {outer}")
         current = RotatedBasis(basis.matrix @ rotation, rotation)
@@ -375,7 +460,7 @@ def reference_sr_once(basis: EmbeddedData, rotation: np.ndarray, params):
         scores = u_hat @ rotation
         labels = repair_empty_columns(scores, np.argmax(scores, axis=1))
         b = BinaryIndicator.from_labels(labels, k)
-        rotation, _ = procrustes_rotation(b.matrix, u_hat)
+        rotation, _ = procrustes_rotation(u_hat.T @ b.matrix)
         obj = float(((u_hat @ rotation - b.matrix) ** 2).sum())
         if prev is not None and obj > prev:
             break
@@ -414,7 +499,7 @@ def _reference_kind_objective_if_embedded(x: np.ndarray, labels: np.ndarray) -> 
     if n < d or np.max(np.abs(x.T @ x - np.eye(d))) > ORTHONORMAL_TOL:
         return None
     try:
-        h = make_indicator(labels, d)
+        h = reference_make_indicator(labels, d)
     except ClusteringError:
         return None
     sigma = np.linalg.svd(x.T @ h.matrix, compute_uv=False)

@@ -104,7 +104,7 @@ def test_criterion_2_warm_start_dominates_km100():
     worst_margin = -np.inf
     for seed in SWEEP_SEEDS:
         data = generate(SynthSpec(k=50, rho=0.66, per_cluster=40, seed=seed))
-        warm, _, _, _, _ = run_method("kindap+l", data.embedded, seed=seed)
+        warm, _, _ = run_method("kindap+l", data.embedded, seed=seed)
         km100 = kmeans_solve(
             data.embedded.matrix, 50, KmeansParams(replications=100, seed=seed)
         )
@@ -204,7 +204,7 @@ def test_criterion_5_procrustes_certificates():
             target = rng.uniform(0.0, 1.0, size=(n, k))
         else:
             target = rng.standard_normal((n, k))
-        rotation, _ = procrustes_rotation(target, basis.matrix)
+        rotation, _ = procrustes_rotation(basis.matrix.T @ target)
         closed = float(np.linalg.norm(basis.matrix @ rotation - target))
         sampled = sampled_rotation_min(basis.matrix, target, 10_000, rng)
         worst = min(worst, sampled - closed)

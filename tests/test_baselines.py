@@ -128,7 +128,12 @@ def _assert_same_lloyd(new, old):
     assert np.array_equal(new.labels, old.labels)
     assert np.array(new.trace.objective_history).tobytes() == np.array(old.trace.objective_history).tobytes()
     assert new.kmeans_objective == old.kmeans_objective
-    assert new.kind_objective == old.kind_objective
+    # The reference forms U'H as a dense GEMM, the solver as cluster sums:
+    # the same value up to the order of the additions.
+    if old.kind_objective is None:
+        assert new.kind_objective is None
+    else:
+        assert abs(new.kind_objective - old.kind_objective) <= 1e-12 * max(1.0, old.kind_objective)
 
 
 def _inits_with_empty_clusters(rng):

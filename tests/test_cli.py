@@ -363,8 +363,26 @@ def test_cluster_rejects_mismatched_k(tmp_path):
         ["--method", "sr", "--tol", "0"],
         ["--max-iters", "0"],
         ["--method", "kmeans", "--max-iters", "0"],
+        ["--tol-inner", "nan"],
+        ["--tol-inner", "inf"],
+        ["--tol-outer", "nan"],
+        ["--tol-outer", "inf"],
+        ["--method", "kmeans", "--tol", "nan"],
+        ["--method", "sr", "--tol", "inf"],
     ],
-    ids=["max_inner", "tol_inner", "sr_tol", "max_iters", "kmeans_max_iters"],
+    ids=[
+        "max_inner",
+        "tol_inner",
+        "sr_tol",
+        "max_iters",
+        "kmeans_max_iters",
+        "tol_inner_nan",
+        "tol_inner_inf",
+        "tol_outer_nan",
+        "tol_outer_inf",
+        "kmeans_tol_nan",
+        "sr_tol_inf",
+    ],
 )
 def test_cluster_bad_solver_flag_values_are_usage_errors(tmp_path, capsys, flags):
     emb_path = tmp_path / "emb.csv"

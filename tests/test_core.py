@@ -14,7 +14,7 @@ from kindicators.core import (
     validate_embedding,
 )
 
-from oracles import random_orthonormal
+from oracles import random_orthonormal, reference_make_indicator
 
 
 def test_cluster_sums_bit_identical_to_add_at():
@@ -25,6 +25,10 @@ def test_cluster_sums_bit_identical_to_add_at():
         reference = np.zeros((k, d))
         np.add.at(reference, labels, x)
         assert np.array_equal(cluster_sums(x, labels, k), reference)
+        weights = rng.uniform(0.1, 1.0, size=n)
+        weighted = np.zeros((k, d))
+        np.add.at(weighted, labels, weights[:, None] * x)
+        assert np.array_equal(cluster_sums(x, labels, k, weights), weighted)
 
 
 def test_make_indicator_singletons():
@@ -75,6 +79,7 @@ def test_indicator_invariants_random():
         assert np.all(h.matrix >= 0)
         np.testing.assert_allclose(h.matrix.T @ h.matrix, np.eye(k), atol=1e-10)
         assert np.all(h.values > 0)
+        assert np.array_equal(h.matrix, reference_make_indicator(labels, k).matrix)
 
 
 def test_validate_embedding_passes_orthonormal_through():
@@ -143,16 +148,33 @@ def test_binary_indicator_rejects_multiple_ones():
         BinaryIndicator(np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([0, 1]))
 
 
-def test_indicator_matrix_rejects_two_positives_per_row():
-    bad = np.array([[0.5, 0.5], [0.0, 1.0]])
+def test_indicator_matrix_rejects_invalid_partitions():
+    ok = np.array([1.0, 1.0])
     with pytest.raises(ValueError):
-        IndicatorMatrix(bad, np.array([0, 1]))
+        IndicatorMatrix(np.array([0, 1]), np.array([1.0, 0.0]))  # a zero weight
+    with pytest.raises(ValueError):
+        IndicatorMatrix(np.array([0, 1]), np.array([1.0, np.nan]))
+    with pytest.raises(ValueError):
+        IndicatorMatrix(np.array([0, 0, 1]), np.array([0.5, 0.5, 1.0]))  # column norm != 1
+    with pytest.raises(ValueError):
+        IndicatorMatrix(np.array([0, 1]), np.array([1.0]))
+    with pytest.raises(EmptyClusterError) as err:
+        IndicatorMatrix(np.array([0, 2]), ok)
+    assert err.value.cluster == 1
+    with pytest.raises(BadLabelError):
+        IndicatorMatrix(np.array([-1, 0]), ok)
+    h = IndicatorMatrix(np.array([1, 0]), ok)
+    assert (h.n, h.k) == (2, 2)
 
 
 def test_types_are_readonly():
     h = make_indicator([0, 1, 1], 2)
     with pytest.raises(ValueError):
         h.matrix[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        h.values[0] = 5.0
+    with pytest.raises(ValueError):
+        h.labels[0] = 1
     emb = validate_embedding(np.eye(3)[:, :2])
     with pytest.raises(ValueError):
         emb.matrix[0, 0] = 5.0

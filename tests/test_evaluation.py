@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kindicators.core import (
+    EmbeddedData,
     EmptyClusterError,
     LengthMismatchError,
     RelaxedAssignment,
@@ -189,3 +190,23 @@ def test_kmeans_objective_rejects_empty_cluster():
     basis = validate_embedding(np.eye(4)[:, :3])
     with pytest.raises(EmptyClusterError):
         kmeans_objective(basis, [0, 0, 1, 1])
+
+
+def test_objectives_build_no_dense_indicator():
+    # One n x k float64 array is 8 MB here; reading U'H off the labels keeps
+    # each objective's peak allocation under a quarter of that.
+    n, k = 20_000, 50
+    rng = np.random.default_rng(6)
+    basis = EmbeddedData(random_orthonormal(n, k, rng))
+    labels = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+    for objective in (
+        lambda: kind_objective(basis, make_indicator(labels, k)),
+        lambda: kmeans_objective(basis, labels),
+    ):
+        tracemalloc.start()
+        try:
+            objective()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * k * 8 / 4

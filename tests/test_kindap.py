@@ -18,7 +18,12 @@ from kindicators.kindap import (
 )
 from kindicators.synthgen import SynthSpec, generate
 
-from oracles import exhaustive_best, random_orthonormal, reference_kindap_solve
+from oracles import (
+    exhaustive_best,
+    random_orthonormal,
+    reference_kindap_solve,
+    reference_round_to_indicator,
+)
 
 
 def _indicator_basis():
@@ -112,6 +117,23 @@ def test_round_binary_mode_uses_equal_weights():
     )
     assert np.array_equal(h.labels, [0, 0, 1])
     np.testing.assert_allclose(h.values, [1 / np.sqrt(2), 1 / np.sqrt(2), 1.0])
+
+
+def test_round_matches_dense_reference():
+    # Labels and values fill the same dense indicator, bit for bit, as the
+    # rounding that built it entry by entry; repaired rows included.
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        k = int(rng.integers(2, 8))
+        n = int(rng.integers(k, 60))
+        n_mat = rng.uniform(0.0, 1.0, size=(n, k)) * (rng.uniform(size=(n, k)) < 0.7)
+        n_mat[:, -1] = 0.0  # an empty column, so the repair runs
+        relaxed = RelaxedAssignment(n_mat)
+        for mode in ("magnitude", "binary"):
+            new = round_to_indicator(relaxed, mode=mode)
+            old = reference_round_to_indicator(relaxed, mode=mode)
+            assert np.array_equal(new.labels, old.labels)
+            assert np.array_equal(new.matrix, old.matrix)
 
 
 def test_round_ties_go_to_lowest_column():

@@ -75,7 +75,7 @@ def test_sampled_rotation_hits_planted_rotation():
     planted = q * signs
     target = basis.matrix @ planted
     sampled = sampled_rotation_min(basis.matrix, target, 10, np.random.default_rng(99))
-    rotation, _ = procrustes_rotation(target, basis.matrix)
+    rotation, _ = procrustes_rotation(basis.matrix.T @ target)
     closed = float(np.linalg.norm(basis.matrix @ rotation - target))
     assert sampled == pytest.approx(closed, abs=1e-12)
     assert sampled == pytest.approx(0.0, abs=1e-12)
@@ -95,7 +95,7 @@ def test_closed_form_never_beaten_small_batch():
         k = int(rng.integers(2, 4))
         basis = validate_embedding(random_orthonormal(n, k, rng))
         target = rng.uniform(0.0, 1.0, size=(n, k))
-        rotation, _ = procrustes_rotation(target, basis.matrix)
+        rotation, _ = procrustes_rotation(basis.matrix.T @ target)
         closed = float(np.linalg.norm(basis.matrix @ rotation - target))
         assert closed <= sampled_rotation_min(basis.matrix, target, 500, rng) + 1e-9
 

@@ -13,7 +13,7 @@ def _random_basis(n, k, seed):
 
 def test_procrustes_identity_fixed_point():
     basis = _random_basis(7, 3, 2)
-    rotation, sigma = procrustes_rotation(basis.matrix, basis.matrix)
+    rotation, sigma = procrustes_rotation(basis.matrix.T @ basis.matrix)
     np.testing.assert_allclose(rotation, np.eye(3), atol=1e-12)
     np.testing.assert_allclose(basis.matrix @ rotation, basis.matrix, atol=1e-12)
     assert float(sigma.sum()) == pytest.approx(3.0, abs=1e-12)
@@ -23,7 +23,7 @@ def test_procrustes_recovers_exact_rotation():
     rng = np.random.default_rng(3)
     basis = _random_basis(9, 4, 4)
     r0 = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-    rotation, _ = procrustes_rotation(basis.matrix @ r0, basis.matrix)
+    rotation, _ = procrustes_rotation(basis.matrix.T @ (basis.matrix @ r0))
     np.testing.assert_allclose(basis.matrix @ rotation, basis.matrix @ r0, atol=1e-8)
     np.testing.assert_allclose(rotation, r0, atol=1e-8)
 
@@ -32,7 +32,7 @@ def test_procrustes_never_beaten_by_sampled_rotations():
     rng = np.random.default_rng(5)
     basis = _random_basis(8, 3, 6)
     target = rng.uniform(0, 1, size=(8, 3))
-    rotation, _ = procrustes_rotation(target, basis.matrix)
+    rotation, _ = procrustes_rotation(basis.matrix.T @ target)
     closed = float(np.linalg.norm(basis.matrix @ rotation - target))
     sampled = sampled_rotation_min(basis.matrix, target, 10_000, rng)
     assert closed <= sampled + 1e-9
@@ -42,7 +42,7 @@ def test_procrustes_returns_nuclear_norm():
     rng = np.random.default_rng(7)
     basis = _random_basis(6, 3, 8)
     target = rng.uniform(0, 1, size=(6, 3))
-    _, sigma = procrustes_rotation(target, basis.matrix)
+    _, sigma = procrustes_rotation(basis.matrix.T @ target)
     expected = np.linalg.svd(basis.matrix.T @ target, compute_uv=False)
     assert float(sigma.sum()) == pytest.approx(float(expected.sum()), abs=1e-12)
 
@@ -51,8 +51,8 @@ def test_procrustes_idempotent_in_range():
     rng = np.random.default_rng(9)
     basis = _random_basis(6, 3, 10)
     target = rng.uniform(0, 1, size=(6, 3))
-    first, _ = procrustes_rotation(target, basis.matrix)
-    second, _ = procrustes_rotation(basis.matrix @ first, basis.matrix)
+    first, _ = procrustes_rotation(basis.matrix.T @ target)
+    second, _ = procrustes_rotation(basis.matrix.T @ (basis.matrix @ first))
     np.testing.assert_allclose(basis.matrix @ second, basis.matrix @ first, atol=1e-8)
     np.testing.assert_allclose(second.T @ first, np.eye(3), atol=1e-8)
 
@@ -61,7 +61,7 @@ def test_procrustes_output_stays_in_basis_range():
     rng = np.random.default_rng(30)
     basis = _random_basis(12, 4, 31)
     target = rng.uniform(0, 1, size=(12, 4))
-    rotation, _ = procrustes_rotation(target, basis.matrix)
+    rotation, _ = procrustes_rotation(basis.matrix.T @ target)
     projected = basis.matrix @ rotation
     residual = basis.matrix @ (basis.matrix.T @ projected) - projected
     assert float(np.linalg.norm(residual)) <= 1e-8
