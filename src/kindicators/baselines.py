@@ -85,7 +85,10 @@ def kmeans_pp_init(data, k: int, rng: np.random.Generator) -> np.ndarray:
     chosen indices are always distinct.
 
     Cost: one GEMV with the n x d data per center, from the norm expansion
-    ||x_i||^2 + ||c||^2 - 2 x_i'c with the row norms computed once.
+    ||x_i||^2 + ||c||^2 - 2 x_i'c with the row norms computed once. Each
+    weighted draw inverts the cumulative distribution at one uniform draw,
+    the same arithmetic and the same stream as ``rng.choice(n, p=d2 / total)``
+    without its per-call validation and copies.
     """
     x = np.asarray(data, dtype=float)
     n = x.shape[0]
@@ -95,13 +98,17 @@ def kmeans_pp_init(data, k: int, rng: np.random.Generator) -> np.ndarray:
     chosen = np.empty(k, dtype=int)
     chosen[0] = int(rng.integers(n))
     d2 = _distances_to_row(x, x_sq, chosen[0])
+    cdf = np.empty(n)
     for t in range(1, k):
         total = d2.sum()
         if total <= 0:
             unchosen = np.setdiff1d(np.arange(n), chosen[:t])
             idx = int(rng.choice(unchosen))
         else:
-            idx = int(rng.choice(n, p=d2 / total))
+            np.divide(d2, total, out=cdf)
+            np.cumsum(cdf, out=cdf)
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         chosen[t] = idx
         np.minimum(d2, _distances_to_row(x, x_sq, idx), out=d2)
     return x[chosen].copy()
@@ -123,7 +130,9 @@ def _kind_objective_if_embedded(x: np.ndarray, labels: np.ndarray) -> float | No
         return None
 
 
-def lloyd_solve(data, k: int, init_centers, params: KmeansParams | None = None) -> ClusterResult:
+def lloyd_solve(
+    data, k: int, init_centers, params: KmeansParams | None = None, *, score_kind: bool = True
+) -> ClusterResult:
     """Standard assign/update k-means iteration from the given centers.
 
     Records the within-cluster sum of squares after every assignment step
@@ -131,7 +140,9 @@ def lloyd_solve(data, k: int, init_centers, params: KmeansParams | None = None) 
     :func:`repair_empty_columns` scored by each point's distance to its own
     center: each empty cluster seizes the farthest point and is centered on
     it. Stops when the Frobenius movement of the centers falls below
-    `params.tol` relative to their norm, or at `params.max_iters`.
+    `params.tol` relative to their norm, or at `params.max_iters`. The kind
+    objective is reported when the data is column-orthonormal, unless
+    `score_kind` is False (replicated callers score only their winner).
     """
     if params is None:
         params = KmeansParams()
@@ -167,7 +178,7 @@ def lloyd_solve(data, k: int, init_centers, params: KmeansParams | None = None) 
     final_obj = float(((x - centers[labels]) ** 2).sum())
     return ClusterResult(
         labels=labels,
-        kind_objective=_kind_objective_if_embedded(x, labels),
+        kind_objective=_kind_objective_if_embedded(x, labels) if score_kind else None,
         kmeans_objective=final_obj,
         trace=trace,
     )
@@ -191,10 +202,11 @@ def kmeans_solve(data, k: int, params: KmeansParams | None = None) -> ClusterRes
     for stream in streams:
         rng = np.random.default_rng(stream)
         centers = kmeans_pp_init(x, k, rng)
-        results.append(lloyd_solve(x, k, centers, params))
+        results.append(lloyd_solve(x, k, centers, params, score_kind=False))
     objectives = [r.kmeans_objective for r in results]
     best = _best_replication(objectives)
     winner = results[best]
+    winner.kind_objective = _kind_objective_if_embedded(x, winner.labels)
     winner.trace.replication_index = best
     winner.trace.replication_objectives = objectives
     winner.trace.replication_histories = [r.trace.objective_history for r in results]
@@ -217,7 +229,9 @@ def _sr_once(basis: EmbeddedData, rotation: np.ndarray, params: SrParams):
     update. Both half-steps minimize the objective exactly on the
     unconstrained set, but the repair can push uphill, so an iterate that
     increases the objective is rejected and the run stops with the previous
-    one; the recorded history is therefore nonincreasing.
+    one; the recorded history is therefore nonincreasing. Returns the
+    labels, their objective, the history and the stop reason: "floor",
+    "tol", "cap" or "uphill" (a rejected iterate).
 
     Cost per iteration: the U R GEMM, the k x k product U'H read off
     :func:`cluster_sums` (H is one-hot, so H'U sums U's rows per cluster),
@@ -235,21 +249,25 @@ def _sr_once(basis: EmbeddedData, rotation: np.ndarray, params: SrParams):
     prev = None
     out_labels = np.zeros(n, dtype=int)
     out_obj = np.inf
+    stop = "cap"
     for _ in range(1, params.max_iters + 1):
         np.matmul(u_hat, rotation, out=scores)
         labels = repair_empty_columns(scores, np.argmax(scores, axis=1))
         rotation, sigma = procrustes_rotation(cluster_sums(u_hat, labels, k).T)
         obj = max(offset - 2.0 * float(sigma.sum()), 0.0)
         if prev is not None and obj > prev:
+            stop = "uphill"
             break
         history.append(obj)
         out_labels, out_obj = labels, obj
         if obj <= OBJECTIVE_FLOOR:
+            stop = "floor"
             break
         if prev is not None and prev - obj <= params.tol * max(prev, OBJECTIVE_FLOOR):
+            stop = "tol"
             break
         prev = obj
-    return out_labels, out_obj, history
+    return out_labels, out_obj, history, stop
 
 
 def sr_solve(basis: EmbeddedData, params: SrParams | None = None) -> ClusterResult:
@@ -273,15 +291,16 @@ def sr_solve(basis: EmbeddedData, params: SrParams | None = None) -> ClusterResu
     for stream in streams:
         rng = np.random.default_rng(stream)
         runs.append(_sr_once(basis, _random_orthogonal(k, rng), params))
-    objectives = [obj for _, obj, _ in runs]
+    objectives = [obj for _, obj, _, _ in runs]
     best = _best_replication(objectives)
-    labels, _, history = runs[best]
+    labels, _, history, _ = runs[best]
     trace = SolverTrace(
         outer_iters=len(history),
         objective_history=history,
         replication_index=best,
         replication_objectives=objectives,
-        replication_histories=[h for _, _, h in runs],
+        replication_histories=[h for _, _, h, _ in runs],
+        stop_reasons=[stop for _, _, _, stop in runs],
     )
     return ClusterResult(
         labels=labels,

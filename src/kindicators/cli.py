@@ -205,6 +205,8 @@ def _trace_payload(trace: SolverTrace) -> dict:
         "replication_index": trace.replication_index,
         "replication_objectives": list(trace.replication_objectives),
         "warnings": list(trace.warnings),
+        "stop_reasons": list(trace.stop_reasons),
+        "outer_stop_reason": trace.outer_stop_reason,
     }
 
 
@@ -597,6 +599,7 @@ def _cmd_cluster(args) -> int:
         params={
             "max_outer": args.max_outer,
             "max_inner": args.max_inner,
+            "inner_budget": kindap_params.inner_budget,
             "tol_inner": args.tol_inner,
             "tol_outer": args.tol_outer,
             "rounding": args.rounding,

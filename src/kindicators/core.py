@@ -231,6 +231,11 @@ class SolverTrace:
     objectives for the baselines); `inner_iters_per_outer` gives the split
     into phases where applicable. Replicated solvers record the chosen
     replication and the per-replication objectives/histories.
+
+    `stop_reasons` says why each iterative run ended: one entry per KindAP
+    inner phase ("tol", "budget" or "cap") and one per spectral-rotation
+    replication ("floor", "tol", "cap" or "uphill"). `outer_stop_reason`
+    says why KindAP's outer loop ended ("floor", "tol" or "cap").
     """
 
     outer_iters: int = 0
@@ -241,6 +246,8 @@ class SolverTrace:
     replication_objectives: list[float] = field(default_factory=list)
     replication_histories: list[list[float]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+    stop_reasons: list[str] = field(default_factory=list)
+    outer_stop_reason: str | None = None
 
 
 @dataclass(eq=False)

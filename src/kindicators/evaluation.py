@@ -5,7 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .core import (
     BadLabelError,
@@ -18,6 +20,13 @@ from .core import (
     cluster_sums,
     make_indicator,
 )
+
+# Confusion matrices with at most this many cells are solved dense. The
+# sparse solver has a fixed cost of about half a millisecond: at 100 x 100
+# ids the dense assignment takes 0.18 ms against 0.66-1.0 ms, the two are
+# about even at 200 x 200, and at 400 x 400 the dense one takes 4.2 ms
+# against 1.3-4.2 ms (2 cores, labelings 5-50% off the truth).
+DENSE_CONFUSION_CELLS = 1 << 15
 
 
 @dataclass(eq=False)
@@ -35,10 +44,14 @@ class SoftIndicator:
 def accuracy(pred, truth) -> float:
     """Fraction of objects matched under the best cluster-id assignment.
 
-    Builds the confusion matrix and solves the maximum-weight (rectangular)
-    assignment, so the score is invariant to relabeling either side. The
-    matrix has one row per distinct predicted id and one column per distinct
-    true id, whatever the ids' values.
+    Solves the maximum-weight (rectangular) assignment on the confusion
+    matrix, so the score is invariant to relabeling either side. The matrix
+    has one row per distinct predicted id and one column per distinct true
+    id, whatever the ids' values. Up to DENSE_CONFUSION_CELLS cells it is
+    built dense and solved by `linear_sum_assignment`; beyond that it is
+    kept sparse, one entry per distinct (predicted, true) pair (at most n),
+    and solved by :func:`_max_matching_weight`, so memory stays O(n)
+    however many ids there are.
     """
     pred = np.asarray(pred, dtype=int)
     truth = np.asarray(truth, dtype=int)
@@ -52,10 +65,45 @@ def accuracy(pred, truth) -> float:
         raise BadLabelError("labels must be nonnegative")
     pred_ids, pred = np.unique(pred, return_inverse=True)
     truth_ids, truth = np.unique(truth, return_inverse=True)
-    shape = (pred_ids.size, truth_ids.size)
-    confusion = np.bincount(pred * shape[1] + truth, minlength=shape[0] * shape[1]).reshape(shape)
-    rows, cols = linear_sum_assignment(confusion, maximize=True)
-    return float(confusion[rows, cols].sum() / pred.size)
+    rows, cols = pred_ids.size, truth_ids.size
+    if rows * cols <= DENSE_CONFUSION_CELLS:
+        confusion = np.bincount(pred * cols + truth, minlength=rows * cols).reshape(rows, cols)
+        matched = linear_sum_assignment(confusion, maximize=True)
+        return float(confusion[matched].sum() / pred.size)
+    pairs, counts = np.unique(pred * cols + truth, return_counts=True)
+    return float(_max_matching_weight(pairs // cols, pairs % cols, counts) / pred.size)
+
+
+def _max_matching_weight(rows: np.ndarray, cols: np.ndarray, counts: np.ndarray) -> int:
+    """Largest total count over the matchings of a sparse confusion matrix C.
+
+    `rows`, `cols` and `counts` list the nonzeros of the p x t matrix C in
+    row-major order; every row from 0 to p - 1 has one. The sparse solver
+    needs nonzero weights and a perfect matching, so it gets a square graph
+    of side p + t: C's rows then t padding rows, C's columns then p padding
+    columns. Row i of C may take padding column t + i, padding row p + j may
+    take column j of C, and padding row p + j meets padding column t + i
+    wherever C has an entry (i, j), so every matching of C extends to a
+    perfect one. Entries of C weigh minus their count minus one and every
+    other edge minus one; a perfect matching then weighs minus the counts
+    it covers minus p + t, and the lightest one covers the most.
+    """
+    p, t = int(rows[-1]) + 1, int(cols.max()) + 1
+    graph = sparse.csr_array(
+        (
+            np.concatenate([-1.0 - counts, np.full(p + t + counts.size, -1.0)]),
+            (
+                np.concatenate([rows, np.arange(p), p + np.arange(t), p + cols]),
+                np.concatenate([cols, t + np.arange(p), np.arange(t), t + rows]),
+            ),
+        ),
+        shape=(p + t, p + t),
+    )
+    matched_rows, matched_cols = min_weight_full_bipartite_matching(graph)
+    real = (matched_rows < p) & (matched_cols < t)
+    # Codes row * t + column are sorted, since the entries are row-major.
+    found = np.searchsorted(rows * t + cols, matched_rows[real] * t + matched_cols[real])
+    return int(counts[found].sum())
 
 
 def soft_indicator(relaxed: RelaxedAssignment) -> SoftIndicator:

@@ -40,7 +40,11 @@ class KindapParams:
 
     Tolerances are relative objective improvements; iteration caps are
     generous compared to the handful of outer and dozens of inner iterations
-    typically needed. The solver is deterministic and draws no random
+    typically needed. Each inner phase runs under a budget that starts at
+    `inner_budget` and doubles, up to `max_inner`, whenever a phase cut
+    short by it leaves the outer objective stalled (see
+    :func:`kindap_solve`); `inner_budget >= max_inner` gives every phase the
+    full `max_inner`. The solver is deterministic and draws no random
     numbers. `rounding` picks the value written into the kept entry when
     rounding the relaxed assignment: "magnitude" keeps the relaxed value
     (columns renormalized), "binary" uses the equal-weight 1/sqrt(n_j)
@@ -52,9 +56,10 @@ class KindapParams:
     tol_inner: float = 1e-5
     tol_outer: float = 1e-5
     rounding: str = "magnitude"
+    inner_budget: int = 20
 
     def __post_init__(self):
-        if self.max_outer < 1 or self.max_inner < 1:
+        if self.max_outer < 1 or self.max_inner < 1 or self.inner_budget < 1:
             raise ValueError("iteration caps must be >= 1")
         if not all(np.isfinite(t) and t > 0 for t in (self.tol_inner, self.tol_outer)):
             raise ValueError("tolerances must be finite and positive")
@@ -67,7 +72,8 @@ def inner_solve(
     basis: EmbeddedData,
     params: KindapParams,
     trace: SolverTrace | None = None,
-) -> tuple[RelaxedAssignment, np.ndarray, int]:
+    budget: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, int, str]:
     """Alternate box and Procrustes projections from U = B R until the gap stalls.
 
     B is `basis.matrix` and R starts at `rotation`. Each iteration clamps the
@@ -77,18 +83,22 @@ def inner_solve(
     2 sum(sigma) (Schoenemann 1966), so it costs one dot product instead of
     a pass over an n x k difference; it is recorded per iteration and is
     nonincreasing because both projections are exact. Stops once the
-    relative gap improvement drops below `params.tol_inner` or
-    `params.max_inner` is reached.
+    relative gap improvement drops below `params.tol_inner` ("tol"), or
+    after `budget` iterations ("budget") or `params.max_inner` ("cap"),
+    whichever is fewer; no `budget` means `params.max_inner`.
 
     Per iteration the work is two GEMMs with an n x k operand (B'N and B R),
     one in-place clip and one k x k SVD; the only n x k memory is two buffers
     allocated once per call.
 
-    Returns the final relaxed assignment, the k x k rotation of the last
-    projection, and the iteration count. When `trace` is given, the gap
-    sequence is appended to its objective_history and near-degenerate
-    projections are noted in its warnings.
+    Returns the n x k buffer holding the final box projection N (entries in
+    [0, 1], owned by the caller from then on), the k x k rotation of the
+    last projection, the iteration count and the stop reason. When `trace`
+    is given, the gap sequence is appended to its objective_history and
+    near-degenerate projections are noted in its warnings.
     """
+    limit = params.max_inner if budget is None else min(budget, params.max_inner)
+    stop = "cap" if limit == params.max_inner else "budget"
     b = basis.matrix
     b_sq = float(np.vdot(b, b))
     u = b @ rotation
@@ -96,7 +106,7 @@ def inner_solve(
     prev = None
     history: list[float] = []
     iters = 0
-    for t in range(1, params.max_inner + 1):
+    for t in range(1, limit + 1):
         np.clip(u, 0.0, 1.0, out=n_mat)
         rotation, sigma = procrustes_rotation(b.T @ n_mat)
         # Exact in real arithmetic; in floating point a zero gap can come out
@@ -107,13 +117,13 @@ def inner_solve(
         if trace is not None and sigma[-1] < DEGENERATE_SV_TOL:
             trace.warnings.append(f"degenerate projection at inner iteration {t}")
         if prev is not None and prev - gap <= params.tol_inner * max(prev, OBJECTIVE_FLOOR):
+            stop = "tol"
             break
         prev = gap
         np.matmul(b, rotation, out=u)
     if trace is not None:
         trace.objective_history.extend(history)
-    # RelaxedAssignment copies its input, so the buffer can be handed over as is.
-    return RelaxedAssignment(n_mat), rotation, iters
+    return n_mat, rotation, iters, stop
 
 
 def repair_empty_columns(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -143,8 +153,13 @@ def repair_empty_columns(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return labels
 
 
-def round_to_indicator(relaxed: RelaxedAssignment, mode: str = "magnitude") -> IndicatorMatrix:
+def round_to_indicator(
+    relaxed: RelaxedAssignment | np.ndarray, mode: str = "magnitude"
+) -> IndicatorMatrix:
     """Round a relaxed assignment to the nearest indicator-structured matrix.
+
+    `relaxed` is a RelaxedAssignment or an n x k matrix already known to
+    lie in the box, such as the buffer :func:`inner_solve` returns.
 
     Keeps each row's largest entry (ties go to the lowest column index),
     repairs empty columns with :func:`repair_empty_columns`, and scales every
@@ -155,7 +170,7 @@ def round_to_indicator(relaxed: RelaxedAssignment, mode: str = "magnitude") -> I
     """
     if mode not in ROUNDING_MODES:
         raise ValueError(f"mode must be one of {ROUNDING_MODES}")
-    n_mat = relaxed.matrix
+    n_mat = relaxed.matrix if isinstance(relaxed, RelaxedAssignment) else relaxed
     n, k = n_mat.shape
     labels = repair_empty_columns(n_mat, np.argmax(n_mat, axis=1))
     if mode == "binary":
@@ -175,11 +190,22 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
     :func:`inner_solve`, rounds the relaxed assignment to an indicator matrix,
     evaluates the squared subspace distance between the data range and the
     (normalized) indicator range, and projects the rounded matrix back onto
-    the rotation set to restart. The outer loop stops at the objective floor,
-    when the relative improvement drops below `params.tol_outer`, or at
-    `params.max_outer`; the best-scoring labeling ever seen is returned, along
+    the rotation set to restart.
+
+    Each inner phase runs under a budget, starting at `params.inner_budget`
+    iterations: the gap of a phase falls only linearly, and the outer
+    restart usually moves faster than the tail of a long phase. When a phase
+    that spent its whole budget leaves the outer objective stalled, the
+    budget doubles, up to `params.max_inner`, instead of stopping. The outer
+    loop stops at the objective floor ("floor"), when the relative
+    improvement drops below `params.tol_outer` after a phase that ended on
+    `params.tol_inner` or `params.max_inner` ("tol"), or at
+    `params.max_outer` ("cap"), so the last phase is a full one unless the
+    floor or the cap comes first. `inner_budget >= max_inner` runs every
+    phase in full. The best-scoring labeling ever seen is returned, along
     with its indicator-form k-means objective, the final relaxed assignment,
-    and the full trace.
+    and the full trace, whose `stop_reasons` hold each phase's stop and
+    `outer_stop_reason` the outer loop's.
 
     Only the k x k rotation passes from one phase to the next; the n x k
     working memory is the two buffers each :func:`inner_solve` call allocates.
@@ -191,25 +217,33 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
         raise InfeasibleKError(f"{n} objects cannot form {k} clusters")
     trace = SolverTrace()
     rotation = np.eye(k)
+    budget = params.inner_budget
     best_f = np.inf
     best_labels: np.ndarray | None = None
-    last_relaxed: RelaxedAssignment | None = None
+    n_mat: np.ndarray | None = None
     f_prev = None
+    trace.outer_stop_reason = "cap"
     for outer in range(1, params.max_outer + 1):
-        relaxed, _, inner_iters = inner_solve(rotation, basis, params, trace=trace)
-        last_relaxed = relaxed
+        n_mat, _, inner_iters, phase_stop = inner_solve(
+            rotation, basis, params, trace=trace, budget=budget
+        )
         trace.inner_iters_per_outer.append(inner_iters)
+        trace.stop_reasons.append(phase_stop)
         trace.outer_iters = outer
-        rounded = round_to_indicator(relaxed, mode=params.rounding)
+        rounded = round_to_indicator(n_mat, mode=params.rounding)
         f = kind_objective(basis, make_indicator(rounded.labels, k))
         trace.outer_objective_history.append(f)
         if f < best_f:
             best_f = f
             best_labels = rounded.labels
         if f <= OBJECTIVE_FLOOR:
+            trace.outer_stop_reason = "floor"
             break
         if f_prev is not None and f_prev - f <= params.tol_outer * max(f_prev, OBJECTIVE_FLOOR):
-            break
+            if phase_stop != "budget":
+                trace.outer_stop_reason = "tol"
+                break
+            budget = min(2 * budget, params.max_inner)
         f_prev = f
         # Restart the next outer phase from the projection of the rounded
         # indicator H back onto the rotation set, through U'H = (H'U)'.
@@ -222,7 +256,7 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
         labels=best_labels,
         kind_objective=best_f,
         kmeans_objective=kmeans_objective(basis, best_labels),
-        relaxed=last_relaxed,
+        relaxed=RelaxedAssignment(n_mat),
         trace=trace,
     )
 

@@ -19,6 +19,10 @@ the shared `repair_empty_columns` and `kind_objective` are gated against.
 and `reference_kind_objective` keep the indicator in its first, dense and
 Gram-validated n x k form, with every U'H product a GEMM, as the arithmetic
 that the label-and-weight indicator and `cluster_sums` are gated against.
+`reference_accuracy` keeps accuracy on a dense confusion matrix, as the
+score the sparse assignment is gated against. `gaussian_blobs` is a harder
+test family than `generate`: Gaussian clusters whose spread makes k-means
+miss, for gates that must show a solver change does no harm.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from itertools import product
 import numpy as np
 
 from kindicators.baselines import KmeansParams
+from scipy.optimize import linear_sum_assignment
+
 from kindicators.core import (
     INDICATOR_TOL,
     ORTHONORMAL_TOL,
@@ -558,3 +564,33 @@ def reference_generate(spec) -> SynthDataset:
     left, _, _ = np.linalg.svd(raw, full_matrices=False)
     embedded = EmbeddedData(fix_column_signs(left[:, : spec.k]))
     return SynthDataset(raw=raw, truth=truth, embedded=embedded)
+
+
+def reference_accuracy(pred, truth) -> float:
+    """Accuracy as first written: a dense confusion matrix, one cell per pair of
+    distinct predicted and true ids, and a dense rectangular assignment."""
+    pred = np.asarray(pred, dtype=int)
+    truth = np.asarray(truth, dtype=int)
+    pred_ids, pred = np.unique(pred, return_inverse=True)
+    truth_ids, truth = np.unique(truth, return_inverse=True)
+    shape = (pred_ids.size, truth_ids.size)
+    confusion = np.bincount(pred * shape[1] + truth, minlength=shape[0] * shape[1]).reshape(shape)
+    rows, cols = linear_sum_assignment(confusion, maximize=True)
+    return float(confusion[rows, cols].sum() / pred.size)
+
+
+def gaussian_blobs(k: int, sigma: float, seed: int, per_cluster: int = 40) -> SynthDataset:
+    """Gaussian clusters in d = k dimensions around the centers sqrt(2) e_j.
+
+    Centers are 2 apart, as in `generate`, but each point adds N(0, sigma^2 I)
+    noise, so clusters overlap once sigma sqrt(k) nears the center distance.
+    The embedding is the k left singular vectors of the raw matrix with the
+    generator's sign convention.
+    """
+    rng = np.random.default_rng(seed)
+    n = k * per_cluster
+    truth = np.repeat(np.arange(k), per_cluster)
+    raw = sigma * rng.standard_normal((n, k))
+    raw[np.arange(n), truth] += np.sqrt(2.0)
+    left, _, _ = np.linalg.svd(raw, full_matrices=False)
+    return SynthDataset(raw=raw, truth=truth, embedded=EmbeddedData(fix_column_signs(left)))

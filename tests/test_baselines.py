@@ -218,7 +218,7 @@ def test_kmeans_deterministic_and_selects_minimum():
 def test_sr_fixed_point_from_identity_rotation():
     h = make_indicator([0, 0, 1, 1], 2)
     basis = validate_embedding(h.matrix)
-    labels, obj, history = _sr_once(basis, np.eye(2), SrParams())
+    labels, obj, history, _ = _sr_once(basis, np.eye(2), SrParams())
     assert np.array_equal(labels, [0, 0, 1, 1])
     # Floor: sum over clusters of n_j * (1/sqrt(n_j) - 1)^2.
     floor = 2 * 2 * (1 / np.sqrt(2) - 1) ** 2
@@ -229,7 +229,7 @@ def test_sr_fixed_point_from_identity_rotation():
 def test_sr_assigns_nearest_rotation_row():
     # Rows dominated by one coordinate pick that column under R = I.
     basis = validate_embedding(np.array([[0.9, 0.1], [0.1, 0.9]]))
-    labels, _, _ = _sr_once(basis, np.eye(2), SrParams())
+    labels, _, _, _ = _sr_once(basis, np.eye(2), SrParams())
     assert labels[0] == 0
     assert labels[1] == 1
 
@@ -298,7 +298,7 @@ def test_sr_winner_is_first_of_replications_tied_by_rounding():
     streams = np.random.SeedSequence(params.seed).spawn(params.replications)
     for i in tied:
         rotation = _random_orthogonal(k, np.random.default_rng(streams[i]))
-        labels, _, _ = _sr_once(data.embedded, rotation, params)
+        labels, _, _, _ = _sr_once(data.embedded, rotation, params)
         assert accuracy(labels, result.labels) == 1.0
 
 
@@ -318,14 +318,25 @@ def _cell_data(k, rho, seed):
     return generate(SynthSpec(k=k, rho=rho, per_cluster=40, seed=seed))
 
 
+def _row_indices(index_of_row: dict, rows):
+    """Index of each of `rows` in the data that `index_of_row` maps by row bytes."""
+    return np.array([index_of_row[row.tobytes()] for row in rows])
+
+
 @pytest.mark.parametrize("k, rho, seed, index", SWEEP_CELLS + MANY_K_CELLS)
 def test_kmeans_pp_init_matches_reference(k, rho, seed, index):
     x = _cell_data(k, rho, seed).embedded.matrix
     base = stable_cell_seed(seed, k, rho, "kmeans", index)
+    index_of_row = {row.tobytes(): i for i, row in enumerate(x)}
+    assert len(index_of_row) == x.shape[0]
     for stream in np.random.SeedSequence(base).spawn(10):
-        new = kmeans_pp_init(x, k, np.random.default_rng(stream))
-        old = reference_kmeans_pp_init(x, k, np.random.default_rng(stream))
+        new_rng, old_rng = np.random.default_rng(stream), np.random.default_rng(stream)
+        new = kmeans_pp_init(x, k, new_rng)
+        old = reference_kmeans_pp_init(x, k, old_rng)
         assert np.array_equal(new, old)
+        # The same rows, so the same indices, and the same draws consumed.
+        assert np.array_equal(_row_indices(index_of_row, new), _row_indices(index_of_row, old))
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("k, rho, seed, index", SWEEP_CELLS[::3] + MANY_K_CELLS[:1])
@@ -352,7 +363,7 @@ def test_sr_matches_reference(k, rho, seed, index):
     old_runs = []
     for stream in np.random.SeedSequence(params.seed).spawn(params.replications):
         rotation = _random_orthogonal(k, np.random.default_rng(stream))
-        new_labels, new_obj, new_history = _sr_once(data.embedded, rotation, params)
+        new_labels, new_obj, new_history, _ = _sr_once(data.embedded, rotation, params)
         old_labels, old_obj, old_history = reference_sr_once(data.embedded, rotation, params)
         assert np.array_equal(new_labels, old_labels)
         assert len(new_history) == len(old_history)
@@ -399,3 +410,44 @@ def test_kmeans_pp_near_duplicates_keep_direct_distances():
     for seed in range(20):
         centers = kmeans_pp_init(twice, 8, np.random.default_rng(seed))
         assert np.array_equal(np.sort(centers, axis=0), np.sort(twice, axis=0))
+
+
+def test_kmeans_solve_scores_only_the_winner(monkeypatch):
+    # Replications skip the kind objective; the winner's is computed once,
+    # equal to what a lone lloyd_solve reports for the same labels.
+    calls = []
+    score = baselines._kind_objective_if_embedded
+
+    def counting(x, labels):
+        calls.append(labels)
+        return score(x, labels)
+
+    monkeypatch.setattr(baselines, "_kind_objective_if_embedded", counting)
+    u = generate(SynthSpec(k=5, rho=0.6, per_cluster=12, ambient_dim=20, seed=31)).embedded.matrix
+    result = kmeans_solve(u, 5, KmeansParams(replications=6, seed=32))
+    assert len(calls) == 1 and np.array_equal(calls[0], result.labels)
+    assert result.kind_objective == score(u, result.labels)
+    raw = np.random.default_rng(33).standard_normal((40, 3))
+    assert kmeans_solve(raw, 3, KmeansParams(replications=3, seed=34)).kind_objective is None
+
+
+def test_sr_stop_reasons_one_per_replication():
+    # Each replication's reason agrees with its history: "cap" fills
+    # max_iters, "tol" ends on a small step, "uphill" stops short of the cap.
+    seen = set()
+    for k, rho, seed, max_iters in ((10, 0.66, 1, 100), (25, 0.9, 2, 3), (50, 0.66, 3, 100)):
+        data = _cell_data(k, rho, seed)
+        params = SrParams(replications=6, seed=seed, max_iters=max_iters)
+        trace = sr_solve(data.embedded, params).trace
+        assert len(trace.stop_reasons) == params.replications
+        for stop, history in zip(trace.stop_reasons, trace.replication_histories):
+            seen.add(stop)
+            if stop == "cap":
+                assert len(history) == max_iters
+            elif stop == "tol":
+                assert history[-2] - history[-1] <= params.tol * max(history[-2], 1e-12)
+            elif stop == "floor":
+                assert history[-1] <= 1e-12
+            else:
+                assert stop == "uphill" and len(history) < max_iters
+    assert {"cap", "tol"} <= seen

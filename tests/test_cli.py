@@ -315,6 +315,35 @@ def test_cluster_deterministic_modulo_timing(tmp_path):
     assert payloads[0] == payloads[1]
 
 
+def test_cluster_json_reports_stop_reasons_and_budget(tmp_path):
+    from kindicators.synthgen import SynthSpec, generate
+
+    data = generate(SynthSpec(k=25, per_cluster=40, rho=0.66, ambient_dim=300, seed=1))
+    emb_path = tmp_path / "emb.csv"
+    write_matrix_csv(emb_path, data.embedded.matrix)
+    out = tmp_path / "kindap.json"
+    assert main(["cluster", str(emb_path), "--method", "kindap", "--out", str(out), "--quiet"]) == 0
+    payload = json.loads(out.read_text())
+    trace = payload["trace"]
+    assert payload["schema"] == 1
+    assert payload["params"]["inner_budget"] == 20
+    assert len(trace["stop_reasons"]) == trace["outer_iters"] == len(trace["inner_iters_per_outer"])
+    assert trace["stop_reasons"][0] == "budget" and trace["inner_iters_per_outer"][0] == 20
+    assert trace["stop_reasons"][-1] == "tol" and trace["outer_stop_reason"] == "tol"
+
+    sr_out = tmp_path / "sr.json"
+    assert main(
+        [
+            "cluster", str(emb_path), "--method", "sr", "--replications", "3",
+            "--out", str(sr_out), "--quiet",
+        ]
+    ) == 0
+    sr_trace = json.loads(sr_out.read_text())["trace"]
+    assert len(sr_trace["stop_reasons"]) == 3
+    assert set(sr_trace["stop_reasons"]) <= {"floor", "tol", "cap", "uphill"}
+    assert sr_trace["outer_stop_reason"] is None
+
+
 def test_cluster_kmeans_reproducible_best_of_ten(tmp_path):
     from kindicators.synthgen import SynthSpec, generate
 

@@ -13,10 +13,11 @@ from kindicators.core import (
     make_indicator,
     validate_embedding,
 )
+from kindicators import evaluation
 from kindicators.evaluation import accuracy, kind_objective, kmeans_objective, soft_indicator
 from kindicators.projections import subspace_distance
 
-from oracles import random_orthonormal
+from oracles import random_orthonormal, reference_accuracy
 
 
 def _accuracy_by_permutation(pred, truth):
@@ -81,6 +82,53 @@ def test_accuracy_memory_bounded_by_distinct_ids():
         tracemalloc.stop()
     assert score == 0.8
     assert peak < 1e6
+
+
+def _random_labelings(rng, count):
+    """Labelings from 1 to about 300 distinct ids a side, independent or mostly agreeing."""
+    for _ in range(count):
+        n = int(rng.integers(1, 700))
+        pred = rng.integers(0, int(rng.integers(1, 300)), size=n)
+        truth = rng.integers(0, int(rng.integers(1, 300)), size=n)
+        if rng.random() < 0.5:
+            truth = np.where(rng.random(n) < rng.random(), pred * 7 % 301, truth)
+        yield pred, truth
+
+
+def test_accuracy_matches_dense_reference(monkeypatch):
+    # Dense and sparse solves both give the first-written dense score.
+    sparse_solves = []
+    solve = evaluation._max_matching_weight
+
+    def counting(*args):
+        sparse_solves.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(evaluation, "_max_matching_weight", counting)
+    rng = np.random.default_rng(40)
+    labelings = list(_random_labelings(rng, 300))
+    for pred, truth in labelings:
+        assert accuracy(pred, truth) == reference_accuracy(pred, truth)
+    assert 0 < len(sparse_solves) < len(labelings)
+    monkeypatch.setattr(evaluation, "DENSE_CONFUSION_CELLS", 0)
+    for pred, truth in labelings:
+        assert accuracy(pred, truth) == reference_accuracy(pred, truth)
+
+
+def test_accuracy_sparse_memory_at_20000_distinct_ids():
+    # A dense confusion matrix would need 20,000 x 20,000 int64 cells: 3.2 GB.
+    rng = np.random.default_rng(41)
+    pred = rng.permutation(20_000)
+    ids = np.arange(20_000)
+    for truth, expected in ((ids, 1.0), (ids // 2, 0.5), (ids % 3, 3 / 20_000)):
+        tracemalloc.start()
+        try:
+            score = accuracy(pred, truth)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert score == expected
+        assert peak < 10e6
 
 
 def test_accuracy_depends_only_on_the_partition():

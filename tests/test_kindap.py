@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from kindicators.core import (
 from kindicators.core import SolverTrace
 from kindicators.evaluation import accuracy, kind_objective
 from kindicators.kindap import (
+    OBJECTIVE_FLOOR,
     KindapParams,
     inner_solve,
     kindap_solve,
@@ -20,6 +23,7 @@ from kindicators.synthgen import SynthSpec, generate
 
 from oracles import (
     exhaustive_best,
+    gaussian_blobs,
     random_orthonormal,
     reference_kindap_solve,
     reference_round_to_indicator,
@@ -42,9 +46,9 @@ def test_params_validation():
 def test_inner_solve_indicator_fixed_point():
     basis = _indicator_basis()
     trace = SolverTrace()
-    relaxed, rotation, iters = inner_solve(np.eye(3), basis, KindapParams(), trace=trace)
+    n_mat, rotation, iters, _ = inner_solve(np.eye(3), basis, KindapParams(), trace=trace)
     assert iters <= 2
-    gap = float(((basis.matrix @ rotation - relaxed.matrix) ** 2).sum())
+    gap = float(((basis.matrix @ rotation - n_mat) ** 2).sum())
     assert gap <= 1e-12
     assert trace.objective_history[-1] <= 1e-12
 
@@ -64,8 +68,8 @@ def test_inner_solve_never_increases_set_gap():
     initial_gap = float(
         np.linalg.norm(basis.matrix - np.clip(basis.matrix, 0.0, 1.0))
     )
-    relaxed, rotation, _ = inner_solve(np.eye(2), basis, KindapParams())
-    final_gap = float(np.linalg.norm(basis.matrix @ rotation - relaxed.matrix))
+    n_mat, rotation, _, _ = inner_solve(np.eye(2), basis, KindapParams())
+    final_gap = float(np.linalg.norm(basis.matrix @ rotation - n_mat))
     assert final_gap <= initial_gap + 1e-12
 
 
@@ -80,9 +84,9 @@ def test_inner_gap_matches_direct_residual():
         start = random_orthonormal(k, k, rng)
         params = KindapParams(max_inner=int(rng.integers(1, 5)))
         trace = SolverTrace()
-        relaxed, rotation, iters = inner_solve(start, basis, params, trace=trace)
+        n_mat, rotation, iters, _ = inner_solve(start, basis, params, trace=trace)
         gap = trace.objective_history[-1]
-        direct = float(((basis.matrix @ rotation - relaxed.matrix) ** 2).sum())
+        direct = float(((basis.matrix @ rotation - n_mat) ** 2).sum())
         assert len(trace.objective_history) == iters
         assert abs(gap - direct) <= 1e-12 * max(1.0, direct)
 
@@ -272,11 +276,23 @@ EQUIVALENCE_CELLS = [
 ] + [(100, 0.33, 1)]
 
 
+# The benchmark's two k=100 datasets (generator seed 0, rows unpermuted).
+MANY_K_CELLS = [(100, 0.33, 0), (100, 0.66, 0)]
+
+
+@lru_cache(maxsize=None)
+def _reference_run(k, rho, seed):
+    """A SynthSpec cell and the first-written loop's result on it, made once per session."""
+    data = generate(SynthSpec(k=k, rho=rho, per_cluster=40, ambient_dim=300, seed=seed))
+    return data, reference_kindap_solve(data.embedded)
+
+
 @pytest.mark.parametrize("k, rho, seed", EQUIVALENCE_CELLS)
 def test_kindap_matches_reference_loop(k, rho, seed):
-    data = generate(SynthSpec(k=k, rho=rho, per_cluster=40, ambient_dim=300, seed=seed))
-    old = reference_kindap_solve(data.embedded)
-    new = kindap_solve(data.embedded)
+    # inner_budget >= max_inner runs every inner phase in full: the rule the
+    # reference was written with.
+    data, old = _reference_run(k, rho, seed)
+    new = kindap_solve(data.embedded, KindapParams(inner_budget=200))
     assert np.array_equal(new.labels, old.labels)
     assert new.trace.inner_iters_per_outer == old.trace.inner_iters_per_outer
     assert new.trace.outer_iters == old.trace.outer_iters
@@ -286,3 +302,105 @@ def test_kindap_matches_reference_loop(k, rho, seed):
         np.abs(new_history - old_history) <= 1e-10 * np.maximum(1.0, np.abs(old_history))
     )
     assert abs(new.kind_objective - old.kind_objective) <= 1e-12
+
+
+@pytest.mark.parametrize("k, rho, seed", EQUIVALENCE_CELLS + MANY_K_CELLS)
+def test_inner_budget_keeps_the_reference_partition(k, rho, seed):
+    # The default budgeted phases change the trajectory but not where it ends
+    # on recoverable data: the same partition, the same objective.
+    data, old = _reference_run(k, rho, seed)
+    new = kindap_solve(data.embedded)
+    assert accuracy(new.labels, old.labels) == 1.0
+    assert abs(new.kind_objective - old.kind_objective) <= 1e-12 * max(1.0, old.kind_objective)
+
+
+def _replay_budget_rule(trace, params):
+    """Check each phase's stop reason and length against the budget rule, and the outer stop."""
+    assert len(trace.stop_reasons) == trace.outer_iters == len(trace.inner_iters_per_outer)
+    budget = params.inner_budget
+    f = trace.outer_objective_history
+    doubled = False
+    for i, (count, stop) in enumerate(zip(trace.inner_iters_per_outer, trace.stop_reasons)):
+        limit = min(budget, params.max_inner)
+        if stop == "budget":
+            assert limit < params.max_inner and count == limit
+        elif stop == "cap":
+            assert limit == params.max_inner and count == limit
+        else:
+            assert stop == "tol" and count <= limit
+        stalled = i > 0 and f[i - 1] - f[i] <= params.tol_outer * max(f[i - 1], OBJECTIVE_FLOOR)
+        if i < len(f) - 1:
+            assert f[i] > OBJECTIVE_FLOOR and not (stalled and stop != "budget")
+            if stalled:
+                budget, doubled = min(2 * budget, params.max_inner), True
+    last_stalled = stalled and trace.stop_reasons[-1] != "budget"
+    expected = "floor" if f[-1] <= OBJECTIVE_FLOOR else "tol" if last_stalled else "cap"
+    assert trace.outer_stop_reason == expected
+    if expected == "cap":
+        assert trace.outer_iters == params.max_outer
+    return doubled
+
+
+def test_kindap_stop_reasons_follow_the_budget_rule():
+    # Small budgets and caps, so phases end on each of "budget", "tol" and
+    # "cap", and stalls double the budget.
+    cases = [
+        (generate(SynthSpec(k=10, rho=rho, per_cluster=20, ambient_dim=60, seed=seed)).embedded, p)
+        for rho in (0.33, 0.9)
+        for seed in (0, 1)
+        for p in (
+            KindapParams(),
+            KindapParams(inner_budget=2, max_inner=9),
+            KindapParams(inner_budget=1),
+            KindapParams(max_inner=3),
+        )
+    ] + [
+        (gaussian_blobs(20, sigma, seed=0).embedded, p)
+        for sigma in (0.35, 0.45)
+        for p in (KindapParams(), KindapParams(inner_budget=3, max_inner=10, max_outer=6))
+    ]
+    seen, doubled = set(), False
+    for basis, params in cases:
+        trace = kindap_solve(basis, params).trace
+        doubled |= _replay_budget_rule(trace, params)
+        seen.update(trace.stop_reasons)
+        seen.add("outer " + trace.outer_stop_reason)
+    assert doubled
+    assert seen >= {"budget", "tol", "cap", "outer tol", "outer cap"}
+
+
+def test_kindap_floor_stop_reason():
+    trace = kindap_solve(_indicator_basis()).trace
+    assert trace.outer_stop_reason == "floor"
+    assert len(trace.stop_reasons) == 1
+
+
+def test_full_budget_reports_no_budget_stops():
+    data = generate(SynthSpec(k=25, rho=0.66, per_cluster=40, ambient_dim=300, seed=1))
+    trace = kindap_solve(data.embedded, KindapParams(inner_budget=200)).trace
+    assert set(trace.stop_reasons) <= {"tol", "cap"}
+
+
+# Gaussian blobs (tests/oracles.py) at d = k: overlapping clusters where
+# KindAP and k-means both miss, so the budget can change which local minimum
+# a run ends in. These are the cells where KindAP's accuracy is 0.83-1.0;
+# tests/budget_grid.py runs the whole family, with k = 50 at sigma 0.45 and
+# k = 100 (7 s and 80 s of solves on 2 cores).
+BLOB_CELLS = [(20, sigma, seed) for sigma in (0.25, 0.35, 0.45) for seed in (0, 1, 2)] + [
+    (50, sigma, seed) for sigma in (0.25, 0.35) for seed in (0, 1, 2)
+]
+
+
+def test_inner_budget_no_worse_on_gaussian_blobs():
+    old_obj, new_obj, old_acc, new_acc = [], [], [], []
+    for k, sigma, seed in BLOB_CELLS:
+        data = gaussian_blobs(k, sigma, seed)
+        old = kindap_solve(data.embedded, KindapParams(inner_budget=200))
+        new = kindap_solve(data.embedded)
+        assert new.kind_objective <= old.kind_objective * (1 + 1e-4), (k, sigma, seed)
+        old_obj.append(old.kind_objective)
+        new_obj.append(new.kind_objective)
+        old_acc.append(accuracy(old.labels, data.truth))
+        new_acc.append(accuracy(new.labels, data.truth))
+    assert sum(new_obj) <= sum(old_obj)
+    assert np.mean(new_acc) >= np.mean(old_acc)
