@@ -599,7 +599,6 @@ def _cmd_cluster(args) -> int:
         params={
             "max_outer": args.max_outer,
             "max_inner": args.max_inner,
-            "inner_budget": kindap_params.inner_budget,
             "tol_inner": args.tol_inner,
             "tol_outer": args.tol_outer,
             "rounding": args.rounding,

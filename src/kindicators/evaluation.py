@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .core import (
@@ -20,14 +19,6 @@ from .core import (
     cluster_sums,
     make_indicator,
 )
-
-# Confusion matrices with at most this many cells are solved dense. The
-# sparse solver has a fixed cost of about half a millisecond: at 100 x 100
-# ids the dense assignment takes 0.18 ms against 0.66-1.0 ms, the two are
-# about even at 200 x 200, and at 400 x 400 the dense one takes 4.2 ms
-# against 1.3-4.2 ms (2 cores, labelings 5-50% off the truth).
-DENSE_CONFUSION_CELLS = 1 << 15
-
 
 @dataclass(eq=False)
 class SoftIndicator:
@@ -47,11 +38,10 @@ def accuracy(pred, truth) -> float:
     Solves the maximum-weight (rectangular) assignment on the confusion
     matrix, so the score is invariant to relabeling either side. The matrix
     has one row per distinct predicted id and one column per distinct true
-    id, whatever the ids' values. Up to DENSE_CONFUSION_CELLS cells it is
-    built dense and solved by `linear_sum_assignment`; beyond that it is
-    kept sparse, one entry per distinct (predicted, true) pair (at most n),
-    and solved by :func:`_max_matching_weight`, so memory stays O(n)
-    however many ids there are.
+    id, whatever the ids' values. It is kept sparse, one entry per distinct
+    (predicted, true) pair (at most n), and solved by
+    :func:`_max_matching_weight`, so memory stays O(n) however many ids
+    there are.
     """
     pred = np.asarray(pred, dtype=int)
     truth = np.asarray(truth, dtype=int)
@@ -63,13 +53,9 @@ def accuracy(pred, truth) -> float:
         raise LengthMismatchError("labels must be nonempty")
     if pred.min() < 0 or truth.min() < 0:
         raise BadLabelError("labels must be nonnegative")
-    pred_ids, pred = np.unique(pred, return_inverse=True)
+    pred = np.unique(pred, return_inverse=True)[1]
     truth_ids, truth = np.unique(truth, return_inverse=True)
-    rows, cols = pred_ids.size, truth_ids.size
-    if rows * cols <= DENSE_CONFUSION_CELLS:
-        confusion = np.bincount(pred * cols + truth, minlength=rows * cols).reshape(rows, cols)
-        matched = linear_sum_assignment(confusion, maximize=True)
-        return float(confusion[matched].sum() / pred.size)
+    cols = truth_ids.size
     pairs, counts = np.unique(pred * cols + truth, return_counts=True)
     return float(_max_matching_weight(pairs // cols, pairs % cols, counts) / pred.size)
 

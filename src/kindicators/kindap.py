@@ -31,6 +31,9 @@ from .projections import DEGENERATE_SV_TOL, procrustes_rotation
 # Objectives at or below this are treated as zero (the model's global floor).
 OBJECTIVE_FLOOR = 1e-12
 
+# Iterations a KindAP inner phase starts with; see :func:`kindap_solve`.
+INNER_BUDGET = 20
+
 ROUNDING_MODES = ("magnitude", "binary")
 
 
@@ -41,11 +44,8 @@ class KindapParams:
     Tolerances are relative objective improvements; iteration caps are
     generous compared to the handful of outer and dozens of inner iterations
     typically needed. Each inner phase runs under a budget that starts at
-    `inner_budget` and doubles, up to `max_inner`, whenever a phase cut
-    short by it leaves the outer objective stalled (see
-    :func:`kindap_solve`); `inner_budget >= max_inner` gives every phase the
-    full `max_inner`. The solver is deterministic and draws no random
-    numbers. `rounding` picks the value written into the kept entry when
+    INNER_BUDGET and grows up to `max_inner` (see :func:`kindap_solve`).
+    The solver is deterministic and draws no random numbers. `rounding` picks the value written into the kept entry when
     rounding the relaxed assignment: "magnitude" keeps the relaxed value
     (columns renormalized), "binary" uses the equal-weight 1/sqrt(n_j)
     convention.
@@ -56,10 +56,9 @@ class KindapParams:
     tol_inner: float = 1e-5
     tol_outer: float = 1e-5
     rounding: str = "magnitude"
-    inner_budget: int = 20
 
     def __post_init__(self):
-        if self.max_outer < 1 or self.max_inner < 1 or self.inner_budget < 1:
+        if self.max_outer < 1 or self.max_inner < 1:
             raise ValueError("iteration caps must be >= 1")
         if not all(np.isfinite(t) and t > 0 for t in (self.tol_inner, self.tol_outer)):
             raise ValueError("tolerances must be finite and positive")
@@ -153,13 +152,11 @@ def repair_empty_columns(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return labels
 
 
-def round_to_indicator(
-    relaxed: RelaxedAssignment | np.ndarray, mode: str = "magnitude"
-) -> IndicatorMatrix:
+def round_to_indicator(n_mat: np.ndarray, mode: str = "magnitude") -> IndicatorMatrix:
     """Round a relaxed assignment to the nearest indicator-structured matrix.
 
-    `relaxed` is a RelaxedAssignment or an n x k matrix already known to
-    lie in the box, such as the buffer :func:`inner_solve` returns.
+    `n_mat` is an n x k matrix in the [0, 1] box, such as the buffer
+    :func:`inner_solve` returns or a RelaxedAssignment's `matrix`.
 
     Keeps each row's largest entry (ties go to the lowest column index),
     repairs empty columns with :func:`repair_empty_columns`, and scales every
@@ -170,7 +167,6 @@ def round_to_indicator(
     """
     if mode not in ROUNDING_MODES:
         raise ValueError(f"mode must be one of {ROUNDING_MODES}")
-    n_mat = relaxed.matrix if isinstance(relaxed, RelaxedAssignment) else relaxed
     n, k = n_mat.shape
     labels = repair_empty_columns(n_mat, np.argmax(n_mat, axis=1))
     if mode == "binary":
@@ -192,7 +188,7 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
     (normalized) indicator range, and projects the rounded matrix back onto
     the rotation set to restart.
 
-    Each inner phase runs under a budget, starting at `params.inner_budget`
+    Each inner phase runs under a budget, starting at INNER_BUDGET
     iterations: the gap of a phase falls only linearly, and the outer
     restart usually moves faster than the tail of a long phase. When a phase
     that spent its whole budget leaves the outer objective stalled, the
@@ -200,9 +196,10 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
     loop stops at the objective floor ("floor"), when the relative
     improvement drops below `params.tol_outer` after a phase that ended on
     `params.tol_inner` or `params.max_inner` ("tol"), or at
-    `params.max_outer` ("cap"), so the last phase is a full one unless the
-    floor or the cap comes first. `inner_budget >= max_inner` runs every
-    phase in full. The best-scoring labeling ever seen is returned, along
+    `params.max_outer` ("cap"), whose phase always runs without the budget.
+    So the last phase is a full one unless the floor comes first, and the
+    returned relaxed assignment is never cut short by the budget. The
+    best-scoring labeling ever seen is returned, along
     with its indicator-form k-means objective, the final relaxed assignment,
     and the full trace, whose `stop_reasons` hold each phase's stop and
     `outer_stop_reason` the outer loop's.
@@ -217,7 +214,7 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
         raise InfeasibleKError(f"{n} objects cannot form {k} clusters")
     trace = SolverTrace()
     rotation = np.eye(k)
-    budget = params.inner_budget
+    budget = INNER_BUDGET
     best_f = np.inf
     best_labels: np.ndarray | None = None
     n_mat: np.ndarray | None = None
@@ -225,7 +222,8 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
     trace.outer_stop_reason = "cap"
     for outer in range(1, params.max_outer + 1):
         n_mat, _, inner_iters, phase_stop = inner_solve(
-            rotation, basis, params, trace=trace, budget=budget
+            rotation, basis, params, trace=trace,
+            budget=None if outer == params.max_outer else budget,
         )
         trace.inner_iters_per_outer.append(inner_iters)
         trace.stop_reasons.append(phase_stop)

@@ -1,9 +1,9 @@
 """KindAP's inner-phase budget against the full-phase rule on a fixed grid.
 
-Runs `kindap_solve` twice per cell, under the default `KindapParams` (each
-inner phase starts with `inner_budget` iterations) and with `inner_budget`
-raised to `max_inner` (every phase runs until `tol_inner` or `max_inner`,
-the rule `tests/test_kindap.py` gates against `reference_kindap_solve`).
+Runs `kindap_solve` twice per cell, as shipped (each inner phase starts with
+`INNER_BUDGET` iterations) and with `INNER_BUDGET` raised to `max_inner`
+(every phase runs until `tol_inner` or `max_inner`, the rule
+`tests/test_kindap.py` gates against `reference_kindap_solve`).
 Prints one row per cell and exits 1 when a gate fails:
 
 - `synth`: 81 `SynthSpec` cells where every partition is recoverable. Both
@@ -24,9 +24,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 
+from kindicators import kindap
 from kindicators.evaluation import accuracy
 from kindicators.kindap import KindapParams, kindap_solve
 from kindicators.synthgen import SynthSpec, generate
@@ -59,16 +61,16 @@ SAME_OBJECTIVE_RTOL = 1e-12
 WORSE_CELL_RTOL = 1e-4
 
 
-def _timed(basis, params):
+def _timed(basis):
     started = time.perf_counter()
-    result = kindap_solve(basis, params)
+    result = kindap_solve(basis)
     return result, time.perf_counter() - started
 
 
 def run_cell(name: str, data) -> dict:
-    full_phases = KindapParams(inner_budget=KindapParams().max_inner)
-    old, old_s = _timed(data.embedded, full_phases)
-    new, new_s = _timed(data.embedded, KindapParams())
+    with mock.patch.object(kindap, "INNER_BUDGET", KindapParams().max_inner):
+        old, old_s = _timed(data.embedded)
+    new, new_s = _timed(data.embedded)
     return {
         "cell": name,
         "same": accuracy(new.labels, old.labels) == 1.0,

@@ -13,7 +13,6 @@ from kindicators.core import (
     make_indicator,
     validate_embedding,
 )
-from kindicators import evaluation
 from kindicators.evaluation import accuracy, kind_objective, kmeans_objective, soft_indicator
 from kindicators.projections import subspace_distance
 
@@ -95,23 +94,10 @@ def _random_labelings(rng, count):
         yield pred, truth
 
 
-def test_accuracy_matches_dense_reference(monkeypatch):
-    # Dense and sparse solves both give the first-written dense score.
-    sparse_solves = []
-    solve = evaluation._max_matching_weight
-
-    def counting(*args):
-        sparse_solves.append(1)
-        return solve(*args)
-
-    monkeypatch.setattr(evaluation, "_max_matching_weight", counting)
+def test_accuracy_matches_dense_reference():
+    # The sparse matching gives the first-written dense score.
     rng = np.random.default_rng(40)
-    labelings = list(_random_labelings(rng, 300))
-    for pred, truth in labelings:
-        assert accuracy(pred, truth) == reference_accuracy(pred, truth)
-    assert 0 < len(sparse_solves) < len(labelings)
-    monkeypatch.setattr(evaluation, "DENSE_CONFUSION_CELLS", 0)
-    for pred, truth in labelings:
+    for pred, truth in _random_labelings(rng, 300):
         assert accuracy(pred, truth) == reference_accuracy(pred, truth)
 
 

@@ -11,6 +11,7 @@ from kindicators.core import (
 )
 from kindicators.core import SolverTrace
 from kindicators.evaluation import accuracy, kind_objective
+from kindicators import kindap
 from kindicators.kindap import (
     OBJECTIVE_FLOOR,
     KindapParams,
@@ -92,14 +93,14 @@ def test_inner_gap_matches_direct_residual():
 
 
 def test_round_keeps_largest_per_row():
-    h = round_to_indicator(RelaxedAssignment(np.array([[0.9, 0.1], [0.2, 0.7]])))
+    h = round_to_indicator(np.array([[0.9, 0.1], [0.2, 0.7]]))
     assert np.array_equal(h.labels, [0, 1])
     np.testing.assert_allclose(h.values, [1.0, 1.0])
 
 
 def test_round_idempotent_on_indicator():
     original = make_indicator([0, 1, 1, 0], 2)
-    again = round_to_indicator(RelaxedAssignment(original.matrix))
+    again = round_to_indicator(original.matrix)
     np.testing.assert_allclose(again.matrix, original.matrix, atol=1e-15)
     assert np.array_equal(again.labels, original.labels)
 
@@ -108,17 +109,14 @@ def test_round_repairs_empty_column():
     # Every argmax lands in column 0; the repair rule moves the row with the
     # largest column-1 value among clusters that can spare one (row 0 here).
     n_mat = np.array([[0.9, 0.3], [0.8, 0.2], [0.7, 0.1]])
-    h = round_to_indicator(RelaxedAssignment(n_mat))
+    h = round_to_indicator(n_mat)
     assert np.array_equal(h.labels, [1, 0, 0])
     norm0 = np.hypot(0.8, 0.7)
     np.testing.assert_allclose(h.values, [1.0, 0.8 / norm0, 0.7 / norm0])
 
 
 def test_round_binary_mode_uses_equal_weights():
-    h = round_to_indicator(
-        RelaxedAssignment(np.array([[0.9, 0.1], [0.8, 0.2], [0.1, 0.6]])),
-        mode="binary",
-    )
+    h = round_to_indicator(np.array([[0.9, 0.1], [0.8, 0.2], [0.1, 0.6]]), mode="binary")
     assert np.array_equal(h.labels, [0, 0, 1])
     np.testing.assert_allclose(h.values, [1 / np.sqrt(2), 1 / np.sqrt(2), 1.0])
 
@@ -134,20 +132,20 @@ def test_round_matches_dense_reference():
         n_mat[:, -1] = 0.0  # an empty column, so the repair runs
         relaxed = RelaxedAssignment(n_mat)
         for mode in ("magnitude", "binary"):
-            new = round_to_indicator(relaxed, mode=mode)
+            new = round_to_indicator(relaxed.matrix, mode=mode)
             old = reference_round_to_indicator(relaxed, mode=mode)
             assert np.array_equal(new.labels, old.labels)
             assert np.array_equal(new.matrix, old.matrix)
 
 
 def test_round_ties_go_to_lowest_column():
-    h = round_to_indicator(RelaxedAssignment(np.array([[0.5, 0.5], [0.2, 0.6]])))
+    h = round_to_indicator(np.array([[0.5, 0.5], [0.2, 0.6]]))
     assert np.array_equal(h.labels, [0, 1])
 
 
 def test_round_fails_when_fewer_rows_than_columns():
     with pytest.raises(AllZeroRowError):
-        round_to_indicator(RelaxedAssignment(np.array([[0.9, 0.1]])))
+        round_to_indicator(np.array([[0.9, 0.1]]))
 
 
 def test_kindap_records_degenerate_projection_warnings():
@@ -288,11 +286,12 @@ def _reference_run(k, rho, seed):
 
 
 @pytest.mark.parametrize("k, rho, seed", EQUIVALENCE_CELLS)
-def test_kindap_matches_reference_loop(k, rho, seed):
-    # inner_budget >= max_inner runs every inner phase in full: the rule the
+def test_kindap_matches_reference_loop(monkeypatch, k, rho, seed):
+    # A budget of max_inner runs every inner phase in full: the rule the
     # reference was written with.
+    monkeypatch.setattr(kindap, "INNER_BUDGET", KindapParams().max_inner)
     data, old = _reference_run(k, rho, seed)
-    new = kindap_solve(data.embedded, KindapParams(inner_budget=200))
+    new = kindap_solve(data.embedded)
     assert np.array_equal(new.labels, old.labels)
     assert new.trace.inner_iters_per_outer == old.trace.inner_iters_per_outer
     assert new.trace.outer_iters == old.trace.outer_iters
@@ -314,14 +313,14 @@ def test_inner_budget_keeps_the_reference_partition(k, rho, seed):
     assert abs(new.kind_objective - old.kind_objective) <= 1e-12 * max(1.0, old.kind_objective)
 
 
-def _replay_budget_rule(trace, params):
+def _replay_budget_rule(trace, params, budget):
     """Check each phase's stop reason and length against the budget rule, and the outer stop."""
     assert len(trace.stop_reasons) == trace.outer_iters == len(trace.inner_iters_per_outer)
-    budget = params.inner_budget
     f = trace.outer_objective_history
     doubled = False
     for i, (count, stop) in enumerate(zip(trace.inner_iters_per_outer, trace.stop_reasons)):
-        limit = min(budget, params.max_inner)
+        last_allowed = i == params.max_outer - 1
+        limit = params.max_inner if last_allowed else min(budget, params.max_inner)
         if stop == "budget":
             assert limit < params.max_inner and count == limit
         elif stop == "cap":
@@ -338,35 +337,50 @@ def _replay_budget_rule(trace, params):
     assert trace.outer_stop_reason == expected
     if expected == "cap":
         assert trace.outer_iters == params.max_outer
+        assert trace.stop_reasons[-1] != "budget"
     return doubled
 
 
-def test_kindap_stop_reasons_follow_the_budget_rule():
+def test_kindap_stop_reasons_follow_the_budget_rule(monkeypatch):
     # Small budgets and caps, so phases end on each of "budget", "tol" and
     # "cap", and stalls double the budget.
+    default = kindap.INNER_BUDGET
     cases = [
-        (generate(SynthSpec(k=10, rho=rho, per_cluster=20, ambient_dim=60, seed=seed)).embedded, p)
+        (generate(SynthSpec(k=10, rho=rho, per_cluster=20, ambient_dim=60, seed=seed)).embedded, p, b)
         for rho in (0.33, 0.9)
         for seed in (0, 1)
-        for p in (
-            KindapParams(),
-            KindapParams(inner_budget=2, max_inner=9),
-            KindapParams(inner_budget=1),
-            KindapParams(max_inner=3),
+        for p, b in (
+            (KindapParams(), default),
+            (KindapParams(max_inner=9), 2),
+            (KindapParams(), 1),
+            (KindapParams(max_inner=3), default),
         )
     ] + [
-        (gaussian_blobs(20, sigma, seed=0).embedded, p)
+        (gaussian_blobs(20, sigma, seed=0).embedded, p, b)
         for sigma in (0.35, 0.45)
-        for p in (KindapParams(), KindapParams(inner_budget=3, max_inner=10, max_outer=6))
+        for p, b in ((KindapParams(), default), (KindapParams(max_inner=10, max_outer=6), 3))
     ]
     seen, doubled = set(), False
-    for basis, params in cases:
+    for basis, params, budget in cases:
+        monkeypatch.setattr(kindap, "INNER_BUDGET", budget)
         trace = kindap_solve(basis, params).trace
-        doubled |= _replay_budget_rule(trace, params)
+        doubled |= _replay_budget_rule(trace, params, budget)
         seen.update(trace.stop_reasons)
         seen.add("outer " + trace.outer_stop_reason)
     assert doubled
     assert seen >= {"budget", "tol", "cap", "outer tol", "outer cap"}
+
+
+def test_cap_ended_solve_closes_with_a_full_phase():
+    # Every phase before the cap is cut short by the budget; the last one
+    # runs to tol_inner or max_inner, so `relaxed` comes from a full phase.
+    basis = gaussian_blobs(20, 0.45, seed=0).embedded
+    for max_outer in (1, 2, 3):
+        trace = kindap_solve(basis, KindapParams(max_outer=max_outer)).trace
+        assert trace.outer_stop_reason == "cap"
+        assert trace.stop_reasons[:-1] == ["budget"] * (max_outer - 1)
+        assert trace.stop_reasons[-1] in ("tol", "cap")
+        assert trace.inner_iters_per_outer[-1] > kindap.INNER_BUDGET
 
 
 def test_kindap_floor_stop_reason():
@@ -375,9 +389,10 @@ def test_kindap_floor_stop_reason():
     assert len(trace.stop_reasons) == 1
 
 
-def test_full_budget_reports_no_budget_stops():
+def test_full_budget_reports_no_budget_stops(monkeypatch):
+    monkeypatch.setattr(kindap, "INNER_BUDGET", KindapParams().max_inner)
     data = generate(SynthSpec(k=25, rho=0.66, per_cluster=40, ambient_dim=300, seed=1))
-    trace = kindap_solve(data.embedded, KindapParams(inner_budget=200)).trace
+    trace = kindap_solve(data.embedded).trace
     assert set(trace.stop_reasons) <= {"tol", "cap"}
 
 
@@ -391,16 +406,14 @@ BLOB_CELLS = [(20, sigma, seed) for sigma in (0.25, 0.35, 0.45) for seed in (0, 
 ]
 
 
-def test_inner_budget_no_worse_on_gaussian_blobs():
-    old_obj, new_obj, old_acc, new_acc = [], [], [], []
-    for k, sigma, seed in BLOB_CELLS:
-        data = gaussian_blobs(k, sigma, seed)
-        old = kindap_solve(data.embedded, KindapParams(inner_budget=200))
-        new = kindap_solve(data.embedded)
-        assert new.kind_objective <= old.kind_objective * (1 + 1e-4), (k, sigma, seed)
-        old_obj.append(old.kind_objective)
-        new_obj.append(new.kind_objective)
-        old_acc.append(accuracy(old.labels, data.truth))
-        new_acc.append(accuracy(new.labels, data.truth))
-    assert sum(new_obj) <= sum(old_obj)
+def test_inner_budget_no_worse_on_gaussian_blobs(monkeypatch):
+    cells = [gaussian_blobs(k, sigma, seed) for k, sigma, seed in BLOB_CELLS]
+    new = [kindap_solve(data.embedded) for data in cells]
+    monkeypatch.setattr(kindap, "INNER_BUDGET", KindapParams().max_inner)
+    old = [kindap_solve(data.embedded) for data in cells]
+    for cell, o, n in zip(BLOB_CELLS, old, new):
+        assert n.kind_objective <= o.kind_objective * (1 + 1e-4), cell
+    old_acc = [accuracy(o.labels, data.truth) for o, data in zip(old, cells)]
+    new_acc = [accuracy(n.labels, data.truth) for n, data in zip(new, cells)]
+    assert sum(n.kind_objective for n in new) <= sum(o.kind_objective for o in old)
     assert np.mean(new_acc) >= np.mean(old_acc)
