@@ -140,7 +140,8 @@ def lloyd_solve(
     :func:`repair_empty_columns` scored by each point's distance to its own
     center: each empty cluster seizes the farthest point and is centered on
     it. Stops when the Frobenius movement of the centers falls below
-    `params.tol` relative to their norm, or at `params.max_iters`. The kind
+    `params.tol` relative to their norm ("tol"), or at `params.max_iters`
+    ("cap"); the trace's `stop_reasons` holds that one reason. The kind
     objective is reported when the data is column-orthonormal, unless
     `score_kind` is False (replicated callers score only their winner).
     """
@@ -156,6 +157,7 @@ def lloyd_solve(
     trace = SolverTrace()
     labels = np.zeros(n, dtype=int)
     x_sq = (x**2).sum(axis=1)
+    stop = "cap"
     for it in range(1, params.max_iters + 1):
         d2 = _squared_distances(x, x_sq, centers)
         labels = np.argmin(d2, axis=1)
@@ -174,7 +176,9 @@ def lloyd_solve(
         scale = max(float(np.linalg.norm(centers)), OBJECTIVE_FLOOR)
         centers = new_centers
         if shift <= params.tol * scale:
+            stop = "tol"
             break
+    trace.stop_reasons.append(stop)
     final_obj = float(((x - centers[labels]) ** 2).sum())
     return ClusterResult(
         labels=labels,
@@ -191,6 +195,8 @@ def kmeans_solve(data, k: int, params: KmeansParams | None = None) -> ClusterRes
     of the base seed), so results do not depend on execution order. The
     replication with the lowest objective wins; objectives within
     REPLICATION_TIE_RTOL of the best tie, and ties go to the lowest index.
+    The winner's trace carries every replication's objective, history and
+    stop reason.
     """
     if params is None:
         params = KmeansParams()
@@ -210,6 +216,7 @@ def kmeans_solve(data, k: int, params: KmeansParams | None = None) -> ClusterRes
     winner.trace.replication_index = best
     winner.trace.replication_objectives = objectives
     winner.trace.replication_histories = [r.trace.objective_history for r in results]
+    winner.trace.stop_reasons = [r.trace.stop_reasons[0] for r in results]
     return winner
 
 

@@ -45,10 +45,11 @@ class KindapParams:
     generous compared to the handful of outer and dozens of inner iterations
     typically needed. Each inner phase runs under a budget that starts at
     INNER_BUDGET and grows up to `max_inner` (see :func:`kindap_solve`).
-    The solver is deterministic and draws no random numbers. `rounding` picks the value written into the kept entry when
-    rounding the relaxed assignment: "magnitude" keeps the relaxed value
-    (columns renormalized), "binary" uses the equal-weight 1/sqrt(n_j)
-    convention.
+    The solver is deterministic and draws no random numbers.
+
+    `rounding` picks the value written into the kept entry when rounding the
+    relaxed assignment: "magnitude" keeps the relaxed value (columns
+    renormalized), "binary" uses the equal-weight 1/sqrt(n_j) convention.
     """
 
     max_outer: int = 50
@@ -72,6 +73,7 @@ def inner_solve(
     params: KindapParams,
     trace: SolverTrace | None = None,
     budget: int | None = None,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int, str]:
     """Alternate box and Procrustes projections from U = B R until the gap stalls.
 
@@ -87,21 +89,27 @@ def inner_solve(
     whichever is fewer; no `budget` means `params.max_inner`.
 
     Per iteration the work is two GEMMs with an n x k operand (B'N and B R),
-    one in-place clip and one k x k SVD; the only n x k memory is two buffers
+    one in-place clip and one k x k Procrustes step (see
+    :func:`~kindicators.projections.procrustes_rotation`); the only n x k
+    memory is the two buffers for U and N, passed in as the pair `out` or
     allocated once per call.
 
     Returns the n x k buffer holding the final box projection N (entries in
-    [0, 1], owned by the caller from then on), the k x k rotation of the
-    last projection, the iteration count and the stop reason. When `trace`
-    is given, the gap sequence is appended to its objective_history and
-    near-degenerate projections are noted in its warnings.
+    [0, 1]; the second buffer of `out` when given), the k x k rotation of
+    the last projection, the iteration count and the stop reason. When
+    `trace` is given, the gap sequence is appended to its objective_history
+    and near-degenerate projections are noted in its warnings.
     """
     limit = params.max_inner if budget is None else min(budget, params.max_inner)
     stop = "cap" if limit == params.max_inner else "budget"
     b = basis.matrix
     b_sq = float(np.vdot(b, b))
-    u = b @ rotation
-    n_mat = np.empty_like(u)
+    if out is None:
+        u = b @ rotation
+        n_mat = np.empty_like(u)
+    else:
+        u, n_mat = out
+        np.matmul(b, rotation, out=u)
     prev = None
     history: list[float] = []
     iters = 0
@@ -205,7 +213,9 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
     `outer_stop_reason` the outer loop's.
 
     Only the k x k rotation passes from one phase to the next; the n x k
-    working memory is the two buffers each :func:`inner_solve` call allocates.
+    working memory is two buffers, allocated once and reused by every
+    :func:`inner_solve` call, plus the copy of the last N that the result's
+    `relaxed` keeps, made after the U buffer is dropped.
     """
     if params is None:
         params = KindapParams()
@@ -217,13 +227,15 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
     budget = INNER_BUDGET
     best_f = np.inf
     best_labels: np.ndarray | None = None
-    n_mat: np.ndarray | None = None
+    u = np.empty((n, k))
+    n_mat = np.empty((n, k))
     f_prev = None
     trace.outer_stop_reason = "cap"
     for outer in range(1, params.max_outer + 1):
         n_mat, _, inner_iters, phase_stop = inner_solve(
             rotation, basis, params, trace=trace,
             budget=None if outer == params.max_outer else budget,
+            out=(u, n_mat),
         )
         trace.inner_iters_per_outer.append(inner_iters)
         trace.stop_reasons.append(phase_stop)
@@ -250,6 +262,7 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
         if sigma[-1] < DEGENERATE_SV_TOL:
             trace.warnings.append(f"degenerate restart projection at outer iteration {outer}")
     assert best_labels is not None
+    del u
     return ClusterResult(
         labels=best_labels,
         kind_objective=best_f,

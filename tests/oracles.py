@@ -4,7 +4,10 @@ Test-only surface: these enumerate partitions or sample rotations
 exhaustively, so they stay out of the installed package and are capped at
 sizes where exponential work is still instant. `reference_kindap_solve`
 keeps the KindAP loop in its first, allocate-every-iteration form, as the
-path the production kernel must reproduce. `dense_knn_graph`,
+path the production kernel must reproduce. `reference_procrustes_rotation`
+keeps the Procrustes step as one SVD; the KindAP and spectral-rotation
+references call it, so they never take the eigendecomposition route of the
+`procrustes_rotation` they gate. `dense_knn_graph`,
 `dense_spectral_embed` and `laplacian_eigenvalues` keep the spectral front
 end in its first, dense n x n form (full distance matrix, stable argsort,
 full `eigh`), as the path the sparse front end is gated against.
@@ -62,7 +65,7 @@ from kindicators.kindap import (
     KindapParams,
     repair_empty_columns,
 )
-from kindicators.projections import DEGENERATE_SV_TOL, RotatedBasis, procrustes_rotation
+from kindicators.projections import DEGENERATE_SV_TOL, RotatedBasis
 from kindicators.synthgen import SynthDataset
 
 MAX_N = 12
@@ -281,6 +284,13 @@ def reference_kind_objective(basis: EmbeddedData, indicator: DenseIndicator) -> 
     return max(2.0 * k - 2.0 * float(sigma.sum()), 0.0)
 
 
+def reference_procrustes_rotation(cross):
+    """The Procrustes rotation as first written: the polar factor and the
+    singular values of `cross` from one SVD, whatever its conditioning."""
+    p, sigma, qt = np.linalg.svd(cross)
+    return p @ qt, sigma
+
+
 def _reference_inner_solve(start, basis, params, trace=None):
     """The KindAP inner loop as first written: fresh n x k temporaries every
     iteration and the gap summed entrywise as ||U - N||_F^2."""
@@ -291,7 +301,7 @@ def _reference_inner_solve(start, basis, params, trace=None):
     iters = 0
     for t in range(1, params.max_inner + 1):
         n_mat = np.clip(u, 0.0, 1.0)
-        rotation, sigma = procrustes_rotation(basis.matrix.T @ n_mat)
+        rotation, sigma = reference_procrustes_rotation(basis.matrix.T @ n_mat)
         u = basis.matrix @ rotation
         gap = float(((u - n_mat) ** 2).sum())
         history.append(gap)
@@ -341,7 +351,7 @@ def reference_kindap_solve(basis, params=None):
         f_prev = f
         # Restart the next outer phase from the projection of the rounded
         # indicator back onto the rotation set.
-        rotation, sigma = procrustes_rotation(basis.matrix.T @ rounded.matrix)
+        rotation, sigma = reference_procrustes_rotation(basis.matrix.T @ rounded.matrix)
         if sigma[-1] < DEGENERATE_SV_TOL:
             trace.warnings.append(f"degenerate restart projection at outer iteration {outer}")
         current = RotatedBasis(basis.matrix @ rotation, rotation)
@@ -466,7 +476,7 @@ def reference_sr_once(basis: EmbeddedData, rotation: np.ndarray, params):
         scores = u_hat @ rotation
         labels = repair_empty_columns(scores, np.argmax(scores, axis=1))
         b = BinaryIndicator.from_labels(labels, k)
-        rotation, _ = procrustes_rotation(u_hat.T @ b.matrix)
+        rotation, _ = reference_procrustes_rotation(u_hat.T @ b.matrix)
         obj = float(((u_hat @ rotation - b.matrix) ** 2).sum())
         if prev is not None and obj > prev:
             break

@@ -451,3 +451,24 @@ def test_sr_stop_reasons_one_per_replication():
             else:
                 assert stop == "uphill" and len(history) < max_iters
     assert {"cap", "tol"} <= seen
+
+
+def test_lloyd_stop_reasons_one_per_replication():
+    # A "tol" run ends where a longer cap would also end it; a "cap" run
+    # would go on. max_iters=3 gives both, one "tol" on the third sweep.
+    k, rho, seed = 25, 0.9, 2
+    x = _cell_data(k, rho, seed).embedded.matrix
+    params = KmeansParams(replications=6, seed=seed, max_iters=3)
+    trace = kmeans_solve(x, k, params).trace
+    assert len(trace.stop_reasons) == params.replications
+    longer = KmeansParams(replications=1, max_iters=params.max_iters + 5)
+    streams = np.random.SeedSequence(params.seed).spawn(params.replications)
+    for stop, history, stream in zip(trace.stop_reasons, trace.replication_histories, streams):
+        centers = kmeans_pp_init(x, k, np.random.default_rng(stream))
+        single = lloyd_solve(x, k, centers, params)
+        assert single.trace.stop_reasons == [stop]
+        assert single.trace.objective_history == history
+        rerun = len(lloyd_solve(x, k, centers, longer).trace.objective_history)
+        assert rerun == len(history) if stop == "tol" else rerun > len(history) == params.max_iters
+    assert set(trace.stop_reasons) == {"tol", "cap"}
+    assert "tol" in [s for s, h in zip(trace.stop_reasons, trace.replication_histories) if len(h) == 3]

@@ -343,6 +343,33 @@ def test_cluster_json_reports_stop_reasons(tmp_path):
     assert sr_trace["outer_stop_reason"] is None
 
 
+def test_cluster_json_reports_lloyd_stop_reasons(tmp_path):
+    from kindicators.baselines import KmeansParams, kmeans_solve
+    from kindicators.synthgen import SynthSpec, generate
+
+    data = generate(SynthSpec(k=25, per_cluster=40, rho=0.9, ambient_dim=300, seed=2))
+    emb_path = tmp_path / "emb.csv"
+    write_matrix_csv(emb_path, data.embedded.matrix)
+
+    def traces(method, *flags):
+        out = tmp_path / f"{method}.json"
+        argv = ["cluster", str(emb_path), "--method", method, "--out", str(out), "--quiet"]
+        assert main([*argv, *flags]) == 0
+        return json.loads(out.read_text())
+
+    # KM10: one reason per replication, the same as the library's.
+    km = traces("kmeans", "--replications", "6", "--seed", "2", "--max-iters", "3")["trace"]
+    direct = kmeans_solve(data.embedded.matrix, 25, KmeansParams(replications=6, seed=2, max_iters=3))
+    assert km["stop_reasons"] == direct.trace.stop_reasons
+    assert set(km["stop_reasons"]) == {"tol", "cap"}
+    assert km["outer_stop_reason"] is None
+
+    # KindAP then Lloyd: the polish's one reason, next to KindAP's own.
+    polished = traces("kindap+l")
+    assert polished["trace"]["stop_reasons"] == ["tol"]
+    assert polished["kindap_trace"]["outer_stop_reason"] == "tol"
+
+
 def test_cluster_kmeans_reproducible_best_of_ten(tmp_path):
     from kindicators.synthgen import SynthSpec, generate
 

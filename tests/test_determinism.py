@@ -19,8 +19,10 @@ import numpy as np
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# Three cells of the acceptance sweep: (k, rho, seed, seed index).
-CELLS = [(10, 0.33, 1, 0), (25, 0.66, 2, 1), (50, 0.66, 3, 2)]
+# Three cells of the acceptance sweep and one at k = 100, where almost every
+# KindAP Procrustes step takes the eigendecomposition route:
+# (k, rho, seed, seed index).
+CELLS = [(10, 0.33, 1, 0), (25, 0.66, 2, 1), (50, 0.66, 3, 2), (100, 0.33, 1, 0)]
 REPLICATIONS = 10
 
 

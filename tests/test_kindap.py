@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -29,6 +30,7 @@ from oracles import (
     reference_kindap_solve,
     reference_round_to_indicator,
 )
+from procrustes_grid import kindap_failures
 
 
 def _indicator_basis():
@@ -311,6 +313,40 @@ def test_inner_budget_keeps_the_reference_partition(k, rho, seed):
     new = kindap_solve(data.embedded)
     assert accuracy(new.labels, old.labels) == 1.0
     assert abs(new.kind_objective - old.kind_objective) <= 1e-12 * max(1.0, old.kind_objective)
+
+
+@pytest.mark.parametrize("k, rho, seed", EQUIVALENCE_CELLS + MANY_K_CELLS)
+def test_kindap_matches_svd_procrustes(k, rho, seed):
+    # The eigendecomposition route of procrustes_rotation changes the last
+    # bits of R and sigma only: the default solve follows the same path as
+    # with every Procrustes step an SVD (the gate of tests/procrustes_grid.py).
+    basis = generate(SynthSpec(k=k, rho=rho, per_cluster=40, ambient_dim=300, seed=seed)).embedded
+    assert kindap_failures(f"k{k}_rho{rho}_s{seed}", basis) == []
+
+
+def test_inner_solve_out_pair_matches_its_own_buffers():
+    basis = generate(SynthSpec(k=10, rho=0.33, per_cluster=40, ambient_dim=300, seed=1)).embedded
+    alone = inner_solve(np.eye(10), basis, KindapParams(), budget=7)
+    u, n_mat = np.full((2, 400, 10), np.nan)
+    shared = inner_solve(np.eye(10), basis, KindapParams(), budget=7, out=(u, n_mat))
+    assert shared[0] is n_mat
+    assert np.array_equal(shared[0], alone[0]) and np.array_equal(shared[1], alone[1])
+    assert shared[2:] == alone[2:]
+
+
+def test_kindap_solve_peak_memory_is_two_n_by_k_buffers():
+    # U and N are allocated once for all phases, and U is dropped before
+    # `relaxed` copies N; per-phase buffers peaked at three n x k arrays.
+    basis = generate(SynthSpec(k=50, per_cluster=200, rho=0.66, ambient_dim=100)).embedded
+    n, k = basis.matrix.shape
+    tracemalloc.start()
+    try:
+        result = kindap_solve(basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.trace.outer_iters >= 2
+    assert peak <= 2.5 * n * k * 8
 
 
 def _replay_budget_rule(trace, params, budget):

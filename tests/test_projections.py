@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kindicators.core import make_indicator, validate_embedding
-from kindicators.projections import procrustes_rotation, projection_distance, subspace_distance
+from kindicators.projections import (
+    DEGENERATE_SV_TOL,
+    GRAM_EIGH_MIN_K,
+    GRAM_EIGH_RATIO,
+    procrustes_rotation,
+    projection_distance,
+    subspace_distance,
+)
 
-from oracles import random_orthonormal, sampled_rotation_min
+from oracles import random_orthonormal, reference_procrustes_rotation, sampled_rotation_min
+from procrustes_grid import recorded
 
 
 def _random_basis(n, k, seed):
@@ -65,6 +75,104 @@ def test_procrustes_output_stays_in_basis_range():
     projected = basis.matrix @ rotation
     residual = basis.matrix @ (basis.matrix.T @ projected) - projected
     assert float(np.linalg.norm(residual)) <= 1e-8
+
+
+def _with_spectrum(sigma, seed):
+    """U diag(sigma) V' for Haar-random orthogonal U and V."""
+    rng = np.random.default_rng(seed)
+    k = sigma.size
+    return (random_orthonormal(k, k, rng) * sigma) @ random_orthonormal(k, k, rng).T
+
+
+def _assert_matches_svd(cross) -> list:
+    """R orthogonal and sigma descending, both close to the SVD's; returns the route."""
+    ref_rotation, ref_sigma = reference_procrustes_rotation(cross)
+    called = []
+    rotation, sigma = recorded(cross, called)
+    k = cross.shape[0]
+    assert np.max(np.abs(rotation.T @ rotation - np.eye(k))) <= 1e-13
+    assert np.all(np.diff(sigma) <= 0)
+    assert abs(sigma.sum() - ref_sigma.sum()) <= 1e-13 * ref_sigma.sum()
+    assert np.max(np.abs(rotation - ref_rotation)) <= 1e-12
+    if called == ["svd"]:
+        assert np.array_equal(rotation, ref_rotation) and np.array_equal(sigma, ref_sigma)
+    return called
+
+
+# sigma_min / sigma_max = 10**log_ratio; the eigendecomposition route needs
+# lambda_min / lambda_max = (sigma_min / sigma_max)**2 > GRAM_EIGH_RATIO, so
+# the two ranges fall on either side of the switch.
+LOG_RATIO = st.one_of(st.floats(-1.45, 0.0), st.floats(-14.0, -1.55))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(k=st.integers(1, 150), log_ratio=LOG_RATIO, log_scale=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_procrustes_matches_svd_on_prescribed_spectra(k, log_ratio, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    logs = np.sort(rng.uniform(log_ratio, 0.0, size=k))[::-1]
+    logs[0], logs[-1] = 0.0, log_ratio if k > 1 else 0.0
+    _assert_matches_svd(10.0**log_scale * _with_spectrum(10.0**logs, seed))
+
+
+def test_procrustes_well_conditioned_takes_the_eigendecomposition():
+    cross = _with_spectrum(np.geomspace(1.0, 0.1, 40), 41)
+    assert _assert_matches_svd(cross) == ["eigh"]
+
+
+def test_procrustes_small_k_keeps_the_svd():
+    cross = _with_spectrum(np.geomspace(1.0, 0.1, GRAM_EIGH_MIN_K - 1), 46)
+    assert _assert_matches_svd(cross) == ["svd"]
+
+
+def test_procrustes_diagonal_precheck_skips_the_eigendecomposition():
+    # M = Q diag(s) has M'M = diag(s^2), whose diagonal already shows
+    # lambda_min / lambda_max = 1e-4 < GRAM_EIGH_RATIO.
+    q = random_orthonormal(40, 40, np.random.default_rng(42))
+    cross = q * np.geomspace(1.0, 1e-2, 40)
+    assert np.diag(cross.T @ cross).min() <= GRAM_EIGH_RATIO
+    assert _assert_matches_svd(cross) == ["svd"]
+
+
+def test_procrustes_ill_conditioned_falls_back_to_the_svd():
+    # The spread diagonal passes the pre-check, the eigenvalues do not, so
+    # the result is the SVD's, bit for bit.
+    cross = _with_spectrum(np.geomspace(1.0, 1e-2, 40), 43)
+    assert np.diag(cross.T @ cross).min() > GRAM_EIGH_RATIO * np.diag(cross.T @ cross).max()
+    assert _assert_matches_svd(cross) == ["eigh", "svd"]
+
+
+def test_procrustes_tiny_well_conditioned_input_still_reports_degeneracy():
+    # Scaling leaves the condition number alone: the eigendecomposition route
+    # runs, and the singular values come out scaled below DEGENERATE_SV_TOL.
+    cross = 1e-14 * _with_spectrum(np.geomspace(1.0, 0.5, 40), 44)
+    assert _assert_matches_svd(cross) == ["eigh"]
+    assert procrustes_rotation(cross)[1][-1] < DEGENERATE_SV_TOL
+
+
+def test_procrustes_underflowing_gram_goes_through_the_svd():
+    # At 1e-160 the products in M'M underflow; an eigendecomposition of it
+    # would give R off by about 2e-3.
+    cross = 1e-160 * _with_spectrum(np.geomspace(1.0, 0.5, 40), 45)
+    assert _assert_matches_svd(cross) == ["svd"]
+
+
+@pytest.mark.parametrize("cross", [np.zeros((40, 40)), np.diag(np.r_[np.ones(39), 0.0])])
+def test_procrustes_zero_and_rank_deficient_inputs_keep_the_svd_result(cross):
+    assert _assert_matches_svd(cross) == ["svd"]
+    assert procrustes_rotation(cross)[1][-1] < DEGENERATE_SV_TOL
+
+
+def test_procrustes_nan_input_raises_like_the_svd():
+    cross = np.eye(40)
+    cross[1, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        reference_procrustes_rotation(cross)
+    called = []
+    with pytest.raises(np.linalg.LinAlgError):
+        recorded(cross, called)
+    assert called == ["svd"]
 
 
 def test_subspace_distance_identity_and_symmetry():
