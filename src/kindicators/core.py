@@ -68,6 +68,18 @@ class ZeroRowError(ClusteringError):
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
+    """`values` as a read-only array of `dtype` that shares no writable memory.
+
+    A read-only ndarray of that dtype which owns its data is returned as is;
+    anything else is copied.
+    """
+    if (
+        type(values) is np.ndarray
+        and values.dtype == dtype
+        and values.base is None
+        and not values.flags.writeable
+    ):
+        return values
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
@@ -83,7 +95,8 @@ def fix_column_signs(matrix: np.ndarray) -> np.ndarray:
     idx = np.argmax(np.abs(m), axis=0)
     signs = np.sign(m[idx, np.arange(m.shape[1])])
     signs[signs == 0] = 1.0
-    return m * signs
+    m *= signs
+    return m
 
 
 @dataclass(eq=False)
@@ -338,14 +351,16 @@ def validate_embedding(matrix) -> EmbeddedData:
         raise ValueError(f"need n >= d >= 2, got shape {n}x{d}")
     if not np.all(np.isfinite(m)):
         raise ValueError("embedding input must be finite")
+    # A Gram within ORTHONORMAL_TOL of I bounds sigma_min^2 below by
+    # 1 - d * ORTHONORMAL_TOL, so only inputs that fail it need the rank test.
+    gram = m.T @ m
+    if np.max(np.abs(gram - np.eye(d))) <= ORTHONORMAL_TOL:
+        return EmbeddedData(m)
     singular = np.linalg.svd(m, compute_uv=False)
     if singular[-1] < RANK_TOL * singular[0]:
         raise RankDeficientError(
             f"numerical rank < {d}: smallest singular value {singular[-1]:.3e}"
         )
-    gram = m.T @ m
-    if np.max(np.abs(gram - np.eye(d))) <= ORTHONORMAL_TOL:
-        return EmbeddedData(m)
     q, r = np.linalg.qr(m)
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0

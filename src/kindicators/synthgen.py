@@ -7,6 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EmbeddedData, _readonly, fix_column_signs
+from .projections import GRAM_EIGH_RATIO
+
+# Rows per block when normalizing the raw directions, so the temporaries of
+# the row norms stay O(block x d) rather than O(n x d).
+_ROW_BLOCK = 1024
 
 
 @dataclass
@@ -52,17 +57,50 @@ def generate(spec: SynthSpec) -> SynthDataset:
     Returns the raw ambient-space points, the ground-truth labels (cluster j
     owns rows j*per_cluster..(j+1)*per_cluster-1), and the embedding given by
     the k leading left singular vectors of the raw matrix with a fixed column
-    sign convention. Identical specs produce bit-identical datasets.
+    sign convention. The vectors come from the eigendecomposition of the
+    d x d Gram matrix (n x n when n < d), or from the thin SVD when that Gram
+    is ill conditioned (:func:`_leading_left_vectors`). The raw matrix is the
+    only n x d array held, and the dataset keeps it without a copy; the rest
+    is O(n k + min(n, d)^2). Identical specs give bit-identical `raw` and `truth`
+    under any BLAS configuration, and a bit-identical embedding under a
+    fixed one (library, version and thread count).
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.k * spec.per_cluster
     truth = np.repeat(np.arange(spec.k), spec.per_cluster)
     raw = rng.standard_normal((n, spec.ambient_dim))
-    raw /= np.linalg.norm(raw, axis=1)[:, None]
+    for start in range(0, n, _ROW_BLOCK):
+        block = raw[start : start + _ROW_BLOCK]
+        block /= np.linalg.norm(block, axis=1)[:, None]
     # Scale the unit directions by rho, then move each point to its center
     # sqrt(2) e_truth, all in the one n x d buffer.
     raw *= spec.rho
     raw[np.arange(n), truth] += np.sqrt(2.0)
-    left, _, _ = np.linalg.svd(raw, full_matrices=False)
-    embedded = EmbeddedData(fix_column_signs(left[:, : spec.k]))
+    embedded = EmbeddedData(fix_column_signs(_leading_left_vectors(raw, spec.k)))
+    raw.setflags(write=False)
     return SynthDataset(raw=raw, truth=truth, embedded=embedded)
+
+
+def _leading_left_vectors(raw: np.ndarray, k: int) -> np.ndarray:
+    """The k leading left singular vectors of `raw`, from the eigendecomposition
+    of its smaller Gram matrix.
+
+    With raw'raw = V L V' (d x d) the vectors are raw V_k L_k^(-1/2); when
+    n < d the eigenvectors of raw raw' are the vectors themselves. Their
+    columns are orthonormal to about eps * L_1 / L_k, and each lies within
+    about eps * L_1 / gap of the exact one (Golub & Van Loan, Matrix
+    Computations, 8.6), so that route is taken only when L_k exceeds
+    GRAM_EIGH_RATIO times L_1. Any other input takes the thin SVD of `raw`.
+    """
+    wide = raw.shape[0] < raw.shape[1]
+    gram = raw @ raw.T if wide else raw.T @ raw
+    lam, vectors = np.linalg.eigh(gram)
+    if lam[-k] > GRAM_EIGH_RATIO * lam[-1]:
+        top = vectors[:, ::-1][:, :k]
+        if wide:
+            return top
+        left = raw @ top
+        left /= np.sqrt(lam[::-1][:k])
+        return left
+    left, _, _ = np.linalg.svd(raw, full_matrices=False)
+    return left[:, :k]

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from kindicators.core import (
     RankDeficientError,
     RelaxedAssignment,
     BinaryIndicator,
+    _readonly,
     cluster_sums,
+    fix_column_signs,
     make_indicator,
     validate_embedding,
 )
@@ -103,6 +107,44 @@ def test_validate_embedding_rank_deficient():
     col = np.arange(1.0, 5.0)[:, None]
     with pytest.raises(RankDeficientError):
         validate_embedding(np.hstack([col, col]))
+
+
+def test_validate_embedding_skips_the_rank_svd_on_orthonormal_input():
+    m = random_orthonormal(50, 6, np.random.default_rng(12))
+    with mock.patch.object(np.linalg, "svd", side_effect=np.linalg.svd) as svd:
+        out = validate_embedding(m)
+        assert svd.call_count == 0
+        with pytest.raises(RankDeficientError):
+            validate_embedding(np.hstack([m[:, :3], 2.0 * m[:, :3]]))
+        assert svd.call_count == 1
+    assert not out.orthonormalized
+    assert np.array_equal(out.matrix, m)
+
+
+def test_fix_column_signs_bit_identical_to_signed_product():
+    rng = np.random.default_rng(13)
+    for m in (rng.standard_normal((300, 7)), np.array([[0.0, -1.0], [0.0, 0.5]])):
+        before = m.copy()
+        idx = np.argmax(np.abs(m), axis=0)
+        signs = np.sign(m[idx, np.arange(m.shape[1])])
+        signs[signs == 0] = 1.0
+        out = fix_column_signs(m)
+        assert np.array_equal(out, m * signs)
+        assert np.array_equal(m, before)
+        assert not np.shares_memory(out, m)
+
+
+def test_readonly_copies_all_but_a_frozen_owner():
+    owner = np.arange(6.0)
+    owner.setflags(write=False)
+    assert _readonly(owner) is owner
+    writable = np.arange(6.0)
+    frozen_view = writable[:]
+    frozen_view.setflags(write=False)
+    for given in (writable, frozen_view, owner.astype(int)):
+        out = _readonly(given)
+        assert not np.shares_memory(out, given)
+        assert not out.flags.writeable and out.dtype == float
 
 
 def test_validate_embedding_rejects_bad_shapes():

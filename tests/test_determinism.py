@@ -2,13 +2,16 @@
 
 The README's contract: labels and iteration counts do not depend on the BLAS
 thread count; bit-identical objectives are promised only for a fixed BLAS
-configuration. Each side runs in its own process, because the thread count
-is read when the BLAS library loads. Run as a script, this module solves the
-cells named on the command line and prints the outcome as JSON.
+configuration. The generator's raw points are bit-identical under any
+thread count, and its embedding agrees within EMBEDDING_ATOL. Each side runs
+in its own process, because the thread count is read when the BLAS library
+loads. Run as a script, this module solves the cells named on the command
+line and prints the outcome as JSON.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -24,6 +27,7 @@ THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 # (k, rho, seed, seed index).
 CELLS = [(10, 0.33, 1, 0), (25, 0.66, 2, 1), (50, 0.66, 3, 2), (100, 0.33, 1, 0)]
 REPLICATIONS = 10
+EMBEDDING_ATOL = 1e-12
 
 
 def solve_cells(cells) -> list[dict]:
@@ -49,6 +53,8 @@ def solve_cells(cells) -> list[dict]:
         )
         out.append(
             {
+                "raw_sha256": hashlib.sha256(data.raw.tobytes()).hexdigest(),
+                "embedded": data.embedded.matrix.tolist(),
                 "kindap_labels": kindap.labels.tolist(),
                 "kindap_inner_iters": kindap.trace.inner_iters_per_outer,
                 "kindap_outer_iters": kindap.trace.outer_iters,
@@ -83,7 +89,10 @@ def test_labels_and_iteration_counts_do_not_depend_on_blas_threads():
     assert len(one) == len(two) == len(CELLS)
     for cell, a, b in zip(CELLS, one, two):
         for key, value in a.items():
-            if key.endswith(("objective", "objectives")):
+            if key == "embedded":
+                gap = np.max(np.abs(np.array(b[key]) - np.array(value)))
+                assert gap <= EMBEDDING_ATOL, f"{cell}: embeddings differ by {gap:.1e}"
+            elif key.endswith(("objective", "objectives")):
                 np.testing.assert_allclose(b[key], value, rtol=1e-9, atol=1e-12, err_msg=key)
             else:
                 assert b[key] == value, f"{cell}: {key} differs between 1 and 2 BLAS threads"
