@@ -14,7 +14,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from .core import (
 )
 from .embedding import knn_graph, spectral_embed
 from .evaluation import accuracy, kind_objective, kmeans_objective, soft_indicator
-from .kindap import KindapParams, kindap_solve, warm_start_centers
+from .kindap import ROUNDING_MODES, KindapParams, kindap_solve, warm_start_centers
 from .synthgen import SynthSpec, generate
 
 EXIT_OK = 0
@@ -550,26 +550,22 @@ def _read_embedding(path, labels=None) -> EmbeddedData:
     return embedded
 
 
+def _given(args, *names) -> dict:
+    """The flags among `names` given on the command line; the rest keep the params' defaults."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _cmd_cluster(args) -> int:
     try:
         kindap_params = KindapParams(
-            max_outer=args.max_outer,
-            max_inner=args.max_inner,
-            tol_inner=args.tol_inner,
-            tol_outer=args.tol_outer,
-            rounding=args.rounding,
+            **_given(args, "max_outer", "max_inner", "tol_inner", "tol_outer", "rounding")
         )
-        kmeans_params = KmeansParams(
-            replications=args.replications if args.method == "kmeans" else 1,
-            max_iters=args.max_iters,
-            tol=args.tol,
+        # Lloyd (kmeans, the kindap+l polish) or spectral rotation; built for
+        # every method so a bad --max-iters or --tol is always a usage error.
+        baseline_params = (SrParams if args.method == "sr" else KmeansParams)(
+            replications=args.replications if args.method in ("kmeans", "sr") else 1,
             seed=args.seed,
-        )
-        sr_params = SrParams(
-            replications=args.replications,
-            max_iters=args.max_iters,
-            tol=args.tol,
-            seed=args.seed,
+            **_given(args, "max_iters", "tol"),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -585,8 +581,8 @@ def _cmd_cluster(args) -> int:
         replications=args.replications,
         seed=args.seed,
         kindap_params=kindap_params,
-        kmeans_params=kmeans_params if args.method in ("kmeans", "kindap+l") else None,
-        sr_params=sr_params if args.method == "sr" else None,
+        kmeans_params=baseline_params if args.method in ("kmeans", "kindap+l") else None,
+        sr_params=baseline_params if args.method == "sr" else None,
     )
     elapsed = time.perf_counter() - started
     payload = result_payload(
@@ -597,13 +593,9 @@ def _cmd_cluster(args) -> int:
         orthonormalized=embedded.orthonormalized,
         wall_time_seconds=elapsed,
         params={
-            "max_outer": args.max_outer,
-            "max_inner": args.max_inner,
-            "tol_inner": args.tol_inner,
-            "tol_outer": args.tol_outer,
-            "rounding": args.rounding,
-            "max_iters": args.max_iters,
-            "tol": args.tol,
+            **asdict(kindap_params),
+            "max_iters": baseline_params.max_iters,
+            "tol": baseline_params.tol,
         },
         soft_values=soft,
         extra_traces=extra,
@@ -718,13 +710,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--method", choices=METHODS, required=True)
     p_cluster.add_argument("--k", type=int, default=None, help="cluster count (must equal the embedding width)")
     p_cluster.add_argument("--replications", type=int, default=10)
-    p_cluster.add_argument("--max-outer", type=int, default=50)
-    p_cluster.add_argument("--max-inner", type=int, default=200)
-    p_cluster.add_argument("--tol-inner", type=float, default=1e-5)
-    p_cluster.add_argument("--tol-outer", type=float, default=1e-5)
-    p_cluster.add_argument("--rounding", choices=("magnitude", "binary"), default="magnitude")
-    p_cluster.add_argument("--max-iters", type=int, default=300)
-    p_cluster.add_argument("--tol", type=float, default=1e-6)
+    # Solver flags default to None: the params types hold the defaults.
+    p_cluster.add_argument(
+        "--max-outer", type=int, help=f"KindAP outer-phase cap (default {KindapParams.max_outer})"
+    )
+    p_cluster.add_argument(
+        "--max-inner", type=int, help=f"KindAP inner-phase cap (default {KindapParams.max_inner})"
+    )
+    p_cluster.add_argument(
+        "--tol-inner", type=float, help=f"KindAP inner tolerance (default {KindapParams.tol_inner})"
+    )
+    p_cluster.add_argument(
+        "--tol-outer", type=float, help=f"KindAP outer tolerance (default {KindapParams.tol_outer})"
+    )
+    p_cluster.add_argument(
+        "--rounding", choices=ROUNDING_MODES, help=f"KindAP rounding (default {KindapParams.rounding})"
+    )
+    p_cluster.add_argument(
+        "--max-iters",
+        type=int,
+        help=f"Lloyd/SR iteration cap (default {KmeansParams.max_iters} for kmeans and "
+        f"kindap+l, {SrParams.max_iters} for sr)",
+    )
+    p_cluster.add_argument(
+        "--tol", type=float, help=f"Lloyd/SR tolerance (default {KmeansParams.tol})"
+    )
     p_cluster.set_defaults(func=_cmd_cluster)
 
     p_eval = sub.add_parser("eval", parents=[common], help="score predicted labels against ground truth")

@@ -32,7 +32,7 @@ from .projections import DEGENERATE_SV_TOL, procrustes_rotation
 OBJECTIVE_FLOOR = 1e-12
 
 # Iterations a KindAP inner phase starts with; see :func:`kindap_solve`.
-INNER_BUDGET = 20
+INNER_BUDGET = 3
 
 ROUNDING_MODES = ("magnitude", "binary")
 
@@ -41,18 +41,19 @@ ROUNDING_MODES = ("magnitude", "binary")
 class KindapParams:
     """Solver knobs.
 
-    Tolerances are relative objective improvements; iteration caps are
-    generous compared to the handful of outer and dozens of inner iterations
-    typically needed. Each inner phase runs under a budget that starts at
-    INNER_BUDGET and grows up to `max_inner` (see :func:`kindap_solve`).
-    The solver is deterministic and draws no random numbers.
+    Tolerances are relative objective improvements. Each inner phase runs
+    under a budget that starts at INNER_BUDGET (3) iterations and grows up to
+    `max_inner` (see :func:`kindap_solve`), so a solve takes many short
+    phases: a handful on separable data, up to about a hundred on hard,
+    overlapping data, which the `max_outer` cap leaves room for. The solver
+    is deterministic and draws no random numbers.
 
     `rounding` picks the value written into the kept entry when rounding the
     relaxed assignment: "magnitude" keeps the relaxed value (columns
     renormalized), "binary" uses the equal-weight 1/sqrt(n_j) convention.
     """
 
-    max_outer: int = 50
+    max_outer: int = 200
     max_inner: int = 200
     tol_inner: float = 1e-5
     tol_outer: float = 1e-5
@@ -90,9 +91,11 @@ def inner_solve(
 
     Per iteration the work is two GEMMs with an n x k operand (B'N and B R),
     one in-place clip and one k x k Procrustes step (see
-    :func:`~kindicators.projections.procrustes_rotation`); the only n x k
-    memory is the two buffers for U and N, passed in as the pair `out` or
-    allocated once per call.
+    :func:`~kindicators.projections.procrustes_rotation`); the B R of the
+    phase's last iteration is skipped, since the next phase starts from its
+    own rotation, so a phase of t iterations makes t products B R, the first
+    from `rotation`. The only n x k memory is the two buffers for U and N,
+    passed in as the pair `out` or allocated once per call.
 
     Returns the n x k buffer holding the final box projection N (entries in
     [0, 1]; the second buffer of `out` when given), the k x k rotation of
@@ -127,7 +130,8 @@ def inner_solve(
             stop = "tol"
             break
         prev = gap
-        np.matmul(b, rotation, out=u)
+        if t < limit:
+            np.matmul(b, rotation, out=u)
     if trace is not None:
         trace.objective_history.extend(history)
     return n_mat, rotation, iters, stop
@@ -196,9 +200,11 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
     (normalized) indicator range, and projects the rounded matrix back onto
     the rotation set to restart.
 
-    Each inner phase runs under a budget, starting at INNER_BUDGET
+    Each inner phase runs under a budget, starting at INNER_BUDGET (3)
     iterations: the gap of a phase falls only linearly, and the outer
-    restart usually moves faster than the tail of a long phase. When a phase
+    restart from the rounded indicator moves further than the tail of a long
+    phase, so many short phases reach the partition in fewer iterations than
+    a few long ones (on recoverable data the same partition). When a phase
     that spent its whole budget leaves the outer objective stalled, the
     budget doubles, up to `params.max_inner`, instead of stopping. The outer
     loop stops at the objective floor ("floor"), when the relative
@@ -214,8 +220,8 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
 
     Only the k x k rotation passes from one phase to the next; the n x k
     working memory is two buffers, allocated once and reused by every
-    :func:`inner_solve` call, plus the copy of the last N that the result's
-    `relaxed` keeps, made after the U buffer is dropped.
+    :func:`inner_solve` call. The result's `relaxed` keeps the N buffer
+    itself, frozen, so the solve ends holding one n x k array.
     """
     if params is None:
         params = KindapParams()
@@ -263,6 +269,7 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
             trace.warnings.append(f"degenerate restart projection at outer iteration {outer}")
     assert best_labels is not None
     del u
+    n_mat.setflags(write=False)
     return ClusterResult(
         labels=best_labels,
         kind_objective=best_f,

@@ -327,7 +327,7 @@ def test_cluster_json_reports_stop_reasons(tmp_path):
     trace = payload["trace"]
     assert payload["schema"] == 1
     assert len(trace["stop_reasons"]) == trace["outer_iters"] == len(trace["inner_iters_per_outer"])
-    assert trace["stop_reasons"][0] == "budget" and trace["inner_iters_per_outer"][0] == 20
+    assert trace["stop_reasons"][0] == "budget" and trace["inner_iters_per_outer"][0] == 3
     assert trace["stop_reasons"][-1] == "tol" and trace["outer_stop_reason"] == "tol"
 
     sr_out = tmp_path / "sr.json"
@@ -368,6 +368,39 @@ def test_cluster_json_reports_lloyd_stop_reasons(tmp_path):
     polished = traces("kindap+l")
     assert polished["trace"]["stop_reasons"] == ["tol"]
     assert polished["kindap_trace"]["outer_stop_reason"] == "tol"
+
+
+def test_cluster_takes_its_defaults_from_the_params_types(tmp_path):
+    # Without solver flags, `cluster` runs each method as the library's
+    # params types would, and records the values it used: spectral rotation
+    # at SrParams' 100 iterations, Lloyd at KmeansParams' 300.
+    from dataclasses import asdict
+
+    from kindicators.baselines import KmeansParams, SrParams, sr_solve
+    from kindicators.kindap import KindapParams
+    from kindicators.synthgen import SynthSpec, generate
+
+    data = generate(SynthSpec(k=10, per_cluster=20, rho=0.66, ambient_dim=60, seed=3))
+    emb_path = tmp_path / "emb.csv"
+    write_matrix_csv(emb_path, data.embedded.matrix)
+
+    def params_and_labels(method):
+        out = tmp_path / f"{method}.json"
+        argv = ["cluster", str(emb_path), "--method", method, "--seed", "4", "--out", str(out)]
+        assert main([*argv, "--quiet"]) == 0
+        payload = json.loads(out.read_text())
+        return payload["params"], payload["labels"]
+
+    params, labels = params_and_labels("sr")
+    assert params["max_iters"] == SrParams().max_iters == 100
+    assert params["tol"] == SrParams().tol
+    basis = cli._read_embedding(emb_path)
+    assert labels == sr_solve(basis, SrParams(replications=10, seed=4)).labels.tolist()
+    for method in ("kmeans", "kindap+l"):
+        params, _ = params_and_labels(method)
+        assert params["max_iters"] == KmeansParams().max_iters
+    params, _ = params_and_labels("kindap")
+    assert {key: params[key] for key in asdict(KindapParams())} == asdict(KindapParams())
 
 
 def test_cluster_kmeans_reproducible_best_of_ten(tmp_path):

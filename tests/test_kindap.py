@@ -12,7 +12,7 @@ from kindicators.core import (
 )
 from kindicators.core import SolverTrace
 from kindicators.evaluation import accuracy, kind_objective
-from kindicators import kindap
+from kindicators import core, kindap
 from kindicators.kindap import (
     OBJECTIVE_FLOOR,
     KindapParams,
@@ -334,9 +334,93 @@ def test_inner_solve_out_pair_matches_its_own_buffers():
     assert shared[2:] == alone[2:]
 
 
+class _CountingNumpy:
+    """numpy for `kindap`, counting np.matmul calls: the B R products, each into the U buffer."""
+
+    def __init__(self):
+        self.matmuls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, **kwargs):
+        self.matmuls += 1
+        return np.matmul(*args, **kwargs)
+
+
+def _with_trailing_product(inner):
+    """`inner` followed by the B R that the loop once made after a phase's last
+    iteration whenever the phase did not stop on tol_inner."""
+    def solve(rotation, basis, params, trace=None, budget=None, out=None):
+        n_mat, rotation, iters, stop = inner(rotation, basis, params, trace, budget, out)
+        if stop != "tol":
+            np.matmul(basis.matrix, rotation, out=out[0])
+        return n_mat, rotation, iters, stop
+
+    return solve
+
+
+@pytest.mark.parametrize(
+    "data, params",
+    [
+        (generate(SynthSpec(k=10, rho=0.66, per_cluster=20, ambient_dim=60, seed=2)), KindapParams()),
+        (gaussian_blobs(20, 0.45, seed=0), KindapParams()),
+        (gaussian_blobs(20, 0.35, seed=1), KindapParams(max_inner=4, max_outer=5)),
+    ],
+    ids=["synth", "blobs", "blobs_capped"],
+)
+def test_inner_phase_makes_one_product_per_iteration(monkeypatch, data, params):
+    # A phase of t iterations makes t products B R: the first from the start
+    # rotation, none after the last iteration, whose U nothing reads.
+    numpy = _CountingNumpy()
+    per_phase = []
+    inner = kindap.inner_solve
+
+    def counted(*args, **kwargs):
+        before = numpy.matmuls
+        result = inner(*args, **kwargs)
+        per_phase.append(numpy.matmuls - before)
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kindap, "np", numpy)
+        patch.setattr(kindap, "inner_solve", counted)
+        new = kindap_solve(data.embedded, params)
+    assert per_phase == new.trace.inner_iters_per_outer
+    assert set(new.trace.stop_reasons) - {"tol"}
+    monkeypatch.setattr(kindap, "inner_solve", _with_trailing_product(inner))
+    old = kindap_solve(data.embedded, params)
+    assert np.array_equal(new.labels, old.labels)
+    assert new.trace.objective_history == old.trace.objective_history
+    assert new.trace.outer_objective_history == old.trace.outer_objective_history
+    assert new.trace.stop_reasons == old.trace.stop_reasons
+    assert new.trace.outer_stop_reason == old.trace.outer_stop_reason
+    assert np.array_equal(new.relaxed.matrix, old.relaxed.matrix)
+
+
+def test_kindap_relaxed_is_the_frozen_n_buffer(monkeypatch):
+    # The last N goes to RelaxedAssignment as it is: read-only, owning its
+    # data, and not copied on the way.
+    basis = generate(SynthSpec(k=10, rho=0.33, per_cluster=40, ambient_dim=300, seed=1)).embedded
+    handed = []
+    readonly = core._readonly
+
+    def recording(values, dtype=float):
+        handed.append(values)
+        return readonly(values, dtype)
+
+    monkeypatch.setattr(core, "_readonly", recording)
+    matrix = kindap_solve(basis).relaxed.matrix
+    assert any(values is matrix for values in handed)
+    assert matrix.flags.owndata and matrix.base is None
+    assert not matrix.flags.writeable
+    with pytest.raises(ValueError):
+        matrix[0, 0] = 0.5
+
+
 def test_kindap_solve_peak_memory_is_two_n_by_k_buffers():
-    # U and N are allocated once for all phases, and U is dropped before
-    # `relaxed` copies N; per-phase buffers peaked at three n x k arrays.
+    # U and N are allocated once for all phases, and `relaxed` keeps N
+    # itself; per-phase buffers peaked at three n x k arrays.
     basis = generate(SynthSpec(k=50, per_cluster=200, rho=0.66, ambient_dim=100)).embedded
     n, k = basis.matrix.shape
     tracemalloc.start()
