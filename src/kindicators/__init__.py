@@ -6,7 +6,7 @@ k-means and spectral-rotation baselines, a spectral-embedding front end, a
 deterministic synthetic benchmark generator, and evaluation utilities.
 """
 
-from .baselines import KmeansParams, SrParams, kmeans_pp_init, kmeans_solve, lloyd_solve, sr_solve
+from .baselines import KmeansParams, SrParams, kmeans_solve, lloyd_solve, sr_solve
 from .core import (
     BinaryIndicator,
     ClusteringError,
@@ -20,7 +20,7 @@ from .core import (
 )
 from .embedding import SimilarityGraph, knn_graph, spectral_embed
 from .evaluation import SoftIndicator, accuracy, kind_objective, kmeans_objective, soft_indicator
-from .kindap import KindapParams, inner_solve, kindap_solve, round_to_indicator, warm_start_centers
+from .kindap import KindapParams, kindap_solve, warm_start_centers
 from .projections import RotatedBasis, projection_distance, subspace_distance
 from .synthgen import SynthDataset, SynthSpec, generate
 
@@ -44,17 +44,14 @@ __all__ = [
     "SynthSpec",
     "accuracy",
     "generate",
-    "inner_solve",
     "kind_objective",
     "kindap_solve",
     "kmeans_objective",
-    "kmeans_pp_init",
     "kmeans_solve",
     "knn_graph",
     "lloyd_solve",
     "make_indicator",
     "projection_distance",
-    "round_to_indicator",
     "soft_indicator",
     "spectral_embed",
     "sr_solve",

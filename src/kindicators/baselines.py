@@ -201,8 +201,6 @@ def kmeans_solve(data, k: int, params: KmeansParams | None = None) -> ClusterRes
     if params is None:
         params = KmeansParams()
     x = np.asarray(data, dtype=float)
-    if x.shape[0] < k:
-        raise InfeasibleKError(f"{x.shape[0]} points cannot form {k} clusters")
     streams = np.random.SeedSequence(params.seed).spawn(params.replications)
     results = []
     for stream in streams:
@@ -290,9 +288,7 @@ def sr_solve(basis: EmbeddedData, params: SrParams | None = None) -> ClusterResu
     """
     if params is None:
         params = SrParams()
-    n, k = basis.matrix.shape
-    if n < k:
-        raise InfeasibleKError(f"{n} objects cannot form {k} clusters")
+    k = basis.k
     streams = np.random.SeedSequence(params.seed).spawn(params.replications)
     runs = []
     for stream in streams:

@@ -9,12 +9,13 @@ one 0-based id per line; results are versioned JSON documents. Exit codes:
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -197,16 +198,11 @@ def write_labels_csv(path, labels) -> None:
 
 
 def _trace_payload(trace: SolverTrace) -> dict:
+    """Every SolverTrace field but the per-replication histories, each copied shallowly."""
     return {
-        "outer_iters": trace.outer_iters,
-        "inner_iters_per_outer": list(trace.inner_iters_per_outer),
-        "objective_history": list(trace.objective_history),
-        "outer_objective_history": list(trace.outer_objective_history),
-        "replication_index": trace.replication_index,
-        "replication_objectives": list(trace.replication_objectives),
-        "warnings": list(trace.warnings),
-        "stop_reasons": list(trace.stop_reasons),
-        "outer_stop_reason": trace.outer_stop_reason,
+        f.name: copy.copy(getattr(trace, f.name))
+        for f in fields(SolverTrace)
+        if f.name != "replication_histories"
     }
 
 
@@ -220,7 +216,7 @@ def result_payload(
     wall_time_seconds: float,
     params: dict,
     soft_values=None,
-    extra_traces: dict | None = None,
+    kindap_trace: SolverTrace | None = None,
 ) -> dict:
     payload = {
         "schema": SCHEMA_VERSION,
@@ -231,19 +227,15 @@ def result_payload(
         "replications": int(replications),
         "orthonormalized": bool(orthonormalized),
         "labels": [int(v) for v in result.labels],
-        "kind_objective": None
-        if result.kind_objective is None
-        else float(result.kind_objective),
+        "kind_objective": None if result.kind_objective is None else float(result.kind_objective),
         "kmeans_objective": float(result.kmeans_objective),
-        "soft_indicator": None
-        if soft_values is None
-        else [float(v) for v in soft_values],
+        "soft_indicator": None if soft_values is None else [float(v) for v in soft_values],
         "trace": _trace_payload(result.trace),
         "params": params,
         "wall_time_seconds": float(wall_time_seconds),
     }
-    if extra_traces:
-        payload.update(extra_traces)
+    if kindap_trace is not None:
+        payload["kindap_trace"] = _trace_payload(kindap_trace)
     return payload
 
 
@@ -294,49 +286,57 @@ def read_json(path) -> dict:
 # Solver dispatch
 
 
+def _method_params(
+    method: str, replications: int, seed: int, **given
+) -> tuple[KindapParams, KmeansParams | SrParams]:
+    """KindapParams and the baseline's params (SrParams for "sr", else KmeansParams) for `method`.
+
+    Only "kmeans" and "sr" replicate: the "kindap+l" polish is one Lloyd run.
+    Each setting in `given` goes to the type with that field; the rest keep
+    the defaults. Both are built for every method, so a bad value always
+    raises ValueError.
+    """
+    kindap = {f.name: given.pop(f.name) for f in fields(KindapParams) if f.name in given}
+    baseline = SrParams if method == "sr" else KmeansParams
+    replications = replications if method in ("kmeans", "sr") else 1
+    return KindapParams(**kindap), baseline(replications=replications, seed=seed, **given)
+
+
 def run_method(
     method: str,
     embedded: EmbeddedData,
-    *,
-    replications: int = 10,
-    seed: int = 0,
-    kindap_params: KindapParams | None = None,
-    kmeans_params: KmeansParams | None = None,
-    sr_params: SrParams | None = None,
+    kindap_params: KindapParams,
+    baseline_params: KmeansParams | SrParams,
 ):
-    """Run one clustering method on validated embedded data.
+    """Run one clustering method on validated embedded data with :func:`_method_params`' output.
 
-    Returns (result, soft_values, extra_traces). For "kindap+l" the result
-    is the Lloyd polish, and the KindAP stage's trace is in `extra_traces`.
+    Returns (result, soft_values, stage_one). For "kindap+l" the result is
+    the Lloyd polish and `stage_one` the KindAP result it started from;
+    otherwise `stage_one` is None.
     """
     k = embedded.k
     if method == "kindap":
-        result = kindap_solve(embedded, kindap_params or KindapParams())
-        return result, soft_indicator(result.relaxed).s, {}
+        result = kindap_solve(embedded, kindap_params)
+        return result, soft_indicator(result.relaxed).s, None
     if method == "kindap+l":
-        stage_one = kindap_solve(embedded, kindap_params or KindapParams())
+        stage_one = kindap_solve(embedded, kindap_params)
         centers = warm_start_centers(embedded, stage_one)
-        polish = kmeans_params or KmeansParams(replications=1, seed=seed)
-        result = lloyd_solve(embedded.matrix, k, centers, polish)
+        result = lloyd_solve(embedded.matrix, k, centers, baseline_params)
         result.relaxed = stage_one.relaxed
-        soft = soft_indicator(stage_one.relaxed).s
-        return result, soft, {"kindap_trace": _trace_payload(stage_one.trace)}
+        return result, soft_indicator(stage_one.relaxed).s, stage_one
     if method == "kmeans":
-        params = kmeans_params or KmeansParams(replications=replications, seed=seed)
-        return kmeans_solve(embedded.matrix, k, params), None, {}
+        return kmeans_solve(embedded.matrix, k, baseline_params), None, None
     if method == "sr":
-        params = sr_params or SrParams(replications=replications, seed=seed)
-        return sr_solve(embedded, params), None, {}
+        return sr_solve(embedded, baseline_params), None, None
     raise UsageError(f"unknown method {method!r} (choose from {', '.join(METHODS)})")
 
 
-def _iteration_counts(result: ClusterResult, extra_traces: dict) -> tuple[int, int]:
+def _iteration_counts(result: ClusterResult, stage_one: ClusterResult | None) -> tuple[int, int]:
     """Outer and total inner iterations off the traces; "kindap+l" adds Lloyd's to KindAP's."""
     trace = result.trace
-    stage_one = extra_traces.get("kindap_trace")
     if stage_one is not None:
-        inner = sum(stage_one["inner_iters_per_outer"]) + len(trace.objective_history)
-        return stage_one["outer_iters"], inner
+        inner = sum(stage_one.trace.inner_iters_per_outer) + len(trace.objective_history)
+        return stage_one.trace.outer_iters, inner
     if trace.inner_iters_per_outer:
         return trace.outer_iters, sum(trace.inner_iters_per_outer)
     return trace.outer_iters, sum(len(h) for h in trace.replication_histories)
@@ -344,22 +344,6 @@ def _iteration_counts(result: ClusterResult, extra_traces: dict) -> tuple[int, i
 
 # ---------------------------------------------------------------------------
 # Benchmark harness
-
-BENCH_FIELDS = (
-    "method",
-    "k",
-    "rho",
-    "replications",
-    "seed",
-    "accuracy",
-    "kind_objective",
-    "kmeans_objective",
-    "wall_time_seconds",
-    "outer_iters",
-    "inner_iters_total",
-    "error",
-)
-
 
 @dataclass
 class BenchCell:
@@ -379,6 +363,9 @@ class BenchCell:
 
     def row(self) -> dict:
         return {name: getattr(self, name) for name in BENCH_FIELDS}
+
+
+BENCH_FIELDS = tuple(f.name for f in fields(BenchCell) if f.name != "result")
 
 
 def stable_cell_seed(base_seed: int, k: int, rho: float, method: str, seed_index: int) -> int:
@@ -414,55 +401,36 @@ def run_bench(
     for method in methods:
         if method not in METHODS:
             raise UsageError(f"unknown method {method!r}")
+    sizes = {"per_cluster": per_cluster, "ambient_dim": ambient_dim}
     cells: list[BenchCell] = []
     for k in k_list:
         for rho in rho_list:
             for seed_index, seed in enumerate(seeds):
+                data, error = None, None
                 try:
-                    data = generate(
-                        SynthSpec(
-                            k=k,
-                            per_cluster=per_cluster,
-                            rho=rho,
-                            ambient_dim=ambient_dim,
-                            seed=seed,
-                        )
-                    )
+                    data = generate(SynthSpec(k=k, rho=rho, seed=seed, **sizes))
                 except Exception as exc:
-                    for method in methods:
-                        cells.append(
-                            BenchCell(
-                                method,
-                                k,
-                                rho,
-                                replications,
-                                seed,
-                                error=f"{type(exc).__name__}: {exc}",
-                            )
-                        )
-                    continue
+                    error = f"{type(exc).__name__}: {exc}"
                 for method in methods:
-                    cell_seed = stable_cell_seed(seed, k, rho, method, seed_index)
-                    cell = BenchCell(method, k, rho, replications, seed)
+                    cell = BenchCell(method, k, rho, replications, seed, error=error)
+                    cells.append(cell)
+                    if data is None:
+                        continue
                     try:
+                        cell_seed = stable_cell_seed(seed, k, rho, method, seed_index)
+                        params = _method_params(method, replications, cell_seed)
                         started = time.perf_counter()
-                        result, _, extra = run_method(
-                            method,
-                            data.embedded,
-                            replications=replications,
-                            seed=cell_seed,
-                        )
+                        result, _, stage_one = run_method(method, data.embedded, *params)
                         cell.wall_time_seconds = time.perf_counter() - started
                         cell.accuracy = accuracy(result.labels, data.truth)
                         cell.kind_objective = result.kind_objective
                         cell.kmeans_objective = result.kmeans_objective
                         cell.outer_iters, cell.inner_iters_total = _iteration_counts(
-                            result, extra
+                            result, stage_one
                         )
                         cell.result = result
                     except Exception as exc:
                         cell.error = f"{type(exc).__name__}: {exc}"
-                    cells.append(cell)
                     if not quiet:
                         status = cell.error or f"accuracy={cell.accuracy:.4f}"
                         print(
@@ -478,8 +446,7 @@ def write_bench_csv(path, cells: list[BenchCell]) -> None:
         writer = csv.DictWriter(fh, fieldnames=BENCH_FIELDS)
         writer.writeheader()
         for cell in cells:
-            row = cell.row()
-            writer.writerow({key: "" if value is None else value for key, value in row.items()})
+            writer.writerow({key: "" if v is None else v for key, v in cell.row().items()})
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +460,6 @@ def _require_out(args, kind="path"):
 
 
 def _cmd_synth(args) -> int:
-    if args.k < 2:
-        raise UsageError("--k must be >= 2")
     try:
         spec = SynthSpec(
             k=args.k,
@@ -550,46 +515,27 @@ def _read_embedding(path, labels=None) -> EmbeddedData:
     return embedded
 
 
-def _given(args, *names) -> dict:
-    """The flags among `names` given on the command line; the rest keep the params' defaults."""
-    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-
-
 def _cmd_cluster(args) -> int:
+    # The solver flags given on the command line; the rest keep the params' defaults.
+    flags = ("max_outer", "max_inner", "tol_inner", "tol_outer", "rounding", "max_iters", "tol")
+    given = {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
     try:
-        kindap_params = KindapParams(
-            **_given(args, "max_outer", "max_inner", "tol_inner", "tol_outer", "rounding")
-        )
-        # Lloyd (kmeans, the kindap+l polish) or spectral rotation; built for
-        # every method so a bad --max-iters or --tol is always a usage error.
-        baseline_params = (SrParams if args.method == "sr" else KmeansParams)(
-            replications=args.replications if args.method in ("kmeans", "sr") else 1,
-            seed=args.seed,
-            **_given(args, "max_iters", "tol"),
+        kindap_params, baseline_params = _method_params(
+            args.method, args.replications, args.seed, **given
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     embedded = _read_embedding(args.input)
     if args.k is not None and args.k != embedded.k:
-        raise UsageError(
-            f"--k {args.k} does not match the embedding width {embedded.k}"
-        )
+        raise UsageError(f"--k {args.k} does not match the embedding width {embedded.k}")
     started = time.perf_counter()
-    result, soft, extra = run_method(
-        args.method,
-        embedded,
-        replications=args.replications,
-        seed=args.seed,
-        kindap_params=kindap_params,
-        kmeans_params=baseline_params if args.method in ("kmeans", "kindap+l") else None,
-        sr_params=baseline_params if args.method == "sr" else None,
-    )
+    result, soft, stage_one = run_method(args.method, embedded, kindap_params, baseline_params)
     elapsed = time.perf_counter() - started
     payload = result_payload(
         args.method,
         result,
         seed=args.seed,
-        replications=args.replications if args.method in ("kmeans", "sr") else 1,
+        replications=baseline_params.replications,
         orthonormalized=embedded.orthonormalized,
         wall_time_seconds=elapsed,
         params={
@@ -598,7 +544,7 @@ def _cmd_cluster(args) -> int:
             "tol": baseline_params.tol,
         },
         soft_values=soft,
-        extra_traces=extra,
+        kindap_trace=None if stage_one is None else stage_one.trace,
     )
     validate_result_payload(payload)
     write_json(args.out, payload)

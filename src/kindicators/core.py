@@ -118,7 +118,7 @@ class EmbeddedData:
         if not n >= k >= 2:
             raise ValueError(f"need n >= k >= 2, got shape {n}x{k}")
         gram = self.matrix.T @ self.matrix
-        if np.max(np.abs(gram - np.eye(k))) > ORTHONORMAL_TOL:
+        if not np.max(np.abs(gram - np.eye(k))) <= ORTHONORMAL_TOL:  # NaN fails it
             raise ValueError("columns are not orthonormal; use validate_embedding")
 
     @property
@@ -193,7 +193,8 @@ class RelaxedAssignment:
         self.matrix = _readonly(self.matrix)
         if self.matrix.ndim != 2:
             raise ValueError("relaxed assignment must be a 2-D matrix")
-        if np.any(self.matrix < 0) or np.any(self.matrix > 1):
+        # NaN fails both comparisons; `initial` keeps an empty matrix valid.
+        if not (self.matrix.min(initial=0) >= 0 and self.matrix.max(initial=1) <= 1):
             raise ValueError("relaxed assignment entries must lie in [0, 1]")
 
     @property
@@ -249,7 +250,8 @@ class SolverTrace:
     inner phase ("tol", "budget" or "cap"), one per spectral-rotation
     replication ("floor", "tol", "cap" or "uphill") and one per Lloyd run
     or k-means replication ("tol" or "cap"). `outer_stop_reason`
-    says why KindAP's outer loop ended ("floor", "tol" or "cap").
+    says why KindAP's outer loop ended ("floor", "tol", or "cap" when it
+    ran all `max_outer` phases without reaching the floor).
     """
 
     outer_iters: int = 0

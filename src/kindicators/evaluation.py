@@ -28,7 +28,8 @@ class SoftIndicator:
 
     def __post_init__(self):
         self.s = _readonly(self.s)
-        if np.any(self.s < 0) or np.any(self.s > 1):
+        # NaN fails both comparisons; `initial` keeps an empty array valid.
+        if not (self.s.min(initial=0) >= 0 and self.s.max(initial=1) <= 1):
             raise ValueError("soft indicator values must lie in [0, 1]")
 
 

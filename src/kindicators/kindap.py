@@ -19,7 +19,6 @@ from .core import (
     ClusterResult,
     EmbeddedData,
     IndicatorMatrix,
-    InfeasibleKError,
     RelaxedAssignment,
     SolverTrace,
     cluster_sums,
@@ -209,13 +208,13 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
     budget doubles, up to `params.max_inner`, instead of stopping. The outer
     loop stops at the objective floor ("floor"), when the relative
     improvement drops below `params.tol_outer` after a phase that ended on
-    `params.tol_inner` or `params.max_inner` ("tol"), or at
-    `params.max_outer` ("cap"), whose phase always runs without the budget.
-    So the last phase is a full one unless the floor comes first, and the
+    `params.tol_inner` or `params.max_inner` ("tol"), or else after the phase
+    at `params.max_outer` ("cap"), which always runs without the budget. So
+    the last phase is a full one unless the floor comes first, and the
     returned relaxed assignment is never cut short by the budget. The
-    best-scoring labeling ever seen is returned, along
-    with its indicator-form k-means objective, the final relaxed assignment,
-    and the full trace, whose `stop_reasons` hold each phase's stop and
+    best-scoring labeling ever seen is returned, along with its
+    indicator-form k-means objective, the final relaxed assignment, and the
+    full trace, whose `stop_reasons` hold each phase's stop and
     `outer_stop_reason` the outer loop's.
 
     Only the k x k rotation passes from one phase to the next; the n x k
@@ -226,8 +225,6 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
     if params is None:
         params = KindapParams()
     n, k = basis.matrix.shape
-    if n < k:
-        raise InfeasibleKError(f"{n} objects cannot form {k} clusters")
     trace = SolverTrace()
     rotation = np.eye(k)
     budget = INNER_BUDGET
@@ -236,7 +233,6 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
     u = np.empty((n, k))
     n_mat = np.empty((n, k))
     f_prev = None
-    trace.outer_stop_reason = "cap"
     for outer in range(1, params.max_outer + 1):
         n_mat, _, inner_iters, phase_stop = inner_solve(
             rotation, basis, params, trace=trace,
@@ -254,6 +250,9 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
             best_labels = rounded.labels
         if f <= OBJECTIVE_FLOOR:
             trace.outer_stop_reason = "floor"
+            break
+        if outer == params.max_outer:
+            trace.outer_stop_reason = "cap"
             break
         if f_prev is not None and f_prev - f <= params.tol_outer * max(f_prev, OBJECTIVE_FLOOR):
             if phase_stop != "budget":

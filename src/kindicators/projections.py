@@ -42,9 +42,9 @@ class RotatedBasis:
         n, k = self.matrix.shape
         if self.rotation.shape != (k, k):
             raise ValueError("rotation must be k x k")
-        if np.max(np.abs(self.matrix.T @ self.matrix - np.eye(k))) > 1e-10:
+        if not np.max(np.abs(self.matrix.T @ self.matrix - np.eye(k))) <= 1e-10:
             raise ValueError("rotated basis columns must be orthonormal")
-        if np.max(np.abs(self.rotation.T @ self.rotation - np.eye(k))) > 1e-10:
+        if not np.max(np.abs(self.rotation.T @ self.rotation - np.eye(k))) <= 1e-10:
             raise ValueError("rotation must be orthogonal")
 
 

@@ -34,8 +34,8 @@ class SynthSpec:
             raise ValueError("k must be >= 2")
         if self.per_cluster < 1:
             raise ValueError("per_cluster must be >= 1")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not 0 < self.rho < np.inf:
+            raise ValueError("rho must be positive and finite")
         if self.ambient_dim < self.k:
             raise ValueError("ambient_dim must be >= k")
 

@@ -24,8 +24,8 @@ Prints one row per cell and exits 1 when a gate fails:
   against each reference the summed kind objective and the mean accuracy
   must be no worse, and no cell's objective worse by more than 1e-4
   relative. No cell may reach the outer cap: a solve that runs `max_outer`
-  phases has run out of restarts, whether its last, full phase then ends on
-  `tol_outer` (`outer_stop_reason` "tol") or not ("cap").
+  phases has run out of restarts, and reports `outer_stop_reason` "cap"
+  unless its last phase reached the objective floor.
 
 With `--sweep`, the shipped rule is replaced by every (budget, `max_outer`)
 pair of {3, 5, 10} x {50, 100, 200}, each against the same references, and

@@ -14,7 +14,7 @@ from kindicators.baselines import KmeansParams, SrParams, kmeans_solve, sr_solve
 from kindicators.cli import main, run_bench, run_method, write_matrix_csv
 from kindicators.core import validate_embedding
 from kindicators.evaluation import accuracy, soft_indicator
-from kindicators.kindap import kindap_solve
+from kindicators.kindap import KindapParams, kindap_solve
 from kindicators.projections import procrustes_rotation, subspace_distance
 from kindicators.synthgen import SynthSpec, generate
 
@@ -104,7 +104,9 @@ def test_criterion_2_warm_start_dominates_km100():
     worst_margin = -np.inf
     for seed in SWEEP_SEEDS:
         data = generate(SynthSpec(k=50, rho=0.66, per_cluster=40, seed=seed))
-        warm, _, _ = run_method("kindap+l", data.embedded, seed=seed)
+        warm, _, _ = run_method(
+            "kindap+l", data.embedded, KindapParams(), KmeansParams(replications=1, seed=seed)
+        )
         km100 = kmeans_solve(
             data.embedded.matrix, 50, KmeansParams(replications=100, seed=seed)
         )

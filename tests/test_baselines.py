@@ -124,6 +124,12 @@ def test_lloyd_rejects_fewer_points_than_clusters():
         lloyd_solve(data, 3, np.zeros((3, 2)), KmeansParams(replications=1))
 
 
+def test_kmeans_rejects_fewer_points_than_clusters():
+    data = np.array([[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(InfeasibleKError):
+        kmeans_solve(data, 3, KmeansParams(replications=2, seed=0))
+
+
 def _assert_same_lloyd(new, old):
     assert np.array_equal(new.labels, old.labels)
     assert np.array(new.trace.objective_history).tobytes() == np.array(old.trace.objective_history).tobytes()

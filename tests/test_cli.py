@@ -7,7 +7,6 @@ import pytest
 
 from kindicators import cli
 from kindicators.cli import (
-    BENCH_FIELDS,
     DataFileError,
     _read_matrix_csv_by_rows,
     main,
@@ -173,6 +172,13 @@ def test_synth_rejects_bad_k(tmp_path):
     assert main(["synth", "--k", "0", "--out", str(tmp_path), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("rho", ["nan", "inf"])
+def test_synth_rejects_non_finite_rho(tmp_path, capsys, rho):
+    assert main(["synth", "--k", "3", "--rho", rho, "--out", str(tmp_path), "--quiet"]) == 2
+    assert "rho must be positive and finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_embed_pipeline_recovers_blocks(tmp_path):
     rng = np.random.default_rng(1)
     centers = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0]])
@@ -313,6 +319,31 @@ def test_cluster_deterministic_modulo_timing(tmp_path):
         payload.pop("wall_time_seconds")
         payloads.append(payload)
     assert payloads[0] == payloads[1]
+
+
+def test_cluster_json_writes_every_trace_field_but_replication_histories(tmp_path):
+    from dataclasses import fields
+
+    from kindicators.core import SolverTrace
+    from kindicators.kindap import kindap_solve
+    from kindicators.synthgen import SynthSpec, generate
+
+    data = generate(SynthSpec(k=4, per_cluster=8, rho=0.5, ambient_dim=16, seed=3))
+    emb_path = tmp_path / "emb.csv"
+    write_matrix_csv(emb_path, data.embedded.matrix)
+    expected = {f.name for f in fields(SolverTrace)} - {"replication_histories"}
+    payloads = {}
+    for method in cli.METHODS:
+        out = tmp_path / f"{method}.json"
+        argv = ["cluster", str(emb_path), "--method", method, "--out", str(out), "--quiet"]
+        assert main(argv) == 0
+        payloads[method] = json.loads(out.read_text())
+        assert set(payloads[method]["trace"]) == expected
+        assert ("kindap_trace" in payloads[method]) == (method == "kindap+l")
+    # kindap+l writes its KindAP stage as a plain KindAP solve's trace.
+    stage_one = kindap_solve(cli._read_embedding(emb_path)).trace
+    assert payloads["kindap+l"]["kindap_trace"] == cli._trace_payload(stage_one)
+    assert payloads["kindap+l"]["kindap_trace"] == payloads["kindap"]["trace"]
 
 
 def test_cluster_json_reports_stop_reasons(tmp_path):
@@ -644,7 +675,20 @@ def test_bench_row_count_and_sorting(tmp_path):
     assert [r["method"] for r in rows[:2]] == ["kindap", "kindap"]
     keys = [(int(r["k"]), float(r["rho"]), r["method"], int(r["seed"])) for r in rows]
     assert keys == sorted(keys)
-    assert list(rows[0].keys()) == list(BENCH_FIELDS)
+    assert list(rows[0].keys()) == [
+        "method",
+        "k",
+        "rho",
+        "replications",
+        "seed",
+        "accuracy",
+        "kind_objective",
+        "kmeans_objective",
+        "wall_time_seconds",
+        "outer_iters",
+        "inner_iters_total",
+        "error",
+    ]
     payload = json.loads((out / "bench.json").read_text())
     assert len(payload["rows"]) == len(rows)
 

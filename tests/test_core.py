@@ -179,6 +179,24 @@ def test_relaxed_assignment_bounds():
         RelaxedAssignment(np.array([[0.1, 1.5], [0.5, 0.5]]))
 
 
+def test_embedded_data_rejects_nan():
+    # max(|U'U - I|) is NaN here, and NaN > tol is False as well as NaN <= tol.
+    with pytest.raises(ValueError, match="orthonormal"):
+        EmbeddedData(np.full((4, 2), np.nan))
+    basis = random_orthonormal(6, 3, np.random.default_rng(1))
+    basis[2, 1] = np.nan
+    with pytest.raises(ValueError, match="orthonormal"):
+        EmbeddedData(basis)
+
+
+def test_relaxed_assignment_rejects_nan():
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        RelaxedAssignment(np.full((3, 2), np.nan))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        RelaxedAssignment(np.array([[0.0, 1.0], [np.nan, 0.25]]))
+    assert RelaxedAssignment(np.empty((0, 2))).n == 0
+
+
 def test_binary_indicator_from_labels():
     b = BinaryIndicator.from_labels([1, 0, 1], 2)
     np.testing.assert_array_equal(b.matrix, [[0, 1], [1, 0], [0, 1]])

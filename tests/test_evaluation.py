@@ -13,7 +13,13 @@ from kindicators.core import (
     make_indicator,
     validate_embedding,
 )
-from kindicators.evaluation import accuracy, kind_objective, kmeans_objective, soft_indicator
+from kindicators.evaluation import (
+    SoftIndicator,
+    accuracy,
+    kind_objective,
+    kmeans_objective,
+    soft_indicator,
+)
 from kindicators.projections import subspace_distance
 
 from oracles import random_orthonormal, reference_accuracy
@@ -155,6 +161,14 @@ def test_soft_indicator_range():
         s = soft_indicator(RelaxedAssignment(n_mat)).s
         assert np.all(s >= 0.0)
         assert np.all(s <= 1.0)
+
+
+def test_soft_indicator_type_rejects_nan():
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        SoftIndicator(np.full(3, np.nan))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        SoftIndicator(np.array([0.5, np.nan, 1.0]))
+    assert SoftIndicator(np.array([0.0, 0.5, 1.0])).s.size == 3
 
 
 def test_kind_objective_zero_when_ranges_match():

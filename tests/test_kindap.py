@@ -453,6 +453,8 @@ def _replay_budget_rule(trace, params, budget):
             if stalled:
                 budget, doubled = min(2 * budget, params.max_inner), True
     last_stalled = stalled and trace.stop_reasons[-1] != "budget"
+    # A stall in the phase at max_outer still means the solve ran out of phases.
+    last_stalled = last_stalled and trace.outer_iters < params.max_outer
     expected = "floor" if f[-1] <= OBJECTIVE_FLOOR else "tol" if last_stalled else "cap"
     assert trace.outer_stop_reason == expected
     if expected == "cap":
@@ -501,6 +503,19 @@ def test_cap_ended_solve_closes_with_a_full_phase():
         assert trace.stop_reasons[:-1] == ["budget"] * (max_outer - 1)
         assert trace.stop_reasons[-1] in ("tol", "cap")
         assert trace.inner_iters_per_outer[-1] > kindap.INNER_BUDGET
+
+
+def test_stall_in_the_phase_at_max_outer_is_reported_as_cap():
+    # The default solve takes 4 phases. At max_outer 2 the second phase runs
+    # without the budget and the outer objective stalls after it, but the
+    # solve was cut short by the cap, and the stop reason says so.
+    basis = generate(SynthSpec(k=5, rho=0.33, seed=1)).embedded
+    assert kindap_solve(basis).trace.outer_iters == 4
+    trace = kindap_solve(basis, KindapParams(max_outer=2)).trace
+    f = trace.outer_objective_history
+    assert trace.inner_iters_per_outer == [3, 7]
+    assert f[0] - f[1] <= KindapParams().tol_outer * f[0]
+    assert trace.outer_stop_reason == "cap"
 
 
 def test_kindap_floor_stop_reason():

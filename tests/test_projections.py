@@ -8,6 +8,7 @@ from kindicators.projections import (
     DEGENERATE_SV_TOL,
     GRAM_EIGH_MIN_K,
     GRAM_EIGH_RATIO,
+    RotatedBasis,
     procrustes_rotation,
     projection_distance,
     subspace_distance,
@@ -282,3 +283,12 @@ def test_shape_mismatch_rejected():
         subspace_distance(a, b)
     with pytest.raises(ValueError):
         projection_distance(a, b)
+
+
+def test_rotated_basis_rejects_nan():
+    basis = random_orthonormal(6, 3, np.random.default_rng(4))
+    RotatedBasis(basis, np.eye(3))
+    with pytest.raises(ValueError, match="columns must be orthonormal"):
+        RotatedBasis(np.full((6, 3), np.nan), np.eye(3))
+    with pytest.raises(ValueError, match="rotation must be orthogonal"):
+        RotatedBasis(basis, np.full((3, 3), np.nan))

@@ -23,6 +23,12 @@ def test_spec_validation():
         SynthSpec(k=5, ambient_dim=4)
 
 
+@pytest.mark.parametrize("rho", [float("nan"), float("inf")])
+def test_spec_rejects_non_finite_rho(rho):
+    with pytest.raises(ValueError, match="rho must be positive and finite"):
+        SynthSpec(k=3, rho=rho)
+
+
 def test_center_distances_exactly_two():
     spec = SynthSpec(k=6, per_cluster=3, ambient_dim=20, seed=0)
     data = generate(spec)
