@@ -43,6 +43,8 @@ class KmeansParams:
             raise ValueError("max_iters must be >= 1")
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError("tol must be finite and positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

@@ -414,23 +414,22 @@ def run_bench(
                 for method in methods:
                     cell = BenchCell(method, k, rho, replications, seed, error=error)
                     cells.append(cell)
-                    if data is None:
-                        continue
-                    try:
-                        cell_seed = stable_cell_seed(seed, k, rho, method, seed_index)
-                        params = _method_params(method, replications, cell_seed)
-                        started = time.perf_counter()
-                        result, _, stage_one = run_method(method, data.embedded, *params)
-                        cell.wall_time_seconds = time.perf_counter() - started
-                        cell.accuracy = accuracy(result.labels, data.truth)
-                        cell.kind_objective = result.kind_objective
-                        cell.kmeans_objective = result.kmeans_objective
-                        cell.outer_iters, cell.inner_iters_total = _iteration_counts(
-                            result, stage_one
-                        )
-                        cell.result = result
-                    except Exception as exc:
-                        cell.error = f"{type(exc).__name__}: {exc}"
+                    if data is not None:
+                        try:
+                            cell_seed = stable_cell_seed(seed, k, rho, method, seed_index)
+                            params = _method_params(method, replications, cell_seed)
+                            started = time.perf_counter()
+                            result, _, stage_one = run_method(method, data.embedded, *params)
+                            cell.wall_time_seconds = time.perf_counter() - started
+                            cell.accuracy = accuracy(result.labels, data.truth)
+                            cell.kind_objective = result.kind_objective
+                            cell.kmeans_objective = result.kmeans_objective
+                            cell.outer_iters, cell.inner_iters_total = _iteration_counts(
+                                result, stage_one
+                            )
+                            cell.result = result
+                        except Exception as exc:
+                            cell.error = f"{type(exc).__name__}: {exc}"
                     if not quiet:
                         status = cell.error or f"accuracy={cell.accuracy:.4f}"
                         print(
@@ -484,8 +483,8 @@ def _cmd_synth(args) -> int:
 def _cmd_embed(args) -> int:
     matrix = read_matrix_csv(args.input)
     n = matrix.shape[0]
-    if args.k < 2:
-        raise UsageError("--k must be >= 2")
+    if not 2 <= args.k <= n:
+        raise UsageError(f"--k must satisfy 2 <= k <= n (n={n})")
     if not 1 <= args.knn < n:
         raise UsageError(f"--knn must satisfy 1 <= knn < n (n={n})")
     graph = knn_graph(matrix, args.knn, weight=args.weight)
@@ -567,9 +566,7 @@ def _cmd_eval(args) -> int:
     }
     if args.embedded is not None:
         embedded = _read_embedding(args.embedded, pred)
-        metrics["kind_objective"] = kind_objective(
-            embedded, make_indicator(pred, embedded.k)
-        )
+        metrics["kind_objective"] = kind_objective(embedded, make_indicator(pred, embedded.k))
         metrics["kmeans_objective"] = kmeans_objective(embedded, pred)
     write_json(args.out, metrics)
     return EXIT_OK
@@ -626,7 +623,6 @@ def _cmd_bench(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base random seed")
     common.add_argument("--out", default=None, help="output file or directory")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
 
@@ -641,6 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--rho", type=float, default=0.33, help="cluster sphere radius")
     p_synth.add_argument("--per-cluster", type=int, default=40, help="points per cluster")
     p_synth.add_argument("--ambient-dim", type=int, default=300, help="ambient dimension")
+    p_synth.add_argument("--seed", type=int, default=0, help="random seed")
     p_synth.set_defaults(func=_cmd_synth)
 
     p_embed = sub.add_parser("embed", parents=[common], help="spectral-embed a raw matrix CSV")
@@ -656,6 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--method", choices=METHODS, required=True)
     p_cluster.add_argument("--k", type=int, default=None, help="cluster count (must equal the embedding width)")
     p_cluster.add_argument("--replications", type=int, default=10)
+    p_cluster.add_argument("--seed", type=int, default=0, help="base random seed")
     # Solver flags default to None: the params types hold the defaults.
     p_cluster.add_argument(
         "--max-outer", type=int, help=f"KindAP outer-phase cap (default {KindapParams.max_outer})"
@@ -689,7 +687,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--embedded", default=None, help="embedded CSV for objective recomputation")
     p_eval.set_defaults(func=_cmd_eval)
 
-    p_bench = sub.add_parser("bench", parents=[common], help="full-factorial synthetic benchmark sweep")
+    # No prefix matching, so `--seed` is not read as `--seeds`.
+    p_bench = sub.add_parser(
+        "bench", parents=[common], allow_abbrev=False, help="full-factorial synthetic benchmark sweep"
+    )
     p_bench.add_argument("--k-list", required=True, help="comma-separated cluster counts")
     p_bench.add_argument("--rho-list", required=True, help="comma-separated radii")
     p_bench.add_argument("--methods", required=True, help="comma-separated methods")

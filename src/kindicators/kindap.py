@@ -73,12 +73,12 @@ def inner_solve(
     params: KindapParams,
     trace: SolverTrace | None = None,
     budget: int | None = None,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int, str]:
-    """Alternate box and Procrustes projections from U = B R until the gap stalls.
+    """Alternate box and Procrustes projections from B R until the gap stalls.
 
     B is `basis.matrix` and R starts at `rotation`. Each iteration clamps the
-    current rotated basis U = B R into the box, giving N, then projects N
+    current rotated basis B R into the box, giving N, then projects N
     back onto the rotation set. The squared gap ||B R - N||_F^2 is read off
     the Procrustes singular values sigma of B'N as ||B||_F^2 + ||N||_F^2 -
     2 sum(sigma) (Schoenemann 1966), so it costs one dot product instead of
@@ -90,33 +90,29 @@ def inner_solve(
 
     Per iteration the work is two GEMMs with an n x k operand (B'N and B R),
     one in-place clip and one k x k Procrustes step (see
-    :func:`~kindicators.projections.procrustes_rotation`); the B R of the
-    phase's last iteration is skipped, since the next phase starts from its
-    own rotation, so a phase of t iterations makes t products B R, the first
-    from `rotation`. The only n x k memory is the two buffers for U and N,
-    passed in as the pair `out` or allocated once per call.
+    :func:`~kindicators.projections.procrustes_rotation`). The only n x k
+    memory is one buffer, `out` or else allocated: each B R is written into
+    it and clipped in place, as nothing reads B R once clipped. The B R of
+    the phase's last iteration is skipped, since the next phase starts from
+    its own rotation: a phase of t iterations makes t products B R, the
+    first from `rotation`, and its buffer ends holding the last N.
 
-    Returns the n x k buffer holding the final box projection N (entries in
-    [0, 1]; the second buffer of `out` when given), the k x k rotation of
-    the last projection, the iteration count and the stop reason. When
-    `trace` is given, the gap sequence is appended to its objective_history
-    and near-degenerate projections are noted in its warnings.
+    Returns that buffer holding the final box projection N (entries in
+    [0, 1]), the k x k rotation of the last projection, the iteration count
+    and the stop reason. When `trace` is given, the gap sequence is appended
+    to its objective_history and near-degenerate projections are noted in
+    its warnings.
     """
     limit = params.max_inner if budget is None else min(budget, params.max_inner)
     stop = "cap" if limit == params.max_inner else "budget"
     b = basis.matrix
     b_sq = float(np.vdot(b, b))
-    if out is None:
-        u = b @ rotation
-        n_mat = np.empty_like(u)
-    else:
-        u, n_mat = out
-        np.matmul(b, rotation, out=u)
+    n_mat = np.matmul(b, rotation, out=out)
     prev = None
     history: list[float] = []
     iters = 0
     for t in range(1, limit + 1):
-        np.clip(u, 0.0, 1.0, out=n_mat)
+        np.clip(n_mat, 0.0, 1.0, out=n_mat)
         rotation, sigma = procrustes_rotation(b.T @ n_mat)
         # Exact in real arithmetic; in floating point a zero gap can come out
         # a few ulps below zero.
@@ -130,7 +126,7 @@ def inner_solve(
             break
         prev = gap
         if t < limit:
-            np.matmul(b, rotation, out=u)
+            np.matmul(b, rotation, out=n_mat)
     if trace is not None:
         trace.objective_history.extend(history)
     return n_mat, rotation, iters, stop
@@ -218,9 +214,9 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
     `outer_stop_reason` the outer loop's.
 
     Only the k x k rotation passes from one phase to the next; the n x k
-    working memory is two buffers, allocated once and reused by every
-    :func:`inner_solve` call. The result's `relaxed` keeps the N buffer
-    itself, frozen, so the solve ends holding one n x k array.
+    working memory is one buffer, allocated once and reused by every
+    :func:`inner_solve` call. The result's `relaxed` is that buffer itself,
+    frozen, not a copy.
     """
     if params is None:
         params = KindapParams()
@@ -230,14 +226,13 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
     budget = INNER_BUDGET
     best_f = np.inf
     best_labels: np.ndarray | None = None
-    u = np.empty((n, k))
     n_mat = np.empty((n, k))
     f_prev = None
     for outer in range(1, params.max_outer + 1):
         n_mat, _, inner_iters, phase_stop = inner_solve(
             rotation, basis, params, trace=trace,
             budget=None if outer == params.max_outer else budget,
-            out=(u, n_mat),
+            out=n_mat,
         )
         trace.inner_iters_per_outer.append(inner_iters)
         trace.stop_reasons.append(phase_stop)
@@ -267,7 +262,6 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
         if sigma[-1] < DEGENERATE_SV_TOL:
             trace.warnings.append(f"degenerate restart projection at outer iteration {outer}")
     assert best_labels is not None
-    del u
     n_mat.setflags(write=False)
     return ClusterResult(
         labels=best_labels,

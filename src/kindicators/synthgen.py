@@ -38,6 +38,8 @@ class SynthSpec:
             raise ValueError("rho must be positive and finite")
         if self.ambient_dim < self.k:
             raise ValueError("ambient_dim must be >= k")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(eq=False)

@@ -130,6 +130,12 @@ def test_kmeans_rejects_fewer_points_than_clusters():
         kmeans_solve(data, 3, KmeansParams(replications=2, seed=0))
 
 
+@pytest.mark.parametrize("params_type", [KmeansParams, SrParams])
+def test_params_reject_negative_seed(params_type):
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        params_type(seed=-1)
+
+
 def _assert_same_lloyd(new, old):
     assert np.array_equal(new.labels, old.labels)
     assert np.array(new.trace.objective_history).tobytes() == np.array(old.trace.objective_history).tobytes()

@@ -179,6 +179,39 @@ def test_synth_rejects_non_finite_rho(tmp_path, capsys, rho):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("method", [None, "kmeans", "sr", "kindap"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, method):
+    if method is None:
+        argv = ["synth", "--k", "3", "--out", str(tmp_path / "d")]
+    else:
+        emb_path = tmp_path / "emb.csv"
+        write_matrix_csv(emb_path, make_indicator([0, 0, 1, 1], 2).matrix)
+        argv = ["cluster", str(emb_path), "--method", method, "--out", str(tmp_path / "r.json")]
+    assert main([*argv, "--seed", "-1", "--quiet"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists() and not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", ["bench", "embed", "eval"])
+def test_seed_is_not_an_option_of_commands_that_ignore_it(tmp_path, capsys, command):
+    # Each argv runs as it stands; with --seed added it is a usage error.
+    raw_path, labels_path, out = tmp_path / "raw.csv", tmp_path / "labels.csv", tmp_path / "out"
+    write_matrix_csv(raw_path, np.random.default_rng(2).standard_normal((10, 3)))
+    write_labels_csv(labels_path, np.arange(10) % 2)
+    argv = {
+        "bench": ["bench", "--k-list", "3", "--rho-list", "0.5", "--methods", "kindap",
+                  "--per-cluster", "4", "--ambient-dim", "4", "--out", str(out)],
+        "embed": ["embed", str(raw_path), "--k", "2", "--knn", "3", "--out", str(out)],
+        "eval": ["eval", "--pred", str(labels_path), "--truth", str(labels_path)],
+    }[command]
+    assert main([*argv, "--quiet"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "7", "--quiet"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+
 def test_embed_pipeline_recovers_blocks(tmp_path):
     rng = np.random.default_rng(1)
     centers = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0]])
@@ -205,6 +238,15 @@ def test_embed_rejects_large_knn(tmp_path):
         ["embed", str(raw_path), "--k", "2", "--knn", "5", "--out", str(tmp_path / "e.csv")]
     )
     assert code == 2
+
+
+def test_embed_rejects_k_above_row_count(tmp_path, capsys):
+    raw_path = tmp_path / "raw.csv"
+    write_matrix_csv(raw_path, np.random.default_rng(2).standard_normal((10, 3)))
+    argv = ["embed", str(raw_path), "--k", "20", "--knn", "3", "--out", str(tmp_path / "e.csv")]
+    assert main(argv) == 2
+    assert "--k must satisfy 2 <= k <= n (n=10)" in capsys.readouterr().err
+    assert not (tmp_path / "e.csv").exists()
 
 
 # Bad cells and the error each gets; "\udcff" is written as the byte 0xff,
@@ -711,6 +753,23 @@ def test_bench_records_cell_failures_and_continues(tmp_path):
     assert by_k[3]["accuracy"] == "1.0"
     assert by_k[8]["error"] != ""
     assert by_k[8]["accuracy"] == ""
+
+
+def test_bench_prints_one_progress_line_per_row(tmp_path, capsys):
+    # k=8 exceeds ambient_dim=4, so generate fails for that group's cells.
+    out = tmp_path / "bench"
+    code = main(
+        [
+            "bench", "--k-list", "3,8", "--rho-list", "0.5", "--methods", "kindap,sr",
+            "--replications", "1", "--seeds", "1", "--per-cluster", "4",
+            "--ambient-dim", "4", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    rows = _read_rows(out / "bench.csv")
+    progress = [line for line in capsys.readouterr().err.splitlines() if line.startswith("bench ")]
+    assert len(progress) == len(rows) == 4
+    assert sum("ValueError: ambient_dim must be >= k" in line for line in progress) == 2
 
 
 def test_bench_method_accuracy_on_separable_data():

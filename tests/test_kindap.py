@@ -324,18 +324,18 @@ def test_kindap_matches_svd_procrustes(k, rho, seed):
     assert kindap_failures(f"k{k}_rho{rho}_s{seed}", basis) == []
 
 
-def test_inner_solve_out_pair_matches_its_own_buffers():
+def test_inner_solve_out_matches_its_own_buffer():
     basis = generate(SynthSpec(k=10, rho=0.33, per_cluster=40, ambient_dim=300, seed=1)).embedded
     alone = inner_solve(np.eye(10), basis, KindapParams(), budget=7)
-    u, n_mat = np.full((2, 400, 10), np.nan)
-    shared = inner_solve(np.eye(10), basis, KindapParams(), budget=7, out=(u, n_mat))
+    n_mat = np.full((400, 10), np.nan)
+    shared = inner_solve(np.eye(10), basis, KindapParams(), budget=7, out=n_mat)
     assert shared[0] is n_mat
     assert np.array_equal(shared[0], alone[0]) and np.array_equal(shared[1], alone[1])
     assert shared[2:] == alone[2:]
 
 
 class _CountingNumpy:
-    """numpy for `kindap`, counting np.matmul calls: the B R products, each into the U buffer."""
+    """numpy for `kindap`, counting np.matmul calls: the B R products, each into the N buffer."""
 
     def __init__(self):
         self.matmuls = 0
@@ -348,14 +348,10 @@ class _CountingNumpy:
         return np.matmul(*args, **kwargs)
 
 
-def _with_trailing_product(inner):
-    """`inner` followed by the B R that the loop once made after a phase's last
-    iteration whenever the phase did not stop on tol_inner."""
+def _without_buffer(inner):
+    """`inner` allocating its own N in every phase, so no phase sees another's buffer."""
     def solve(rotation, basis, params, trace=None, budget=None, out=None):
-        n_mat, rotation, iters, stop = inner(rotation, basis, params, trace, budget, out)
-        if stop != "tol":
-            np.matmul(basis.matrix, rotation, out=out[0])
-        return n_mat, rotation, iters, stop
+        return inner(rotation, basis, params, trace, budget)
 
     return solve
 
@@ -371,7 +367,7 @@ def _with_trailing_product(inner):
 )
 def test_inner_phase_makes_one_product_per_iteration(monkeypatch, data, params):
     # A phase of t iterations makes t products B R: the first from the start
-    # rotation, none after the last iteration, whose U nothing reads.
+    # rotation, none after the last iteration, which would overwrite N.
     numpy = _CountingNumpy()
     per_phase = []
     inner = kindap.inner_solve
@@ -385,17 +381,18 @@ def test_inner_phase_makes_one_product_per_iteration(monkeypatch, data, params):
     with monkeypatch.context() as patch:
         patch.setattr(kindap, "np", numpy)
         patch.setattr(kindap, "inner_solve", counted)
-        new = kindap_solve(data.embedded, params)
-    assert per_phase == new.trace.inner_iters_per_outer
-    assert set(new.trace.stop_reasons) - {"tol"}
-    monkeypatch.setattr(kindap, "inner_solve", _with_trailing_product(inner))
-    old = kindap_solve(data.embedded, params)
-    assert np.array_equal(new.labels, old.labels)
-    assert new.trace.objective_history == old.trace.objective_history
-    assert new.trace.outer_objective_history == old.trace.outer_objective_history
-    assert new.trace.stop_reasons == old.trace.stop_reasons
-    assert new.trace.outer_stop_reason == old.trace.outer_stop_reason
-    assert np.array_equal(new.relaxed.matrix, old.relaxed.matrix)
+        shared = kindap_solve(data.embedded, params)
+    assert per_phase == shared.trace.inner_iters_per_outer
+    assert set(shared.trace.stop_reasons) - {"tol"}
+    # Nothing a phase leaves in the reused buffer reaches the next phase.
+    monkeypatch.setattr(kindap, "inner_solve", _without_buffer(inner))
+    fresh = kindap_solve(data.embedded, params)
+    assert np.array_equal(shared.labels, fresh.labels)
+    assert shared.trace.objective_history == fresh.trace.objective_history
+    assert shared.trace.outer_objective_history == fresh.trace.outer_objective_history
+    assert shared.trace.stop_reasons == fresh.trace.stop_reasons
+    assert shared.trace.outer_stop_reason == fresh.trace.outer_stop_reason
+    assert shared.relaxed.matrix.tobytes() == fresh.relaxed.matrix.tobytes()
 
 
 def test_kindap_relaxed_is_the_frozen_n_buffer(monkeypatch):
@@ -418,9 +415,10 @@ def test_kindap_relaxed_is_the_frozen_n_buffer(monkeypatch):
         matrix[0, 0] = 0.5
 
 
-def test_kindap_solve_peak_memory_is_two_n_by_k_buffers():
-    # U and N are allocated once for all phases, and `relaxed` keeps N
-    # itself; per-phase buffers peaked at three n x k arrays.
+def test_kindap_solve_peak_memory_is_one_n_by_k_buffer():
+    # B R is clipped in place in one buffer, allocated once for all phases,
+    # and `relaxed` keeps that buffer itself: the solve peaks at about 1.2
+    # n x k arrays, so a second n x k buffer breaks the bound.
     basis = generate(SynthSpec(k=50, per_cluster=200, rho=0.66, ambient_dim=100)).embedded
     n, k = basis.matrix.shape
     tracemalloc.start()
@@ -430,7 +428,7 @@ def test_kindap_solve_peak_memory_is_two_n_by_k_buffers():
     finally:
         tracemalloc.stop()
     assert result.trace.outer_iters >= 2
-    assert peak <= 2.5 * n * k * 8
+    assert peak <= 1.5 * n * k * 8
 
 
 def _replay_budget_rule(trace, params, budget):

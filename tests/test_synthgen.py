@@ -21,6 +21,8 @@ def test_spec_validation():
         SynthSpec(k=3, per_cluster=0)
     with pytest.raises(ValueError):
         SynthSpec(k=5, ambient_dim=4)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SynthSpec(k=3, seed=-1)
 
 
 @pytest.mark.parametrize("rho", [float("nan"), float("inf")])
