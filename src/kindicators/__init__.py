@@ -8,7 +8,6 @@ deterministic synthetic benchmark generator, and evaluation utilities.
 
 from .baselines import KmeansParams, SrParams, kmeans_solve, lloyd_solve, sr_solve
 from .core import (
-    BinaryIndicator,
     ClusteringError,
     ClusterResult,
     EmbeddedData,
@@ -21,13 +20,12 @@ from .core import (
 from .embedding import SimilarityGraph, knn_graph, spectral_embed
 from .evaluation import SoftIndicator, accuracy, kind_objective, kmeans_objective, soft_indicator
 from .kindap import KindapParams, kindap_solve, warm_start_centers
-from .projections import RotatedBasis, projection_distance, subspace_distance
+from .projections import projection_distance, subspace_distance
 from .synthgen import SynthDataset, SynthSpec, generate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinaryIndicator",
     "ClusteringError",
     "ClusterResult",
     "EmbeddedData",
@@ -35,7 +33,6 @@ __all__ = [
     "KindapParams",
     "KmeansParams",
     "RelaxedAssignment",
-    "RotatedBasis",
     "SimilarityGraph",
     "SoftIndicator",
     "SolverTrace",

@@ -190,34 +190,51 @@ def lloyd_solve(
     )
 
 
-def kmeans_solve(data, k: int, params: KmeansParams | None = None) -> ClusterResult:
-    """Best of `params.replications` k-means++ starts of :func:`lloyd_solve`.
+def _best_of(params: KmeansParams, run) -> tuple[np.ndarray, SolverTrace]:
+    """Best of `params.replications` calls of `run(rng)`, and its trace.
 
-    Each replication draws from its own seed-derived stream (indexed spawning
-    of the base seed), so results do not depend on execution order. The
-    replication with the lowest objective wins; objectives within
-    REPLICATION_TIE_RTOL of the best tie, and ties go to the lowest index.
-    The winner's trace carries every replication's objective, history and
-    stop reason.
+    Each call draws from its own seed-derived stream (indexed spawning of the
+    base seed), so results do not depend on execution order, and returns
+    (labels, objective, history, stop reason). The lowest objective wins;
+    objectives within REPLICATION_TIE_RTOL of the best tie, and ties go to
+    the lowest index. The trace holds the winner's history and every run's
+    objective, history and stop reason.
+    """
+    streams = np.random.SeedSequence(params.seed).spawn(params.replications)
+    runs = [run(np.random.default_rng(stream)) for stream in streams]
+    labels, objectives, histories, stops = (list(column) for column in zip(*runs))
+    best = _best_replication(objectives)
+    return labels[best], SolverTrace(
+        outer_iters=len(histories[best]),
+        objective_history=histories[best],
+        replication_index=best,
+        replication_objectives=objectives,
+        replication_histories=histories,
+        stop_reasons=stops,
+    )
+
+
+def kmeans_solve(data, k: int, params: KmeansParams | None = None) -> ClusterResult:
+    """Best of `params.replications` k-means++ starts of :func:`lloyd_solve` (:func:`_best_of`).
+
+    The kind objective is scored for the winner alone.
     """
     if params is None:
         params = KmeansParams()
     x = np.asarray(data, dtype=float)
-    streams = np.random.SeedSequence(params.seed).spawn(params.replications)
-    results = []
-    for stream in streams:
-        rng = np.random.default_rng(stream)
-        centers = kmeans_pp_init(x, k, rng)
-        results.append(lloyd_solve(x, k, centers, params, score_kind=False))
-    objectives = [r.kmeans_objective for r in results]
-    best = _best_replication(objectives)
-    winner = results[best]
-    winner.kind_objective = _kind_objective_if_embedded(x, winner.labels)
-    winner.trace.replication_index = best
-    winner.trace.replication_objectives = objectives
-    winner.trace.replication_histories = [r.trace.objective_history for r in results]
-    winner.trace.stop_reasons = [r.trace.stop_reasons[0] for r in results]
-    return winner
+
+    def run(rng):
+        lloyd = lloyd_solve(x, k, kmeans_pp_init(x, k, rng), params, score_kind=False)
+        (stop,) = lloyd.trace.stop_reasons
+        return lloyd.labels, lloyd.kmeans_objective, lloyd.trace.objective_history, stop
+
+    labels, trace = _best_of(params, run)
+    return ClusterResult(
+        labels=labels,
+        kind_objective=_kind_objective_if_embedded(x, labels),
+        kmeans_objective=trace.replication_objectives[trace.replication_index],
+        trace=trace,
+    )
 
 
 def _random_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
@@ -280,36 +297,20 @@ def _sr_once(basis: EmbeddedData, rotation: np.ndarray, params: SrParams):
 def sr_solve(basis: EmbeddedData, params: SrParams | None = None) -> ClusterResult:
     """Spectral rotation: fit a binary indicator to a rotation of the basis.
 
-    Runs `params.replications` restarts from random orthogonal rotations
-    (seed-derived independent streams) and keeps the one with the lowest
-    rotation-fit objective; objectives within REPLICATION_TIE_RTOL of the
-    best tie (equal partitions under different cluster numberings differ in
-    the last bits), and ties go to the lowest index. The returned result
-    reports the winning labels' kind and k-means objectives for cross-model
-    comparison; the rotation-fit objective itself lives in the trace.
+    Best of `params.replications` runs of :func:`_sr_once` from random
+    orthogonal rotations (:func:`_best_of`), by the rotation-fit objective,
+    which lives in the trace (equal partitions under different cluster
+    numberings tie within its last bits). The result reports the winner's
+    kind and k-means objectives for cross-model comparison.
     """
     if params is None:
         params = SrParams()
-    k = basis.k
-    streams = np.random.SeedSequence(params.seed).spawn(params.replications)
-    runs = []
-    for stream in streams:
-        rng = np.random.default_rng(stream)
-        runs.append(_sr_once(basis, _random_orthogonal(k, rng), params))
-    objectives = [obj for _, obj, _, _ in runs]
-    best = _best_replication(objectives)
-    labels, _, history, _ = runs[best]
-    trace = SolverTrace(
-        outer_iters=len(history),
-        objective_history=history,
-        replication_index=best,
-        replication_objectives=objectives,
-        replication_histories=[h for _, _, h, _ in runs],
-        stop_reasons=[stop for _, _, _, stop in runs],
+    labels, trace = _best_of(
+        params, lambda rng: _sr_once(basis, _random_orthogonal(basis.k, rng), params)
     )
     return ClusterResult(
         labels=labels,
-        kind_objective=kind_objective(basis, make_indicator(labels, k)),
+        kind_objective=kind_objective(basis, make_indicator(labels, basis.k)),
         kmeans_objective=kmeans_objective(basis, labels),
         trace=trace,
     )

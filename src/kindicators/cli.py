@@ -1,9 +1,10 @@
 """Command-line surface: synthetic data, spectral embedding, clustering, evaluation, benchmarks.
 
 Matrix CSVs are comma-separated with no header (values written with 17
-significant digits, so write-then-read round-trips exactly); label CSVs hold
-one 0-based id per line; results are versioned JSON documents. Exit codes:
-0 success, 2 usage error, 3 data error, 4 numerical failure.
+significant digits, so write-then-read round-trips exactly); label CSVs are
+one-column matrix CSVs of 0-based ids; results are versioned JSON
+documents. Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -124,7 +125,8 @@ def _read_matrix_csv_by_rows(path) -> np.ndarray:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             for line_no, record in enumerate(reader, start=1):
-                if not record:
+                # Empty and whitespace-only lines hold no row.
+                if len(record) <= 1 and not "".join(record).strip():
                     continue
                 try:
                     row = [float(cell) for cell in record]
@@ -162,33 +164,21 @@ def write_matrix_csv(path, matrix) -> None:
 
 
 def read_labels_csv(path) -> np.ndarray:
-    """Read one 0-based integer label per line.
+    """Read one 0-based integer label per line, as a one-column :func:`read_matrix_csv`.
 
-    A line may spell its integer as a float ("3.0"); non-finite, fractional
-    or out-of-int64-range values are rejected with DataFileError.
+    A label may be spelled as a float ("3.0"); fractional or
+    out-of-int64-range values are rejected with DataFileError, naming their
+    1-based row.
     """
-    labels: list[int] = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                text = line.strip()
-                if not text:
-                    continue
-                try:
-                    value = float(text)
-                except ValueError as exc:
-                    raise DataFileError(f"{path}:{line_no}: {exc}") from exc
-                # is_integer() is False for inf and nan as well.
-                if not value.is_integer() or abs(value) >= 2.0**63:
-                    raise DataFileError(f"{path}:{line_no}: label {text!r} is not an integer id")
-                labels.append(int(value))
-    except OSError as exc:
-        raise DataFileError(f"{path}: {exc}") from exc
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-    if not labels:
-        raise DataFileError(f"{path}: empty label file")
-    return np.asarray(labels, dtype=int)
+    values = read_matrix_csv(path)
+    if values.shape[1] != 1:
+        raise DataFileError(f"{path}: expected one label per line, got {values.shape[1]} columns")
+    bad = np.flatnonzero((values != np.trunc(values)) | (np.abs(values) >= 2.0**63))
+    if bad.size:
+        raise DataFileError(
+            f"{path}: label {float(values[bad[0], 0])} in row {bad[0] + 1} is not an integer id"
+        )
+    return values[:, 0].astype(int)
 
 
 def write_labels_csv(path, labels) -> None:
@@ -280,6 +270,8 @@ def read_json(path) -> dict:
         raise _not_utf8(path) from None
     except json.JSONDecodeError as exc:
         raise DataFileError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # deep nesting; an over-long integer
+        raise DataFileError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -722,6 +714,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except OSError as exc:
         print(f"data error: {exc.filename or ''}: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError:
+        print("data error: not enough memory", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -59,14 +59,6 @@ class LengthMismatchError(ClusteringError):
     """Two label sequences have different lengths."""
 
 
-class ZeroRowError(ClusteringError):
-    """A relaxed-assignment row has no positive entry."""
-
-    def __init__(self, row: int):
-        self.row = int(row)
-        super().__init__(f"row {self.row} of the relaxed assignment is all zero")
-
-
 def _readonly(values, dtype=float) -> np.ndarray:
     """`values` as a read-only array of `dtype` that shares no writable memory.
 

@@ -14,7 +14,6 @@ from .core import (
     IndicatorMatrix,
     LengthMismatchError,
     RelaxedAssignment,
-    ZeroRowError,
     _readonly,
     cluster_sums,
     make_indicator,
@@ -94,16 +93,18 @@ def _max_matching_weight(rows: np.ndarray, cols: np.ndarray, counts: np.ndarray)
 
 
 def soft_indicator(relaxed: RelaxedAssignment) -> SoftIndicator:
-    """Confidence per object: 1 minus the ratio of its second-largest to largest entry."""
+    """Confidence per object: 1 minus the ratio of its second-largest to largest entry.
+
+    A row with no positive entry prefers no cluster, so its confidence is 0.
+    """
     n_mat = relaxed.matrix
-    if n_mat.shape[1] < 2:
+    k = n_mat.shape[1]
+    if k < 2:
         raise ValueError("soft indicator needs at least two columns")
-    ordered = -np.sort(-n_mat, axis=1)
-    largest = ordered[:, 0]
-    zero = np.flatnonzero(largest <= 0)
-    if zero.size:
-        raise ZeroRowError(zero[0])
-    return SoftIndicator(1.0 - ordered[:, 1] / largest)
+    top_two = np.partition(n_mat, k - 2, axis=1)[:, k - 2 :]
+    largest = top_two[:, 1]
+    ratio = np.divide(top_two[:, 0], largest, out=np.ones_like(largest), where=largest > 0)
+    return SoftIndicator(1.0 - ratio)
 
 
 def kind_objective(basis: EmbeddedData, indicator: IndicatorMatrix) -> float:

@@ -40,6 +40,8 @@ class SynthSpec:
             raise ValueError("ambient_dim must be >= k")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.k * self.per_cluster * self.ambient_dim * 8 > np.iinfo(np.intp).max:
+            raise ValueError("k * per_cluster * ambient_dim is too large for one array")
 
 
 @dataclass(eq=False)

@@ -484,3 +484,46 @@ def test_lloyd_stop_reasons_one_per_replication():
         assert rerun == len(history) if stop == "tol" else rerun > len(history) == params.max_iters
     assert set(trace.stop_reasons) == {"tol", "cap"}
     assert "tol" in [s for s, h in zip(trace.stop_reasons, trace.replication_histories) if len(h) == 3]
+
+
+def test_best_of_takes_the_first_tied_best_and_traces_every_run():
+    # Run i draws from the i-th spawned stream. Runs 1 and 2 tie within
+    # REPLICATION_TIE_RTOL, so run 1 wins over the exact minimum of run 2.
+    params = KmeansParams(replications=3, seed=9)
+    objectives = [2.0, 1.0 + 1e-13, 1.0]
+    draws = []
+
+    def run(rng):
+        i = len(draws)
+        draws.append(rng.random())
+        return np.full(4, i), objectives[i], [5.0] * (i + 1), f"stop{i}"
+
+    labels, trace = baselines._best_of(params, run)
+    streams = np.random.SeedSequence(params.seed).spawn(params.replications)
+    assert draws == [np.random.default_rng(stream).random() for stream in streams]
+    assert labels.tolist() == [1] * 4
+    assert trace.replication_index == 1
+    assert trace.replication_objectives == objectives
+    assert trace.objective_history == [5.0, 5.0] and trace.outer_iters == 2
+    assert trace.replication_histories == [[5.0], [5.0, 5.0], [5.0, 5.0, 5.0]]
+    assert trace.stop_reasons == ["stop0", "stop1", "stop2"]
+
+
+@pytest.mark.parametrize("method", ["kmeans", "sr"])
+def test_replicated_trace_is_the_winners(method):
+    # outer_iters counts the winner's history, which is also its entry in
+    # replication_histories; each replication leaves one stop reason.
+    data = _cell_data(10, 0.66, 1)
+    if method == "kmeans":
+        params = KmeansParams(replications=5, seed=3)
+        result = kmeans_solve(data.embedded.matrix, 10, params)
+    else:
+        params = SrParams(replications=5, seed=3)
+        result = sr_solve(data.embedded, params)
+    trace = result.trace
+    assert trace.outer_iters == len(trace.objective_history) > 0
+    assert trace.objective_history == trace.replication_histories[trace.replication_index]
+    assert len(trace.stop_reasons) == len(trace.replication_histories) == params.replications
+    assert len(trace.replication_objectives) == params.replications
+    if method == "kmeans":
+        assert result.kmeans_objective == trace.replication_objectives[trace.replication_index]

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -143,6 +144,16 @@ def test_matrix_csv_other_bytes_use_row_reader(tmp_path, text, expected):
     np.testing.assert_array_equal(read_matrix_csv(path), expected)
 
 
+@pytest.mark.parametrize("line", [" ", "\t", " \r"], ids=["space", "tab", "space_cr"])
+def test_matrix_csv_skips_whitespace_only_lines(tmp_path, line):
+    # Plain numeric bytes ("1,2\n \n") reach np.loadtxt first; a tab sends
+    # the file straight to the row reader. Both skip the line.
+    path = tmp_path / "m.csv"
+    path.write_text(f"1,2\n{line}\n3,4\n", newline="")
+    for read in (read_matrix_csv, _read_matrix_csv_by_rows):
+        np.testing.assert_array_equal(read(path), [[1.0, 2.0], [3.0, 4.0]])
+
+
 def test_synth_writes_expected_shapes(tmp_path):
     out = tmp_path / "d"
     code = main(
@@ -170,6 +181,26 @@ def test_synth_reruns_byte_identical(tmp_path):
 
 def test_synth_rejects_bad_k(tmp_path):
     assert main(["synth", "--k", "0", "--out", str(tmp_path), "--quiet"]) == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--per-cluster", "99999999999999999999"], ["--ambient-dim", "99999999999999999999"]],
+    ids=["per_cluster", "ambient_dim"],
+)
+def test_synth_rejects_specs_too_large_for_one_array(tmp_path, capsys, flags):
+    assert main(["synth", "--k", "2", *flags, "--out", str(tmp_path), "--quiet"]) == 2
+    assert "too large for one array" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_synth_out_of_memory_is_a_data_error(tmp_path, capsys, monkeypatch):
+    def no_memory(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "generate", no_memory)
+    assert main(["synth", "--k", "3", "--out", str(tmp_path), "--quiet"]) == 3
+    assert capsys.readouterr().err == "data error: not enough memory\n"
 
 
 @pytest.mark.parametrize("rho", ["nan", "inf"])
@@ -361,6 +392,17 @@ def test_cluster_deterministic_modulo_timing(tmp_path):
         payload.pop("wall_time_seconds")
         payloads.append(payload)
     assert payloads[0] == payloads[1]
+
+
+@pytest.mark.parametrize("method", ["kindap", "kindap+l"])
+def test_cluster_scores_relaxed_rows_with_no_positive_entry(tmp_path, method):
+    # Row 19 of this embedding's relaxed assignment is all zero: it prefers
+    # no cluster, so its confidence is 0.
+    emb_path, out = tmp_path / "emb.csv", tmp_path / "r.json"
+    write_matrix_csv(emb_path, np.random.default_rng(0).standard_normal((100, 3)))
+    assert main(["cluster", str(emb_path), "--method", method, "--out", str(out)]) == 0
+    soft = json.loads(out.read_text())["soft_indicator"]
+    assert len(soft) == 100 and soft[19] == 0.0
 
 
 def test_cluster_json_writes_every_trace_field_but_replication_histories(tmp_path):
@@ -558,6 +600,14 @@ SHAPE_CASES = {
     "label_count": "emb.csv: 4 rows but 5 labels",
     "huge_label": "labels must be integers in 0..2**63 - 1",
     "json_not_utf8": "pred.json:2: not UTF-8 text",
+    "json_deep_nesting": "pred.json: maximum recursion depth exceeded",
+    "json_long_integer": "pred.json: Exceeds the limit",
+}
+# Result documents that json.load rejects, written in place of a valid one.
+BAD_JSON = {
+    "json_not_utf8": b'{"schema": 1,\n\xff}',
+    "json_deep_nesting": b"[" * 100_000 + b"]" * 100_000,
+    "json_long_integer": b'{"schema": 1, "labels": [' + b"9" * 5000 + b"]}",
 }
 
 
@@ -583,8 +633,8 @@ def test_bad_shapes_and_documents_are_data_errors(tmp_path, capsys, case, messag
     if case == "huge_label":
         payload["labels"] = [0, 0, 1, 2**63]
     pred_path.write_text(json.dumps(payload))
-    if case == "json_not_utf8":
-        pred_path.write_bytes(b'{"schema": 1,\n\xff}')
+    if case in BAD_JSON:
+        pred_path.write_bytes(BAD_JSON[case])
     commands = [
         ["eval", "--pred", str(pred_path), "--truth", str(truth_path), "--embedded", str(emb_path)]
     ]
@@ -692,6 +742,40 @@ def test_labels_csv_accepts_integral_floats(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text("3\n3.0\n0\n")
     assert read_labels_csv(path).tolist() == [3, 3, 0]
+
+
+# Label files as one-column matrix CSVs: the values read, or the error's text.
+LABEL_CASES = {
+    "ints": ("3\n0\n", [3, 0]),
+    "integral_floats": ("3.0\n0\n", [3, 0]),
+    "blank_lines": ("1\n\n2\n\n", [1, 2]),
+    "crlf": ("1\r\n2\r\n", [1, 2]),
+    "padded": (" 1 \n2\n", [1, 2]),
+    "negative": ("-1\n2\n", [-1, 2]),
+    "underscore": ("1_0\n2\n", [10, 2]),
+    "two_to_62": (f"{2**62}\n1\n", [2**62, 1]),
+    "whitespace_line": ("1\n \t \n2\n", [1, 2]),
+    "quoted": ('0\n"1"\n', [0, 1]),
+    "fractional": ("0\n1.7\n", "labels.csv: label 1.7 in row 2 is not an integer id"),
+    "huge": ("0\n1e30\n", "labels.csv: label 1e+30 in row 2 is not an integer id"),
+    "two_to_63": (f"{2**63}\n", "in row 1 is not an integer id"),
+    "inf": ("0\ninf\n", "labels.csv:2: non-finite value"),
+    "two_columns": ("1,2\n", "labels.csv: expected one label per line, got 2 columns"),
+    "empty": ("", "labels.csv: empty matrix"),
+    "bare_commas": ("1\n,\n2\n", "labels.csv:2: could not convert"),
+}
+
+
+@pytest.mark.parametrize("text, expected", LABEL_CASES.values(), ids=LABEL_CASES.keys())
+def test_labels_csv_reads_a_one_column_matrix(tmp_path, text, expected):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(text.encode())
+    if isinstance(expected, str):
+        with pytest.raises(DataFileError, match=re.escape(expected)):
+            read_labels_csv(path)
+    else:
+        labels = read_labels_csv(path)
+        assert labels.dtype == int and labels.tolist() == expected
 
 
 def test_eval_length_mismatch(tmp_path):

@@ -9,7 +9,6 @@ from kindicators.core import (
     EmptyClusterError,
     LengthMismatchError,
     RelaxedAssignment,
-    ZeroRowError,
     make_indicator,
     validate_embedding,
 )
@@ -149,9 +148,22 @@ def test_soft_indicator_examples():
 
 
 def test_soft_indicator_zero_row():
-    with pytest.raises(ZeroRowError) as err:
-        soft_indicator(RelaxedAssignment(np.array([[0.5, 0.2], [0.0, 0.0]])))
-    assert err.value.row == 1
+    # A row with no positive entry prefers no cluster: confidence 0.
+    s = soft_indicator(RelaxedAssignment(np.array([[0.5, 0.2], [0.0, 0.0]]))).s
+    assert s.tolist() == [1.0 - 0.2 / 0.5, 0.0]
+
+
+def test_soft_indicator_matches_full_sort():
+    # The two largest entries per row, taken by partition, give the same
+    # bits as a full row sort; repeated values make ties.
+    rng = np.random.default_rng(3)
+    n_mat = rng.integers(0, 4, size=(200, 6)) / 3.0
+    n_mat[0] = 0.0
+    ordered = np.sort(n_mat, axis=1)
+    positive = ordered[:, -1] > 0
+    expected = np.zeros(200)
+    expected[positive] = 1.0 - ordered[positive, -2] / ordered[positive, -1]
+    assert soft_indicator(RelaxedAssignment(n_mat)).s.tobytes() == expected.tobytes()
 
 
 def test_soft_indicator_range():

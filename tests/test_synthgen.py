@@ -23,6 +23,8 @@ def test_spec_validation():
         SynthSpec(k=5, ambient_dim=4)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         SynthSpec(k=3, seed=-1)
+    with pytest.raises(ValueError, match="too large for one array"):
+        SynthSpec(k=2, per_cluster=2**62)
 
 
 @pytest.mark.parametrize("rho", [float("nan"), float("inf")])
