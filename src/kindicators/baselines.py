@@ -14,6 +14,7 @@ from .core import (
     SolverTrace,
     cluster_sums,
     make_indicator,
+    require_integers,
 )
 from .evaluation import kind_objective, kmeans_objective
 from .kindap import OBJECTIVE_FLOOR, repair_empty_columns
@@ -37,6 +38,7 @@ class KmeansParams:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(replications=self.replications, max_iters=self.max_iters, seed=self.seed)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.max_iters < 1:
@@ -64,56 +66,82 @@ def _squared_distances(x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray) -> 
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _distances_to_row(x: np.ndarray, x_sq: np.ndarray, idx: int) -> np.ndarray:
-    """Squared distances from each row of x to row `idx`: one GEMV.
+def _distances_to_rows(x: np.ndarray, x_sq: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Squared distances from each row of x to each of the rows `idx`: R x n.
 
-    Rows inside the cancellation band are recomputed by direct difference.
+    One (R x d)(d x n) product. Entries inside the cancellation band are
+    recomputed by direct difference.
     """
-    center = x[idx]
-    d2 = x @ center
+    d2 = x[idx] @ x.T
     d2 *= -2.0
     d2 += x_sq
-    d2 += x_sq[idx]
-    near = np.flatnonzero(d2 <= CANCELLATION_BAND * (x_sq + x_sq[idx]))
-    d2[near] = ((x[near] - center) ** 2).sum(axis=1)
+    c_sq = x_sq[idx, None]
+    d2 += c_sq
+    rows, cols = np.nonzero(d2 <= CANCELLATION_BAND * (x_sq + c_sq))
+    d2[rows, cols] = ((x[cols] - x[idx[rows]]) ** 2).sum(axis=1)
     return np.maximum(d2, 0.0, out=d2)
 
 
-def kmeans_pp_init(data, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: first center uniform, the rest squared-distance weighted.
+def _check_k_and_data(data, k) -> np.ndarray:
+    """`data` as a float n x d array, once the k-means entry checks pass.
 
-    When all remaining squared distances are zero (duplicate points), the next
-    center falls back to a uniform choice among unchosen indices, so the k
-    chosen indices are always distinct.
+    k must be an integer >= 1, the data 2-D with n >= k rows and at least
+    one column, and finite with max |x_ij| = m small enough that n d (2m)^2,
+    a bound on any sum of n squared distances between points and means of
+    points, is finite: one pass each for the data's min and max.
+    """
+    require_integers(k=k)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    x = np.asarray(data, dtype=float)
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ValueError(f"data must be a 2-D array with at least one column, got shape {x.shape}")
+    n, d = x.shape
+    if n < k:
+        raise InfeasibleKError(f"{n} points cannot form {k} clusters")
+    m = max(float(x.max()), -float(x.min()))
+    if not np.isfinite(4.0 * n * d * m * m):
+        raise ValueError("data must be finite, and small enough that squared distances do not overflow")
+    return x
 
-    Cost: one GEMV with the n x d data per center, from the norm expansion
+
+def kmeans_pp_init(data, k: int, rngs) -> np.ndarray:
+    """k-means++ seeding, one run per generator in `rngs`: an R x k x d array.
+
+    The first center is uniform, the rest squared-distance weighted. When all
+    remaining squared distances are zero (duplicate points), the next center
+    falls back to a uniform choice among unchosen indices, so the k chosen
+    indices are always distinct.
+
+    The R runs go in lockstep, and each draws from its own generator the
+    same numbers in the same order as a run on its own, so run r equals
+    ``kmeans_pp_init(data, k, [rngs[r]])[0]``. Cost per center: one
+    (R x d)(d x n) product, from the norm expansion
     ||x_i||^2 + ||c||^2 - 2 x_i'c with the row norms computed once. Each
     weighted draw inverts the cumulative distribution at one uniform draw,
     the same arithmetic and the same stream as ``rng.choice(n, p=d2 / total)``
     without its per-call validation and copies.
     """
-    x = np.asarray(data, dtype=float)
-    n = x.shape[0]
-    if n < k:
-        raise InfeasibleKError(f"{n} points cannot seed {k} centers")
+    x = _check_k_and_data(data, k)
     x_sq = np.einsum("ij,ij->i", x, x)
-    chosen = np.empty(k, dtype=int)
-    chosen[0] = int(rng.integers(n))
-    d2 = _distances_to_row(x, x_sq, chosen[0])
-    cdf = np.empty(n)
+    n = x.shape[0]
+    chosen = np.empty((len(rngs), k), dtype=int)
+    chosen[:, 0] = [rng.integers(n) for rng in rngs]
+    d2 = _distances_to_rows(x, x_sq, chosen[:, 0])
+    cdf = np.empty_like(d2)
     for t in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            unchosen = np.setdiff1d(np.arange(n), chosen[:t])
-            idx = int(rng.choice(unchosen))
-        else:
-            np.divide(d2, total, out=cdf)
-            np.cumsum(cdf, out=cdf)
-            cdf /= cdf[-1]
-            idx = int(cdf.searchsorted(rng.random(), side="right"))
-        chosen[t] = idx
-        np.minimum(d2, _distances_to_row(x, x_sq, idx), out=d2)
-    return x[chosen].copy()
+        total = d2.sum(axis=1)
+        weighted = total > 0
+        np.divide(d2, np.where(weighted, total, 1.0)[:, None], out=cdf)
+        np.cumsum(cdf, axis=1, out=cdf)
+        cdf /= np.where(weighted, cdf[:, -1], 1.0)[:, None]
+        for r, rng in enumerate(rngs):
+            if weighted[r]:
+                chosen[r, t] = cdf[r].searchsorted(rng.random(), side="right")
+            else:
+                chosen[r, t] = rng.choice(np.setdiff1d(np.arange(n), chosen[r, :t]))
+        np.minimum(d2, _distances_to_rows(x, x_sq, chosen[:, t]), out=d2)
+    return x[chosen]
 
 
 def _best_replication(objectives) -> int:
@@ -149,13 +177,13 @@ def lloyd_solve(
     """
     if params is None:
         params = KmeansParams()
-    x = np.asarray(data, dtype=float)
+    x = _check_k_and_data(data, k)
     centers = np.array(init_centers, dtype=float)
     if centers.shape != (k, x.shape[1]):
         raise ValueError(f"init_centers must be {k} x {x.shape[1]}")
+    if not np.isfinite(centers).all():
+        raise ValueError("init_centers must be finite")
     n = x.shape[0]
-    if n < k:
-        raise InfeasibleKError(f"{n} points cannot form {k} clusters")
     trace = SolverTrace()
     labels = np.zeros(n, dtype=int)
     x_sq = (x**2).sum(axis=1)
@@ -190,18 +218,19 @@ def lloyd_solve(
     )
 
 
-def _best_of(params: KmeansParams, run) -> tuple[np.ndarray, SolverTrace]:
-    """Best of `params.replications` calls of `run(rng)`, and its trace.
+def _best_of(params: KmeansParams, starts, run) -> tuple[np.ndarray, SolverTrace]:
+    """Best of `params.replications` runs, one per start, and its trace.
 
-    Each call draws from its own seed-derived stream (indexed spawning of the
-    base seed), so results do not depend on execution order, and returns
-    (labels, objective, history, stop reason). The lowest objective wins;
-    objectives within REPLICATION_TIE_RTOL of the best tie, and ties go to
-    the lowest index. The trace holds the winner's history and every run's
-    objective, history and stop reason.
+    Spawns one stream per replication from the base seed (indexed spawning,
+    so a replication's stream does not depend on the others), draws every
+    replication's start at once with `starts(rngs)`, then calls `run(start)`
+    on each start in turn for (labels, objective, history, stop reason). The
+    lowest objective wins; objectives within REPLICATION_TIE_RTOL of the best
+    tie, and ties go to the lowest index. The trace holds the winner's
+    history and every run's objective, history and stop reason.
     """
     streams = np.random.SeedSequence(params.seed).spawn(params.replications)
-    runs = [run(np.random.default_rng(stream)) for stream in streams]
+    runs = [run(start) for start in starts([np.random.default_rng(s) for s in streams])]
     labels, objectives, histories, stops = (list(column) for column in zip(*runs))
     best = _best_replication(objectives)
     return labels[best], SolverTrace(
@@ -217,18 +246,20 @@ def _best_of(params: KmeansParams, run) -> tuple[np.ndarray, SolverTrace]:
 def kmeans_solve(data, k: int, params: KmeansParams | None = None) -> ClusterResult:
     """Best of `params.replications` k-means++ starts of :func:`lloyd_solve` (:func:`_best_of`).
 
-    The kind objective is scored for the winner alone.
+    All replications' starts come from one lockstep :func:`kmeans_pp_init`
+    call, which also checks k and the data. The kind objective is scored
+    for the winner alone.
     """
     if params is None:
         params = KmeansParams()
     x = np.asarray(data, dtype=float)
 
-    def run(rng):
-        lloyd = lloyd_solve(x, k, kmeans_pp_init(x, k, rng), params, score_kind=False)
+    def run(centers):
+        lloyd = lloyd_solve(x, k, centers, params, score_kind=False)
         (stop,) = lloyd.trace.stop_reasons
         return lloyd.labels, lloyd.kmeans_objective, lloyd.trace.objective_history, stop
 
-    labels, trace = _best_of(params, run)
+    labels, trace = _best_of(params, lambda rngs: kmeans_pp_init(x, k, rngs), run)
     return ClusterResult(
         labels=labels,
         kind_objective=_kind_objective_if_embedded(x, labels),
@@ -306,7 +337,9 @@ def sr_solve(basis: EmbeddedData, params: SrParams | None = None) -> ClusterResu
     if params is None:
         params = SrParams()
     labels, trace = _best_of(
-        params, lambda rng: _sr_once(basis, _random_orthogonal(basis.k, rng), params)
+        params,
+        lambda rngs: [_random_orthogonal(basis.k, rng) for rng in rngs],
+        lambda rotation: _sr_once(basis, rotation, params),
     )
     return ClusterResult(
         labels=labels,

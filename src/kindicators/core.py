@@ -77,6 +77,13 @@ def _readonly(values, dtype=float) -> np.ndarray:
     return out
 
 
+def require_integers(**values) -> None:
+    """Raise ValueError unless each value is an int or a numpy integer (a bool is not)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def fix_column_signs(matrix: np.ndarray) -> np.ndarray:
     """Flip column signs so each column's largest-magnitude entry is positive.
 

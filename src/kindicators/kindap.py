@@ -23,6 +23,7 @@ from .core import (
     SolverTrace,
     cluster_sums,
     make_indicator,
+    require_integers,
 )
 from .evaluation import kind_objective, kmeans_objective
 from .projections import DEGENERATE_SV_TOL, procrustes_rotation
@@ -59,6 +60,7 @@ class KindapParams:
     rounding: str = "magnitude"
 
     def __post_init__(self):
+        require_integers(max_outer=self.max_outer, max_inner=self.max_inner)
         if self.max_outer < 1 or self.max_inner < 1:
             raise ValueError("iteration caps must be >= 1")
         if not all(np.isfinite(t) and t > 0 for t in (self.tol_inner, self.tol_outer)):

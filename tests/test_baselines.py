@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,7 @@ from oracles import (
 def test_kmeans_pp_all_points_is_permutation():
     rng = np.random.default_rng(0)
     data = rng.standard_normal((6, 3))
-    centers = kmeans_pp_init(data, 6, np.random.default_rng(1))
+    centers = kmeans_pp_init(data, 6, [np.random.default_rng(1)])[0]
     assert np.array_equal(
         np.sort(centers, axis=0), np.sort(data, axis=0)
     )
@@ -40,14 +42,14 @@ def test_kmeans_pp_all_points_is_permutation():
 
 def test_kmeans_pp_duplicates_fall_back_to_uniform():
     data = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
-    centers = kmeans_pp_init(data, 4, np.random.default_rng(2))
+    centers = kmeans_pp_init(data, 4, [np.random.default_rng(2)])[0]
     assert np.array_equal(np.sort(centers, axis=0), np.sort(data, axis=0))
 
 
 def test_kmeans_pp_single_center():
     rng = np.random.default_rng(3)
     data = rng.standard_normal((5, 2))
-    centers = kmeans_pp_init(data, 1, np.random.default_rng(4))
+    centers = kmeans_pp_init(data, 1, [np.random.default_rng(4)])[0]
     assert any(np.array_equal(centers[0], row) for row in data)
 
 
@@ -61,7 +63,7 @@ def test_kmeans_pp_spreads_over_separated_blobs():
     hits = 0
     trials = 10_000
     for seed in range(trials):
-        centers = kmeans_pp_init(data, 2, np.random.default_rng(seed))
+        centers = kmeans_pp_init(data, 2, [np.random.default_rng(seed)])[0]
         sides = centers[:, 0] > 25.0
         hits += sides[0] != sides[1]
     assert hits / trials >= 0.99
@@ -86,7 +88,7 @@ def test_lloyd_bounded_below_by_exhaustive_minimum():
     rng = np.random.default_rng(7)
     data = rng.standard_normal((8, 2))
     _, best_value = exhaustive_best(data, 2, "kmeans")
-    init = kmeans_pp_init(data, 2, np.random.default_rng(8))
+    init = kmeans_pp_init(data, 2, [np.random.default_rng(8)])[0]
     result = lloyd_solve(data, 2, init, KmeansParams(replications=1))
     assert result.kmeans_objective >= best_value - 1e-9
 
@@ -103,7 +105,7 @@ def test_lloyd_from_optimal_centers_reaches_minimum():
 def test_lloyd_monotone_objective():
     rng = np.random.default_rng(10)
     data = rng.standard_normal((40, 3))
-    init = kmeans_pp_init(data, 4, np.random.default_rng(11))
+    init = kmeans_pp_init(data, 4, [np.random.default_rng(11)])[0]
     result = lloyd_solve(data, 4, init, KmeansParams(replications=1))
     history = np.asarray(result.trace.objective_history)
     assert np.all(np.diff(history) <= 1e-12)
@@ -134,6 +136,73 @@ def test_kmeans_rejects_fewer_points_than_clusters():
 def test_params_reject_negative_seed(params_type):
     with pytest.raises(ValueError, match="seed must be >= 0"):
         params_type(seed=-1)
+
+
+@pytest.mark.parametrize("params_type", [KmeansParams, SrParams])
+@pytest.mark.parametrize("field", ["replications", "max_iters", "seed"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "3"])
+def test_params_reject_non_integer_counts(params_type, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        params_type(**{field: value})
+
+
+@pytest.mark.parametrize("params_type", [KmeansParams, SrParams])
+def test_params_accept_numpy_integer_counts(params_type):
+    params = params_type(replications=np.int64(3), max_iters=np.int32(4), seed=np.uint64(5))
+    assert (params.replications, params.max_iters, params.seed) == (3, 4, 5)
+
+
+# Each k-means entry point with its other arguments fixed: 6 x 2 data, k, and
+# for lloyd_solve 2 x 2 starting centers.
+KMEANS_ENTRY_POINTS = {
+    "kmeans_pp_init": lambda x, k: kmeans_pp_init(x, k, [np.random.default_rng(0)]),
+    "lloyd_solve": lambda x, k: lloyd_solve(x, k, np.zeros((2, 2)), KmeansParams(replications=1)),
+    "kmeans_solve": lambda x, k: kmeans_solve(x, k, KmeansParams(replications=2)),
+}
+GOOD_DATA = np.arange(12.0).reshape(6, 2)
+BAD_K = {
+    "zero": (0, "k must be >= 1, got 0"),
+    "negative": (-1, "k must be >= 1, got -1"),
+    "float": (2.5, "k must be an integer, got 2.5"),
+    "bool": (True, "k must be an integer, got True"),
+}
+BAD_DATA = {
+    "one_dimensional": (np.arange(6.0), "data must be a 2-D array with at least one column, got shape (6,)"),
+    "no_columns": (np.zeros((6, 0)), "data must be a 2-D array with at least one column, got shape (6, 0)"),
+    "nan": (np.where(GOOD_DATA == 3.0, np.nan, GOOD_DATA), "data must be finite"),
+    "inf": (np.where(GOOD_DATA == 3.0, np.inf, GOOD_DATA), "data must be finite"),
+    "negative_inf": (np.where(GOOD_DATA == 3.0, -np.inf, GOOD_DATA), "data must be finite"),
+    "overflowing": (GOOD_DATA * 1e200, "small enough that squared distances do not overflow"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", KMEANS_ENTRY_POINTS)
+@pytest.mark.parametrize("case", BAD_K)
+def test_kmeans_entry_points_reject_bad_k(entry, case):
+    k, message = BAD_K[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        KMEANS_ENTRY_POINTS[entry](GOOD_DATA, k)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", KMEANS_ENTRY_POINTS)
+@pytest.mark.parametrize("case", BAD_DATA)
+def test_kmeans_entry_points_reject_bad_data(entry, case):
+    data, message = BAD_DATA[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        KMEANS_ENTRY_POINTS[entry](data, 2)
+
+
+@pytest.mark.parametrize("entry", KMEANS_ENTRY_POINTS)
+def test_kmeans_entry_points_accept_large_finite_data(entry):
+    # Entries up to about 1e150 keep every squared distance finite.
+    KMEANS_ENTRY_POINTS[entry](GOOD_DATA * 1e150, 2)
+
+
+def test_lloyd_rejects_non_finite_centers():
+    with pytest.raises(ValueError, match="^init_centers must be finite$"):
+        lloyd_solve(GOOD_DATA, 2, np.array([[0.0, 0.0], [np.nan, 1.0]]))
 
 
 def _assert_same_lloyd(new, old):
@@ -208,7 +277,7 @@ def test_kmeans_single_replication_equals_lloyd():
     params = KmeansParams(replications=1, seed=15)
     combined = kmeans_solve(data, 3, params)
     stream = np.random.SeedSequence(15).spawn(1)[0]
-    init = kmeans_pp_init(data, 3, np.random.default_rng(stream))
+    init = kmeans_pp_init(data, 3, [np.random.default_rng(stream)])[0]
     direct = lloyd_solve(data, 3, init, params)
     assert np.array_equal(combined.labels, direct.labels)
     assert combined.kmeans_objective == direct.kmeans_objective
@@ -343,12 +412,41 @@ def test_kmeans_pp_init_matches_reference(k, rho, seed, index):
     assert len(index_of_row) == x.shape[0]
     for stream in np.random.SeedSequence(base).spawn(10):
         new_rng, old_rng = np.random.default_rng(stream), np.random.default_rng(stream)
-        new = kmeans_pp_init(x, k, new_rng)
+        new = kmeans_pp_init(x, k, [new_rng])[0]
         old = reference_kmeans_pp_init(x, k, old_rng)
         assert np.array_equal(new, old)
         # The same rows, so the same indices, and the same draws consumed.
         assert np.array_equal(_row_indices(index_of_row, new), _row_indices(index_of_row, old))
         assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+
+_ROWS = np.random.default_rng(35).standard_normal((4, 50))
+# (data, k) makers: two sweep cells, raw points, and duplicate rows. In the
+# last two every replication reaches all-zero weights and takes the uniform
+# fallback: after the four distinct rows when each row appears twice, from
+# the second center on when all rows are equal.
+LOCKSTEP_CASES = {
+    "embedded_k25": lambda: (_cell_data(25, 0.66, 2).embedded.matrix, 25),
+    "embedded_k50": lambda: (_cell_data(50, 0.33, 1).embedded.matrix, 50),
+    "raw_k20": lambda: (_cell_data(10, 0.33, 1).raw, 20),
+    "rows_twice": lambda: (np.vstack([_ROWS, _ROWS]), 8),
+    "rows_equal": lambda: (np.tile(_ROWS[:1], (6, 1)), 4),
+}
+
+
+@pytest.mark.parametrize("case", LOCKSTEP_CASES)
+def test_kmeans_pp_init_lockstep_equals_one_stream_calls(case):
+    # Run r of a lockstep call equals a call with generator r alone: the same
+    # centers, and each generator left in the same state.
+    x, k = LOCKSTEP_CASES[case]()
+    streams = np.random.SeedSequence(36).spawn(10)
+    lockstep_rngs = [np.random.default_rng(s) for s in streams]
+    lockstep = kmeans_pp_init(x, k, lockstep_rngs)
+    assert lockstep.shape == (10, k, x.shape[1])
+    for stream, centers, rng in zip(streams, lockstep, lockstep_rngs):
+        single_rng = np.random.default_rng(stream)
+        assert np.array_equal(centers, kmeans_pp_init(x, k, [single_rng])[0])
+        assert rng.bit_generator.state == single_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("k, rho, seed, index", SWEEP_CELLS[::3] + MANY_K_CELLS[:1])
@@ -411,7 +509,7 @@ def test_kmeans_pp_near_duplicates_keep_direct_distances():
     base = 3.0 * rng.standard_normal(50)
     data = np.vstack([base, base, base + 1e-7 * rng.standard_normal(50), rng.standard_normal(50)])
     x_sq = (data**2).sum(axis=1)
-    d2 = baselines._distances_to_row(data, x_sq, 0)
+    d2 = baselines._distances_to_rows(data, x_sq, np.array([0]))[0]
     assert d2[0] == 0.0 and d2[1] == 0.0
     assert d2[2] == ((data[2] - data[0]) ** 2).sum()
     assert d2[3] == pytest.approx(((data[3] - data[0]) ** 2).sum(), rel=1e-12)
@@ -420,7 +518,7 @@ def test_kmeans_pp_near_duplicates_keep_direct_distances():
     rows = rng.standard_normal((4, 50))
     twice = np.vstack([rows, rows])
     for seed in range(20):
-        centers = kmeans_pp_init(twice, 8, np.random.default_rng(seed))
+        centers = kmeans_pp_init(twice, 8, [np.random.default_rng(seed)])[0]
         assert np.array_equal(np.sort(centers, axis=0), np.sort(twice, axis=0))
 
 
@@ -476,7 +574,7 @@ def test_lloyd_stop_reasons_one_per_replication():
     longer = KmeansParams(replications=1, max_iters=params.max_iters + 5)
     streams = np.random.SeedSequence(params.seed).spawn(params.replications)
     for stop, history, stream in zip(trace.stop_reasons, trace.replication_histories, streams):
-        centers = kmeans_pp_init(x, k, np.random.default_rng(stream))
+        centers = kmeans_pp_init(x, k, [np.random.default_rng(stream)])[0]
         single = lloyd_solve(x, k, centers, params)
         assert single.trace.stop_reasons == [stop]
         assert single.trace.objective_history == history
@@ -493,12 +591,12 @@ def test_best_of_takes_the_first_tied_best_and_traces_every_run():
     objectives = [2.0, 1.0 + 1e-13, 1.0]
     draws = []
 
-    def run(rng):
+    def run(draw):
         i = len(draws)
-        draws.append(rng.random())
+        draws.append(draw)
         return np.full(4, i), objectives[i], [5.0] * (i + 1), f"stop{i}"
 
-    labels, trace = baselines._best_of(params, run)
+    labels, trace = baselines._best_of(params, lambda rngs: [rng.random() for rng in rngs], run)
     streams = np.random.SeedSequence(params.seed).spawn(params.replications)
     assert draws == [np.random.default_rng(stream).random() for stream in streams]
     assert labels.tolist() == [1] * 4

@@ -46,6 +46,18 @@ def test_params_validation():
         KindapParams(rounding="nearest")
 
 
+@pytest.mark.parametrize("field", ["max_outer", "max_inner"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "3"])
+def test_params_reject_non_integer_caps(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        KindapParams(**{field: value})
+
+
+def test_params_accept_numpy_integer_caps():
+    params = KindapParams(max_outer=np.int64(7), max_inner=np.int32(5))
+    assert (params.max_outer, params.max_inner) == (7, 5)
+
+
 def test_inner_solve_indicator_fixed_point():
     basis = _indicator_basis()
     trace = SolverTrace()
