@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _ROW_BLOCK,
     ClusteringError,
     ClusterResult,
     EmbeddedData,
@@ -57,13 +58,23 @@ class SrParams(KmeansParams):
 def _squared_distances(x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared distances from each row of x (squared norms `x_sq`) to each center.
 
-    Built in place in the n x k product x c'.
+    Built in place in the n x k product x (-2 c)'. Scaling an operand by -2
+    is exact, so this is bitwise -2 x c'.
     """
-    d2 = x @ centers.T
-    d2 *= -2.0
+    d2 = x @ (-2.0 * centers).T
     d2 += x_sq[:, None]
     d2 += (centers**2).sum(axis=1)
     return np.maximum(d2, 0.0, out=d2)
+
+
+def _row_squared_norms(x: np.ndarray) -> np.ndarray:
+    """Each row's sum of squares, ``(x**2).sum(axis=1)`` bit for bit, with
+    O(block x d) temporaries."""
+    x_sq = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], _ROW_BLOCK):
+        block = x[start : start + _ROW_BLOCK]
+        x_sq[start : start + _ROW_BLOCK] = (block**2).sum(axis=1)
+    return x_sq
 
 
 def _distances_to_rows(x: np.ndarray, x_sq: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -115,8 +126,8 @@ def kmeans_pp_init(data, k: int, rngs) -> np.ndarray:
 
     The R runs go in lockstep, and each draws from its own generator the
     same numbers in the same order as a run on its own, so run r equals
-    ``kmeans_pp_init(data, k, [rngs[r]])[0]``. Cost per center: one
-    (R x d)(d x n) product, from the norm expansion
+    ``kmeans_pp_init(data, k, [rngs[r]])[0]``. Cost per center but the last:
+    one (R x d)(d x n) product, from the norm expansion
     ||x_i||^2 + ||c||^2 - 2 x_i'c with the row norms computed once. Each
     weighted draw inverts the cumulative distribution at one uniform draw,
     the same arithmetic and the same stream as ``rng.choice(n, p=d2 / total)``
@@ -140,7 +151,8 @@ def kmeans_pp_init(data, k: int, rngs) -> np.ndarray:
                 chosen[r, t] = cdf[r].searchsorted(rng.random(), side="right")
             else:
                 chosen[r, t] = rng.choice(np.setdiff1d(np.arange(n), chosen[r, :t]))
-        np.minimum(d2, _distances_to_rows(x, x_sq, chosen[:, t]), out=d2)
+        if t < k - 1:
+            np.minimum(d2, _distances_to_rows(x, x_sq, chosen[:, t]), out=d2)
     return x[chosen]
 
 
@@ -161,7 +173,7 @@ def _kind_objective_if_embedded(x: np.ndarray, labels: np.ndarray) -> float | No
 
 
 def lloyd_solve(
-    data, k: int, init_centers, params: KmeansParams | None = None, *, score_kind: bool = True
+    data, k: int, init_centers, params: KmeansParams | None = None, *, row_norms=None
 ) -> ClusterResult:
     """Standard assign/update k-means iteration from the given centers.
 
@@ -172,12 +184,20 @@ def lloyd_solve(
     it. Stops when the Frobenius movement of the centers falls below
     `params.tol` relative to their norm ("tol"), or at `params.max_iters`
     ("cap"); the trace's `stop_reasons` holds that one reason. The kind
-    objective is reported when the data is column-orthonormal, unless
-    `score_kind` is False (replicated callers score only their winner).
+    objective is reported when the data is column-orthonormal.
+
+    A replicated caller that has already checked the data (a float n x d
+    array) passes its squared row norms, ``(data**2).sum(axis=1)``, as
+    `row_norms`: the data checks and the norms are then skipped, and so is
+    the kind objective, which the caller scores for its winner alone.
     """
     if params is None:
         params = KmeansParams()
-    x = _check_k_and_data(data, k)
+    if row_norms is None:
+        x = _check_k_and_data(data, k)
+        x_sq = _row_squared_norms(x)
+    else:
+        x, x_sq = data, row_norms
     centers = np.array(init_centers, dtype=float)
     if centers.shape != (k, x.shape[1]):
         raise ValueError(f"init_centers must be {k} x {x.shape[1]}")
@@ -186,7 +206,6 @@ def lloyd_solve(
     n = x.shape[0]
     trace = SolverTrace()
     labels = np.zeros(n, dtype=int)
-    x_sq = (x**2).sum(axis=1)
     stop = "cap"
     for it in range(1, params.max_iters + 1):
         d2 = _squared_distances(x, x_sq, centers)
@@ -209,11 +228,14 @@ def lloyd_solve(
             stop = "tol"
             break
     trace.stop_reasons.append(stop)
-    final_obj = float(((x - centers[labels]) ** 2).sum())
+    # One n x d temporary: gather, subtract in place, square in place.
+    residual = centers[labels]
+    np.subtract(x, residual, out=residual)
+    np.square(residual, out=residual)
     return ClusterResult(
         labels=labels,
-        kind_objective=_kind_objective_if_embedded(x, labels) if score_kind else None,
-        kmeans_objective=final_obj,
+        kind_objective=_kind_objective_if_embedded(x, labels) if row_norms is None else None,
+        kmeans_objective=float(residual.sum()),
         trace=trace,
     )
 
@@ -247,15 +269,17 @@ def kmeans_solve(data, k: int, params: KmeansParams | None = None) -> ClusterRes
     """Best of `params.replications` k-means++ starts of :func:`lloyd_solve` (:func:`_best_of`).
 
     All replications' starts come from one lockstep :func:`kmeans_pp_init`
-    call, which also checks k and the data. The kind objective is scored
-    for the winner alone.
+    call. The data is checked and its row norms summed once, for every
+    replication's :func:`lloyd_solve` (`row_norms`), and the kind objective
+    is scored for the winner alone.
     """
     if params is None:
         params = KmeansParams()
-    x = np.asarray(data, dtype=float)
+    x = _check_k_and_data(data, k)
+    x_sq = _row_squared_norms(x)
 
     def run(centers):
-        lloyd = lloyd_solve(x, k, centers, params, score_kind=False)
+        lloyd = lloyd_solve(x, k, centers, params, row_norms=x_sq)
         (stop,) = lloyd.trace.stop_reasons
         return lloyd.labels, lloyd.kmeans_objective, lloyd.trace.objective_history, stop
 

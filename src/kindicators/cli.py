@@ -62,6 +62,8 @@ class DataFileError(Exception):
 # reader accepts the same cells as csv.reader + float() and rounds them to the
 # same floats (both use Python's correctly rounded string-to-double).
 PLAIN_NUMERIC_BYTES = b"0123456789.eE+-, \r\n"
+# Labels formatted per write by write_labels_csv.
+_LABEL_BLOCK = 65536
 
 
 class _NotPlainNumeric(Exception):
@@ -156,11 +158,24 @@ def _read_matrix_csv_by_rows(path) -> np.ndarray:
 
 
 def write_matrix_csv(path, matrix) -> None:
+    """Write `matrix` as a headerless CSV, each cell with 17 significant digits.
+
+    Every cell must be finite, as :func:`read_matrix_csv` requires: a NaN or
+    infinite cell raises ValueError naming its 1-based row and column before
+    the file is opened. Each row is formatted by one ``%`` call, so memory
+    stays O(one row).
+    """
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
+    # min and max propagate NaN, and neither builds a temporary.
+    if not (np.isfinite(m.min(initial=0.0)) and np.isfinite(m.max(initial=0.0))):
+        row, col = np.argwhere(~np.isfinite(m))[0]
+        raise ValueError(
+            f"cannot write the non-finite value {m[row, col]} at row {row + 1}, column {col + 1}"
+        )
+    fmt = ",".join(["%.17g"] * m.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
         for row in m:
-            fh.write(",".join(f"{v:.17g}" for v in row))
-            fh.write("\n")
+            fh.write(fmt % tuple(row.tolist()))
 
 
 def read_labels_csv(path) -> np.ndarray:
@@ -182,9 +197,11 @@ def read_labels_csv(path) -> np.ndarray:
 
 
 def write_labels_csv(path, labels) -> None:
+    """Write one integer label per line, a block of labels per join."""
+    values = np.asarray(labels, dtype=int)
     with open(path, "w") as fh:
-        for value in np.asarray(labels, dtype=int):
-            fh.write(f"{int(value)}\n")
+        for start in range(0, values.size, _LABEL_BLOCK):
+            fh.write("".join(f"{v}\n" for v in values[start : start + _LABEL_BLOCK].tolist()))
 
 
 def _trace_payload(trace: SolverTrace) -> dict:

@@ -13,6 +13,10 @@ ORTHONORMAL_TOL = 1e-8
 INDICATOR_TOL = 1e-10
 # Relative singular-value cutoff below which an input matrix counts as rank deficient.
 RANK_TOL = 1e-10
+# Rows per block in row-by-row passes over a matrix (normalizing rows,
+# fixing column signs, summing row norms), so their temporaries stay
+# O(block x columns) rather than the size of the matrix.
+_ROW_BLOCK = 1024
 
 
 class ClusteringError(Exception):
@@ -85,14 +89,35 @@ def require_integers(**values) -> None:
 
 
 def fix_column_signs(matrix: np.ndarray) -> np.ndarray:
-    """Flip column signs so each column's largest-magnitude entry is positive.
+    """A copy of `matrix` with column signs flipped so each column's first
+    largest-magnitude entry is positive (:func:`_fix_column_signs_in_place`).
 
     Makes orthonormal factors (SVD/eigenvector output) deterministic across
     platforms up to the underlying LAPACK result.
     """
-    m = np.array(matrix, dtype=float)
-    idx = np.argmax(np.abs(m), axis=0)
-    signs = np.sign(m[idx, np.arange(m.shape[1])])
+    return _fix_column_signs_in_place(np.array(matrix, dtype=float))
+
+
+def _fix_column_signs_in_place(m: np.ndarray) -> np.ndarray:
+    """Flip the columns of the float array `m` in place so each column's first
+    largest-magnitude entry is positive (a column whose largest is 0 keeps its
+    sign, and one holding NaN becomes NaN); returns `m`.
+
+    Reads `m` by row blocks, so the temporaries are O(block x k), never n x k.
+    """
+    cols = np.arange(m.shape[1])
+    top = np.full(m.shape[1], -1.0)  # |entry| >= 0, so the first block always wins
+    pick = np.zeros(m.shape[1])
+    for start in range(0, m.shape[0], _ROW_BLOCK):
+        block = m[start : start + _ROW_BLOCK]
+        magnitude = np.abs(block)
+        idx = np.argmax(magnitude, axis=0)
+        block_top = magnitude[idx, cols]
+        # Strictly larger, so an earlier block keeps a tie; the first NaN wins.
+        later = (block_top > top) | (np.isnan(block_top) & ~np.isnan(top))
+        top[later] = block_top[later]
+        pick[later] = block[idx[later], cols[later]]
+    signs = np.sign(pick)
     signs[signs == 0] = 1.0
     m *= signs
     return m

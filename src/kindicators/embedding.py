@@ -23,7 +23,7 @@ from .core import (
     EigSolverError,
     EmbeddedData,
     IsolatedVertexError,
-    fix_column_signs,
+    _fix_column_signs_in_place,
     validate_embedding,
 )
 
@@ -248,7 +248,7 @@ def spectral_embed(graph: SimilarityGraph, k: int, row_normalize: bool = False) 
     u = _null_space(sqrt_degrees, labels, min(count, k))
     if count < k:
         rest = _complement_eigenvectors(w, 1.0 / sqrt_degrees, u, k - count)
-        u = np.hstack([u, fix_column_signs(rest)])
+        u = np.hstack([u, _fix_column_signs_in_place(rest)])
     if row_normalize:
         norms = np.linalg.norm(u, axis=1)
         u = u / np.maximum(norms, np.finfo(float).tiny)[:, None]

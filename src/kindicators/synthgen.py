@@ -6,12 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmbeddedData, _readonly, fix_column_signs
+from .core import _ROW_BLOCK, EmbeddedData, _fix_column_signs_in_place, _readonly
 from .projections import GRAM_EIGH_RATIO
-
-# Rows per block when normalizing the raw directions, so the temporaries of
-# the row norms stay O(block x d) rather than O(n x d).
-_ROW_BLOCK = 1024
 
 
 @dataclass
@@ -63,11 +59,13 @@ def generate(spec: SynthSpec) -> SynthDataset:
     the k leading left singular vectors of the raw matrix with a fixed column
     sign convention. The vectors come from the eigendecomposition of the
     d x d Gram matrix (n x n when n < d), or from the thin SVD when that Gram
-    is ill conditioned (:func:`_leading_left_vectors`). The raw matrix is the
-    only n x d array held, and the dataset keeps it without a copy; the rest
-    is O(n k + min(n, d)^2). Identical specs give bit-identical `raw` and `truth`
-    under any BLAS configuration, and a bit-identical embedding under a
-    fixed one (library, version and thread count).
+    is ill conditioned (:func:`_leading_left_vectors`). The dataset keeps
+    the raw matrix, the only n x d array, and on the Gram route the one
+    n x k array beside it, the product raw V sign-fixed in place, without a
+    copy; the rest is O(min(n, d)^2), and the SVD fallback holds its thin
+    factor and copies k columns of it. Identical specs give bit-identical
+    `raw` and `truth` under any BLAS configuration, and a bit-identical
+    embedding under a fixed one (library, version and thread count).
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.k * spec.per_cluster
@@ -80,7 +78,9 @@ def generate(spec: SynthSpec) -> SynthDataset:
     # sqrt(2) e_truth, all in the one n x d buffer.
     raw *= spec.rho
     raw[np.arange(n), truth] += np.sqrt(2.0)
-    embedded = EmbeddedData(fix_column_signs(_leading_left_vectors(raw, spec.k)))
+    left = _fix_column_signs_in_place(_leading_left_vectors(raw, spec.k))
+    left.setflags(write=False)
+    embedded = EmbeddedData(left)
     raw.setflags(write=False)
     return SynthDataset(raw=raw, truth=truth, embedded=embedded)
 

@@ -23,7 +23,9 @@ and `reference_kind_objective` keep the indicator in its first, dense and
 Gram-validated n x k form, with every U'H product a GEMM, as the arithmetic
 that the label-and-weight indicator and `cluster_sums` are gated against.
 `reference_accuracy` keeps accuracy on a dense confusion matrix, as the
-score the sparse assignment is gated against. `gaussian_blobs` is a harder
+score the sparse assignment is gated against. `reference_write_matrix_csv`
+keeps the matrix CSV writer's one f-string per cell, as the bytes the
+row-at-a-time writer is gated against. `gaussian_blobs` is a harder
 test family than `generate`: Gaussian clusters whose spread makes k-means
 miss, for gates that must show a solver change does no harm.
 """
@@ -574,6 +576,15 @@ def reference_generate(spec) -> SynthDataset:
     left, _, _ = np.linalg.svd(raw, full_matrices=False)
     embedded = EmbeddedData(fix_column_signs(left[:, : spec.k]))
     return SynthDataset(raw=raw, truth=truth, embedded=embedded)
+
+
+def reference_write_matrix_csv(path, matrix) -> None:
+    """The matrix CSV writer as first written: one f-string per cell."""
+    m = np.atleast_2d(np.asarray(matrix, dtype=float))
+    with open(path, "w", newline="") as fh:
+        for row in m:
+            fh.write(",".join(f"{v:.17g}" for v in row))
+            fh.write("\n")
 
 
 def reference_accuracy(pred, truth) -> float:

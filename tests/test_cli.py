@@ -1,10 +1,15 @@
 import csv
 import json
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from kindicators import cli
 from kindicators.cli import (
@@ -22,26 +27,97 @@ from kindicators.cli import (
 from kindicators.core import make_indicator
 from kindicators.evaluation import accuracy
 
+from oracles import reference_write_matrix_csv
+
 
 def _read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
 
 
+# Cells whose text is easy to get wrong: signed zero, the smallest subnormal
+# and normal, the largest finite values, and integral values (no ".0").
+EDGE_CELLS = [
+    -0.0,
+    0.0,
+    5e-324,
+    -2.5e-310,
+    2.2250738585072014e-308,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    1.0,
+    -3.0,
+    2.0**53 + 2.0,
+    1e22,
+    0.1,
+]
+
+
 def test_matrix_csv_round_trip(tmp_path):
     rng = np.random.default_rng(0)
-    for _ in range(5):
-        m = rng.standard_normal((7, 4)) * 10.0 ** rng.integers(-12, 12)
-        path = tmp_path / "m.csv"
+    edges = np.array(EDGE_CELLS)
+    matrices = [rng.standard_normal((7, 4)) * 10.0 ** rng.integers(-12, 12) for _ in range(5)]
+    matrices += [edges.reshape(3, 4), edges.reshape(1, -1), edges.reshape(-1, 1)]
+    path = tmp_path / "m.csv"
+    for m in matrices:
         write_matrix_csv(path, m)
-        np.testing.assert_array_equal(read_matrix_csv(path), m)
+        got = read_matrix_csv(path)
+        assert got.shape == m.shape and got.tobytes() == m.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    arrays(
+        np.float64,
+        array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+        elements=st.one_of(
+            st.sampled_from(EDGE_CELLS), st.floats(allow_nan=False, allow_infinity=False)
+        ),
+    )
+)
+@example(np.array(EDGE_CELLS).reshape(1, -1))
+@example(np.array(EDGE_CELLS).reshape(-1, 1))
+@example(np.zeros((3, 0)))
+def test_matrix_csv_bytes_match_the_per_cell_writer(m):
+    with tempfile.TemporaryDirectory() as tmp:
+        shipped, reference = Path(tmp) / "shipped.csv", Path(tmp) / "reference.csv"
+        write_matrix_csv(shipped, m)
+        reference_write_matrix_csv(reference, m)
+        assert shipped.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_matrix_csv_writer_refuses_non_finite_cells(tmp_path, bad):
+    m = np.ones((4, 3))
+    m[2, 1] = bad
+    m[3, 0] = np.nan
+    path = tmp_path / "m.csv"
+    with pytest.raises(ValueError, match="row 3, column 2"):
+        write_matrix_csv(path, m)
+    assert not path.exists()
+
+
+def test_matrix_csv_writer_holds_one_row(tmp_path):
+    # The file buffers take about 16 KB and a formatted row 1 KB; a writer
+    # that converted the whole matrix to Python floats would hold 20,000 rows.
+    m = np.random.default_rng(3).standard_normal((20000, 50))
+    tracemalloc.start()
+    try:
+        write_matrix_csv(tmp_path / "m.csv", m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_labels_csv_round_trip(tmp_path):
-    labels = np.array([0, 3, 1, 1, 2])
-    path = tmp_path / "labels.csv"
-    write_labels_csv(path, labels)
-    assert np.array_equal(read_labels_csv(path), labels)
+    # The long vector crosses the writer's label blocks.
+    long = np.random.default_rng(4).integers(0, 100, size=cli._LABEL_BLOCK + 7)
+    for labels in (np.array([0, 3, 1, 1, 2]), long):
+        path = tmp_path / "labels.csv"
+        write_labels_csv(path, labels)
+        assert np.array_equal(read_labels_csv(path), labels)
 
 
 def test_matrix_csv_parse_error_carries_line_number(tmp_path):

@@ -11,6 +11,7 @@ from kindicators.core import (
     RankDeficientError,
     RelaxedAssignment,
     BinaryIndicator,
+    _ROW_BLOCK,
     _readonly,
     cluster_sums,
     fix_column_signs,
@@ -132,6 +133,23 @@ def test_fix_column_signs_bit_identical_to_signed_product():
         assert np.array_equal(out, m * signs)
         assert np.array_equal(m, before)
         assert not np.shares_memory(out, m)
+
+
+def test_fix_column_signs_takes_the_first_largest_across_row_blocks():
+    # Rows span several of the in-place scan's blocks. Column 0 ties -5
+    # (first) with +5 (a later block), column 1 has its largest in the last
+    # block, column 2 is all zero, and column 3 holds NaN after its largest.
+    m = np.random.default_rng(14).uniform(-1.0, 1.0, size=(3 * _ROW_BLOCK + 5, 4))
+    m[100, 0], m[2 * _ROW_BLOCK + 1, 0] = -5.0, 5.0
+    m[-1, 1] = -7.0
+    m[:, 2] = 0.0
+    m[10, 3], m[_ROW_BLOCK + 3, 3] = -9.0, np.nan
+    idx = np.argmax(np.abs(m), axis=0)
+    signs = np.sign(m[idx, np.arange(4)])
+    signs[signs == 0] = 1.0
+    out = fix_column_signs(m)
+    assert np.array_equal(out, m * signs, equal_nan=True)
+    assert out[100, 0] == 5.0 and out[-1, 1] == 7.0 and np.isnan(out[:, 3]).all()
 
 
 def test_readonly_copies_all_but_a_frozen_owner():

@@ -173,6 +173,29 @@ def test_generate_peak_memory_is_one_raw_matrix(spec):
     assert peak <= budget, f"peak {peak / 1e6:.1f} MB over {budget / 1e6:.1f} MB"
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SynthSpec(k=50, per_cluster=400, ambient_dim=300),
+        # n = d: the ill-conditioned Gram sends it to the thin SVD.
+        SynthSpec(k=150, per_cluster=1, rho=2.0, ambient_dim=150),
+    ],
+)
+def test_generate_holds_one_embedding_array_beside_raw(spec):
+    # The sign fix works in place and the dataset keeps the product raw V
+    # without a copy, so one n x k array sits beside raw (two allow for the
+    # SVD route's copy of its k columns).
+    n = spec.k * spec.per_cluster
+    budget = n * spec.ambient_dim * 8 + 2 * n * spec.k * 8 + 1e6
+    tracemalloc.start()
+    try:
+        generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget, f"peak {peak / 1e6:.1f} MB over {budget / 1e6:.1f} MB"
+
+
 def test_dataset_owns_raw_without_aliasing_the_caller():
     data = generate(SynthSpec(k=3, per_cluster=4, ambient_dim=8, seed=4))
     assert not data.raw.flags.writeable
