@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _ROW_BLOCK,
     ClusteringError,
     ClusterResult,
     EmbeddedData,
@@ -65,16 +64,6 @@ def _squared_distances(x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray) -> 
     d2 += x_sq[:, None]
     d2 += (centers**2).sum(axis=1)
     return np.maximum(d2, 0.0, out=d2)
-
-
-def _row_squared_norms(x: np.ndarray) -> np.ndarray:
-    """Each row's sum of squares, ``(x**2).sum(axis=1)`` bit for bit, with
-    O(block x d) temporaries."""
-    x_sq = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], _ROW_BLOCK):
-        block = x[start : start + _ROW_BLOCK]
-        x_sq[start : start + _ROW_BLOCK] = (block**2).sum(axis=1)
-    return x_sq
 
 
 def _distances_to_rows(x: np.ndarray, x_sq: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -173,7 +162,7 @@ def _kind_objective_if_embedded(x: np.ndarray, labels: np.ndarray) -> float | No
 
 
 def lloyd_solve(
-    data, k: int, init_centers, params: KmeansParams | None = None, *, row_norms=None
+    data, k: int, init_centers, params: KmeansParams | None = None, *, _row_norms=None
 ) -> ClusterResult:
     """Standard assign/update k-means iteration from the given centers.
 
@@ -185,19 +174,16 @@ def lloyd_solve(
     `params.tol` relative to their norm ("tol"), or at `params.max_iters`
     ("cap"); the trace's `stop_reasons` holds that one reason. The kind
     objective is reported when the data is column-orthonormal.
-
-    A replicated caller that has already checked the data (a float n x d
-    array) passes its squared row norms, ``(data**2).sum(axis=1)``, as
-    `row_norms`: the data checks and the norms are then skipped, and so is
-    the kind objective, which the caller scores for its winner alone.
     """
     if params is None:
         params = KmeansParams()
-    if row_norms is None:
+    if _row_norms is None:
         x = _check_k_and_data(data, k)
-        x_sq = _row_squared_norms(x)
+        x_sq = (x**2).sum(axis=1)
     else:
-        x, x_sq = data, row_norms
+        # From kmeans_solve alone: checked data, its ``(x**2).sum(axis=1)``,
+        # and no kind objective, which kmeans_solve scores for its winner.
+        x, x_sq = data, _row_norms
     centers = np.array(init_centers, dtype=float)
     if centers.shape != (k, x.shape[1]):
         raise ValueError(f"init_centers must be {k} x {x.shape[1]}")
@@ -228,14 +214,10 @@ def lloyd_solve(
             stop = "tol"
             break
     trace.stop_reasons.append(stop)
-    # One n x d temporary: gather, subtract in place, square in place.
-    residual = centers[labels]
-    np.subtract(x, residual, out=residual)
-    np.square(residual, out=residual)
     return ClusterResult(
         labels=labels,
-        kind_objective=_kind_objective_if_embedded(x, labels) if row_norms is None else None,
-        kmeans_objective=float(residual.sum()),
+        kind_objective=_kind_objective_if_embedded(x, labels) if _row_norms is None else None,
+        kmeans_objective=float(((x - centers[labels]) ** 2).sum()),
         trace=trace,
     )
 
@@ -270,16 +252,16 @@ def kmeans_solve(data, k: int, params: KmeansParams | None = None) -> ClusterRes
 
     All replications' starts come from one lockstep :func:`kmeans_pp_init`
     call. The data is checked and its row norms summed once, for every
-    replication's :func:`lloyd_solve` (`row_norms`), and the kind objective
-    is scored for the winner alone.
+    replication's :func:`lloyd_solve`, and the kind objective is scored for
+    the winner alone.
     """
     if params is None:
         params = KmeansParams()
     x = _check_k_and_data(data, k)
-    x_sq = _row_squared_norms(x)
+    x_sq = (x**2).sum(axis=1)
 
     def run(centers):
-        lloyd = lloyd_solve(x, k, centers, params, row_norms=x_sq)
+        lloyd = lloyd_solve(x, k, centers, params, _row_norms=x_sq)
         (stop,) = lloyd.trace.stop_reasons
         return lloyd.labels, lloyd.kmeans_objective, lloyd.trace.objective_history, stop
 

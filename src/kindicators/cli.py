@@ -62,8 +62,6 @@ class DataFileError(Exception):
 # reader accepts the same cells as csv.reader + float() and rounds them to the
 # same floats (both use Python's correctly rounded string-to-double).
 PLAIN_NUMERIC_BYTES = b"0123456789.eE+-, \r\n"
-# Labels formatted per write by write_labels_csv.
-_LABEL_BLOCK = 65536
 
 
 class _NotPlainNumeric(Exception):
@@ -197,11 +195,9 @@ def read_labels_csv(path) -> np.ndarray:
 
 
 def write_labels_csv(path, labels) -> None:
-    """Write one integer label per line, a block of labels per join."""
-    values = np.asarray(labels, dtype=int)
     with open(path, "w") as fh:
-        for start in range(0, values.size, _LABEL_BLOCK):
-            fh.write("".join(f"{v}\n" for v in values[start : start + _LABEL_BLOCK].tolist()))
+        for value in np.asarray(labels, dtype=int):
+            fh.write(f"{int(value)}\n")
 
 
 def _trace_payload(trace: SolverTrace) -> dict:

@@ -14,8 +14,8 @@ INDICATOR_TOL = 1e-10
 # Relative singular-value cutoff below which an input matrix counts as rank deficient.
 RANK_TOL = 1e-10
 # Rows per block in row-by-row passes over a matrix (normalizing rows,
-# fixing column signs, summing row norms), so their temporaries stay
-# O(block x columns) rather than the size of the matrix.
+# fixing column signs), so their temporaries stay O(block x columns) rather
+# than the size of the matrix.
 _ROW_BLOCK = 1024
 
 

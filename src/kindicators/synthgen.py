@@ -60,10 +60,12 @@ def generate(spec: SynthSpec) -> SynthDataset:
     sign convention. The vectors come from the eigendecomposition of the
     d x d Gram matrix (n x n when n < d), or from the thin SVD when that Gram
     is ill conditioned (:func:`_leading_left_vectors`). The dataset keeps
-    the raw matrix, the only n x d array, and on the Gram route the one
-    n x k array beside it, the product raw V sign-fixed in place, without a
-    copy; the rest is O(min(n, d)^2), and the SVD fallback holds its thin
-    factor and copies k columns of it. Identical specs give bit-identical
+    the raw matrix, the only n x d array. When n >= d the Gram route's one
+    n x k array, the product raw V sign-fixed in place, is kept without a
+    copy; when n < d the vectors are k columns of the n x n eigenvectors,
+    and the SVD fallback's k columns of its thin factor, and either is
+    copied once. The rest is O(min(n, d)^2), and the SVD fallback also holds
+    its thin factor. Identical specs give bit-identical
     `raw` and `truth` under any BLAS configuration, and a bit-identical
     embedding under a fixed one (library, version and thread count).
     """

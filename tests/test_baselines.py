@@ -17,7 +17,7 @@ from kindicators.baselines import (
     sr_solve,
 )
 from kindicators.cli import stable_cell_seed
-from kindicators.core import _ROW_BLOCK, InfeasibleKError, make_indicator, validate_embedding
+from kindicators.core import InfeasibleKError, make_indicator, validate_embedding
 from kindicators.evaluation import accuracy
 from kindicators.kindap import repair_empty_columns
 from kindicators.synthgen import SynthSpec, generate
@@ -283,15 +283,9 @@ def test_kmeans_single_replication_equals_lloyd():
     assert combined.kmeans_objective == direct.kmeans_objective
 
 
-def test_row_squared_norms_bit_identical_across_blocks():
-    x = np.random.default_rng(37).standard_normal((2 * _ROW_BLOCK + 3, 30)) * 1e3
-    for data in (x, np.asfortranarray(x)):
-        assert np.array_equal(baselines._row_squared_norms(data), (data**2).sum(axis=1))
-
-
 def test_kmeans_solve_does_its_set_up_once_per_solve(monkeypatch):
-    # The data checks and the row norms do not repeat per replication, and
-    # k-means++ computes no distances to the last center it picks.
+    # The data checks do not repeat per replication, and k-means++ computes
+    # no distances to the last center it picks.
     counts = {}
 
     def counting(name):
@@ -303,13 +297,13 @@ def test_kmeans_solve_does_its_set_up_once_per_solve(monkeypatch):
 
         monkeypatch.setattr(baselines, name, wrapper)
 
-    for name in ("_check_k_and_data", "_row_squared_norms", "_distances_to_rows"):
+    for name in ("_check_k_and_data", "_distances_to_rows"):
         counting(name)
     x = generate(SynthSpec(k=6, rho=0.5, per_cluster=10, ambient_dim=12, seed=3)).embedded.matrix
     for replications in (1, 10):
         counts.clear()
         kmeans_solve(x, 6, KmeansParams(replications=replications, seed=4))
-        assert counts == {"_check_k_and_data": 2, "_row_squared_norms": 1, "_distances_to_rows": 5}
+        assert counts == {"_check_k_and_data": 2, "_distances_to_rows": 5}
 
 
 def test_kmeans_deterministic_and_selects_minimum():
