@@ -10,7 +10,6 @@ from .core import (
     ClusteringError,
     ClusterResult,
     EmbeddedData,
-    InfeasibleKError,
     SolverTrace,
     cluster_sums,
     make_indicator,
@@ -41,6 +40,9 @@ class KmeansParams:
         require_integers(replications=self.replications, max_iters=self.max_iters, seed=self.seed)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        # The most streams SeedSequence.spawn can make.
+        if self.replications > np.iinfo(np.intp).max:
+            raise ValueError(f"replications must be <= {np.iinfo(np.intp).max}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not (np.isfinite(self.tol) and self.tol > 0):
@@ -98,7 +100,7 @@ def _check_k_and_data(data, k) -> np.ndarray:
         raise ValueError(f"data must be a 2-D array with at least one column, got shape {x.shape}")
     n, d = x.shape
     if n < k:
-        raise InfeasibleKError(f"{n} points cannot form {k} clusters")
+        raise ClusteringError(f"{n} points cannot form {k} clusters")
     m = max(float(x.max()), -float(x.min()))
     if not np.isfinite(4.0 * n * d * m * m):
         raise ValueError("data must be finite, and small enough that squared distances do not overflow")

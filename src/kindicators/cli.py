@@ -3,8 +3,8 @@
 Matrix CSVs are comma-separated with no header (values written with 17
 significant digits, so write-then-read round-trips exactly); label CSVs are
 one-column matrix CSVs of 0-based ids; results are versioned JSON
-documents. Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical
-failure.
+documents. Exit codes: 0 success, 2 usage error (UsageError), 3 data error
+(ClusteringError), 4 numerical failure (NumericalError or numpy's LinAlgError).
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from .baselines import KmeansParams, SrParams, kmeans_solve, lloyd_solve, sr_sol
 from .core import (
     ClusteringError,
     ClusterResult,
-    EigSolverError,
     EmbeddedData,
-    RankDeficientError,
+    NumericalError,
     SolverTrace,
     make_indicator,
     validate_embedding,
@@ -48,10 +47,6 @@ METHODS = ("kindap", "kmeans", "sr", "kindap+l")
 
 class UsageError(Exception):
     """Bad flags or flag values (exit code 2)."""
-
-
-class DataFileError(Exception):
-    """Unreadable or malformed input file (exit code 3)."""
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +82,7 @@ def read_matrix_csv(path) -> np.ndarray:
     """Read a headerless comma-separated matrix; parse errors carry line numbers.
 
     Every cell must be a finite number: nan and inf are rejected with
-    DataFileError, like any other malformed cell.
+    ClusteringError, like any other malformed cell.
 
     A plain numeric file of finite cells is parsed by np.loadtxt, which takes
     about 0.6 times as long as the Python row reader and streams its lines;
@@ -106,15 +101,15 @@ def read_matrix_csv(path) -> np.ndarray:
     return _read_matrix_csv_by_rows(path)
 
 
-def _not_utf8(path) -> DataFileError:
-    """A DataFileError naming the line of the file's first non-UTF-8 byte."""
+def _not_utf8(path) -> ClusteringError:
+    """A ClusteringError naming the line of the file's first non-UTF-8 byte."""
     data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line_no = len((data[: exc.start] + b"x").splitlines())
-        return DataFileError(f"{path}:{line_no}: not UTF-8 text ({exc.reason})")
-    return DataFileError(f"{path}: not UTF-8 text")
+        return ClusteringError(f"{path}:{line_no}: not UTF-8 text ({exc.reason})")
+    return ClusteringError(f"{path}: not UTF-8 text")
 
 
 def _read_matrix_csv_by_rows(path) -> np.ndarray:
@@ -131,27 +126,27 @@ def _read_matrix_csv_by_rows(path) -> np.ndarray:
                 try:
                     row = [float(cell) for cell in record]
                 except ValueError as exc:
-                    raise DataFileError(f"{path}:{line_no}: {exc}") from exc
+                    raise ClusteringError(f"{path}:{line_no}: {exc}") from exc
                 if width is None:
                     width = len(row)
                 elif len(row) != width:
-                    raise DataFileError(
+                    raise ClusteringError(
                         f"{path}:{line_no}: expected {width} columns, got {len(row)}"
                     )
                 rows.append(row)
                 line_numbers.append(line_no)
     except OSError as exc:
-        raise DataFileError(f"{path}: {exc}") from exc
+        raise ClusteringError(f"{path}: {exc}") from exc
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     except csv.Error as exc:
-        raise DataFileError(f"{path}:{reader.line_num}: {exc}") from exc
+        raise ClusteringError(f"{path}:{reader.line_num}: {exc}") from exc
     if not rows:
-        raise DataFileError(f"{path}: empty matrix")
+        raise ClusteringError(f"{path}: empty matrix")
     matrix = np.asarray(rows, dtype=float)
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
-        raise DataFileError(f"{path}:{line_numbers[np.argmin(finite)]}: non-finite value")
+        raise ClusteringError(f"{path}:{line_numbers[np.argmin(finite)]}: non-finite value")
     return matrix
 
 
@@ -180,15 +175,15 @@ def read_labels_csv(path) -> np.ndarray:
     """Read one 0-based integer label per line, as a one-column :func:`read_matrix_csv`.
 
     A label may be spelled as a float ("3.0"); fractional or
-    out-of-int64-range values are rejected with DataFileError, naming their
+    out-of-int64-range values are rejected with ClusteringError, naming their
     1-based row.
     """
     values = read_matrix_csv(path)
     if values.shape[1] != 1:
-        raise DataFileError(f"{path}: expected one label per line, got {values.shape[1]} columns")
+        raise ClusteringError(f"{path}: expected one label per line, got {values.shape[1]} columns")
     bad = np.flatnonzero((values != np.trunc(values)) | (np.abs(values) >= 2.0**63))
     if bad.size:
-        raise DataFileError(
+        raise ClusteringError(
             f"{path}: label {float(values[bad[0], 0])} in row {bad[0] + 1} is not an integer id"
         )
     return values[:, 0].astype(int)
@@ -243,25 +238,26 @@ def result_payload(
 
 
 def validate_result_payload(payload: dict) -> None:
-    """Raise DataFileError unless `payload` matches the result document schema."""
+    """Raise ClusteringError unless `payload` matches the result document schema."""
     if not isinstance(payload, dict):
-        raise DataFileError("result document must be a JSON object")
+        raise ClusteringError("result document must be a JSON object")
     if payload.get("schema") != SCHEMA_VERSION:
-        raise DataFileError(f"unsupported schema: {payload.get('schema')!r}")
+        raise ClusteringError(f"unsupported schema: {payload.get('schema')!r}")
     for key in ("method", "labels", "kmeans_objective", "trace", "params"):
         if key not in payload:
-            raise DataFileError(f"result document missing key {key!r}")
+            raise ClusteringError(f"result document missing key {key!r}")
     labels = payload["labels"]
     if not isinstance(labels, list) or not labels:
-        raise DataFileError("labels must be a nonempty list")
-    if not all(isinstance(v, int) and 0 <= v < 2**63 for v in labels):
-        raise DataFileError("labels must be integers in 0..2**63 - 1")
+        raise ClusteringError("labels must be a nonempty list")
+    # json.load reads true/false as bools, which are ints, and NaN/Infinity as floats.
+    if not all(type(v) is int and 0 <= v < 2**63 for v in labels):
+        raise ClusteringError("labels must be integers in 0..2**63 - 1")
     for key in ("kind_objective", "kmeans_objective"):
         value = payload.get(key)
-        if value is not None and (not isinstance(value, (int, float)) or value < 0):
-            raise DataFileError(f"{key} must be a nonnegative number or null")
+        if value is not None and not (type(value) in (int, float) and 0 <= value < np.inf):
+            raise ClusteringError(f"{key} must be a nonnegative number or null")
     if not isinstance(payload["trace"], dict):
-        raise DataFileError("trace must be an object")
+        raise ClusteringError("trace must be an object")
 
 
 def write_json(path, payload) -> None:
@@ -278,13 +274,13 @@ def read_json(path) -> dict:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise DataFileError(f"{path}: {exc}") from exc
+        raise ClusteringError(f"{path}: {exc}") from exc
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     except json.JSONDecodeError as exc:
-        raise DataFileError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+        raise ClusteringError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     except (RecursionError, ValueError) as exc:  # deep nesting; an over-long integer
-        raise DataFileError(f"{path}: {exc}") from exc
+        raise ClusteringError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +509,9 @@ def _read_embedding(path, labels=None) -> EmbeddedData:
     try:
         embedded = validate_embedding(read_matrix_csv(path))
     except ValueError as exc:
-        raise DataFileError(f"{path}: {exc}") from exc
+        raise ClusteringError(f"{path}: {exc}") from exc
     if labels is not None and labels.size != embedded.n:
-        raise DataFileError(f"{path}: {embedded.n} rows but {labels.size} labels")
+        raise ClusteringError(f"{path}: {embedded.n} rows but {labels.size} labels")
     return embedded
 
 
@@ -592,8 +588,10 @@ def _cmd_bench(args) -> int:
     rho_list = _parse_list(args.rho_list, "--rho-list", float)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     seeds = _parse_list(args.seeds, "--seeds", int)
-    if args.replications < 1:
-        raise UsageError("--replications must be >= 1")
+    try:
+        KmeansParams(replications=args.replications)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     cells = run_bench(
         k_list,
         rho_list,
@@ -716,10 +714,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataFileError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (RankDeficientError, EigSolverError, np.linalg.LinAlgError) as exc:
+    # NumericalError is a ClusteringError, so it must be caught first.
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ClusteringError as exc:

@@ -20,47 +20,11 @@ _ROW_BLOCK = 1024
 
 
 class ClusteringError(Exception):
-    """Base class for errors raised by this package."""
+    """Invalid input or an infeasible request (the CLI's data error, exit code 3)."""
 
 
-class BadLabelError(ClusteringError):
-    """A label id is negative or >= k."""
-
-
-class EmptyClusterError(ClusteringError):
-    """A cluster id in 0..k-1 received no objects."""
-
-    def __init__(self, cluster: int, message: str | None = None):
-        self.cluster = int(cluster)
-        super().__init__(message or f"cluster {self.cluster} is empty")
-
-
-class RankDeficientError(ClusteringError):
-    """The input matrix is numerically rank deficient."""
-
-
-class InfeasibleKError(ClusteringError):
-    """Fewer objects than requested clusters."""
-
-
-class AllZeroRowError(ClusteringError):
-    """Rounding repair could not give every cluster a member (only possible when n < k)."""
-
-
-class IsolatedVertexError(ClusteringError):
-    """A graph vertex has zero degree."""
-
-    def __init__(self, vertex: int):
-        self.vertex = int(vertex)
-        super().__init__(f"vertex {self.vertex} is isolated (degree 0)")
-
-
-class EigSolverError(ClusteringError):
-    """The symmetric eigendecomposition failed."""
-
-
-class LengthMismatchError(ClusteringError):
-    """Two label sequences have different lengths."""
+class NumericalError(ClusteringError):
+    """A numerical failure: rank deficiency or a failed eigensolver (exit code 4)."""
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
@@ -172,16 +136,16 @@ class IndicatorMatrix:
         self.labels = _readonly(self.labels, dtype=int)
         self.values = _readonly(self.values)
         if self.labels.ndim != 1 or self.labels.size == 0:
-            raise BadLabelError("labels must be a nonempty 1-D sequence")
+            raise ClusteringError("labels must be a nonempty 1-D sequence")
         if self.values.shape != self.labels.shape:
             raise ValueError("values length must match the labels length")
         if self.labels.min() < 0:
-            raise BadLabelError("labels must be nonnegative")
+            raise ClusteringError("labels must be nonnegative")
         if not np.all(self.values > 0):
             raise ValueError("indicator values must be positive")
         empty = np.flatnonzero(self.cluster_sizes == 0)
         if empty.size:
-            raise EmptyClusterError(empty[0])
+            raise ClusteringError(f"cluster {int(empty[0])} is empty")
         norms = np.bincount(self.labels, weights=self.values**2)
         if np.max(np.abs(norms - 1.0)) > INDICATOR_TOL:
             raise ValueError("indicator columns must have unit norm")
@@ -254,7 +218,7 @@ class BinaryIndicator:
     def from_labels(cls, labels, k: int) -> "BinaryIndicator":
         labels = np.asarray(labels, dtype=int)
         if labels.min() < 0 or labels.max() >= k:
-            raise BadLabelError(f"labels must lie in 0..{k - 1}")
+            raise ClusteringError(f"labels must lie in 0..{k - 1}")
         b = np.zeros((labels.size, k))
         b[np.arange(labels.size), labels] = 1.0
         return cls(b, labels)
@@ -309,7 +273,7 @@ class ClusterResult:
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=int)
         if self.labels.min(initial=0) < 0:
-            raise BadLabelError("labels must be nonnegative")
+            raise ClusteringError("labels must be nonnegative")
         if self.kind_objective is not None and not np.isfinite(self.kind_objective):
             raise ValueError("kind objective must be finite")
         if not np.isfinite(self.kmeans_objective) or self.kmeans_objective < 0:
@@ -328,18 +292,18 @@ def make_indicator(labels, k: int) -> IndicatorMatrix:
         k: number of clusters.
 
     Raises:
-        BadLabelError: some id is negative or >= k.
-        EmptyClusterError: some cluster id in 0..k-1 is unused.
+        ClusteringError: some id is negative or >= k, or some cluster id in
+            0..k-1 is unused.
     """
     labels = np.asarray(labels, dtype=int)
     if labels.ndim != 1 or labels.size == 0:
-        raise BadLabelError("labels must be a nonempty 1-D sequence")
+        raise ClusteringError("labels must be a nonempty 1-D sequence")
     if labels.min() < 0 or labels.max() >= k:
-        raise BadLabelError(f"labels must lie in 0..{k - 1}")
+        raise ClusteringError(f"labels must lie in 0..{k - 1}")
     sizes = np.bincount(labels, minlength=k)
     empty = np.flatnonzero(sizes == 0)
     if empty.size:
-        raise EmptyClusterError(empty[0])
+        raise ClusteringError(f"cluster {int(empty[0])} is empty")
     return IndicatorMatrix(labels, 1.0 / np.sqrt(sizes[labels]))
 
 
@@ -365,7 +329,7 @@ def validate_embedding(matrix) -> EmbeddedData:
     EmbeddedData reports `orthonormalized=True`.
 
     Raises:
-        RankDeficientError: the smallest singular value is below
+        NumericalError: the smallest singular value is below
             RANK_TOL times the largest.
         ValueError: the shape does not satisfy n >= d >= 2.
     """
@@ -384,7 +348,7 @@ def validate_embedding(matrix) -> EmbeddedData:
         return EmbeddedData(m)
     singular = np.linalg.svd(m, compute_uv=False)
     if singular[-1] < RANK_TOL * singular[0]:
-        raise RankDeficientError(
+        raise NumericalError(
             f"numerical rank < {d}: smallest singular value {singular[-1]:.3e}"
         )
     q, r = np.linalg.qr(m)

@@ -20,9 +20,8 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .core import (
     ClusteringError,
-    EigSolverError,
     EmbeddedData,
-    IsolatedVertexError,
+    NumericalError,
     _fix_column_signs_in_place,
     validate_embedding,
 )
@@ -204,7 +203,7 @@ def _complement_eigenvectors(w, inv_sqrt: np.ndarray, null: np.ndarray, wanted: 
         try:
             _, vectors = np.linalg.eigh(0.5 * (operator + operator.T))
         except np.linalg.LinAlgError as exc:
-            raise EigSolverError(f"eigendecomposition failed: {exc}") from exc
+            raise NumericalError(f"eigendecomposition failed: {exc}") from exc
         return vectors[:, ::-1][:, :wanted]
     start = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
     start -= null @ (null.T @ start)
@@ -212,7 +211,7 @@ def _complement_eigenvectors(w, inv_sqrt: np.ndarray, null: np.ndarray, wanted: 
     try:
         values, vectors = eigsh(operator, k=wanted, which="LA", v0=start, ncv=lanczos)
     except ArpackError as exc:
-        raise EigSolverError(f"eigendecomposition failed: {exc}") from exc
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     return vectors[:, np.argsort(-values, kind="stable")]
 
 
@@ -232,7 +231,7 @@ def spectral_embed(graph: SimilarityGraph, k: int, row_normalize: bool = False) 
     re-orthonormalized. The output always satisfies the embedded-data
     contract.
 
-    Raises IsolatedVertexError for zero-degree vertices and EigSolverError if
+    Raises ClusteringError for zero-degree vertices and NumericalError if
     the eigensolver fails.
     """
     w = graph.matrix
@@ -242,7 +241,7 @@ def spectral_embed(graph: SimilarityGraph, k: int, row_normalize: bool = False) 
     degrees = w.sum(axis=1)
     isolated = np.flatnonzero(degrees <= 0)
     if isolated.size:
-        raise IsolatedVertexError(isolated[0])
+        raise ClusteringError(f"vertex {int(isolated[0])} is isolated (degree 0)")
     sqrt_degrees = np.sqrt(degrees)
     count, labels = graph.components
     u = _null_space(sqrt_degrees, labels, min(count, k))

@@ -9,10 +9,9 @@ from scipy import sparse
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .core import (
-    BadLabelError,
+    ClusteringError,
     EmbeddedData,
     IndicatorMatrix,
-    LengthMismatchError,
     RelaxedAssignment,
     _readonly,
     cluster_sums,
@@ -46,13 +45,13 @@ def accuracy(pred, truth) -> float:
     pred = np.asarray(pred, dtype=int)
     truth = np.asarray(truth, dtype=int)
     if pred.ndim != 1 or truth.ndim != 1 or pred.shape != truth.shape:
-        raise LengthMismatchError(
+        raise ClusteringError(
             f"label lengths differ: {pred.shape} vs {truth.shape}"
         )
     if pred.size == 0:
-        raise LengthMismatchError("labels must be nonempty")
+        raise ClusteringError("labels must be nonempty")
     if pred.min() < 0 or truth.min() < 0:
-        raise BadLabelError("labels must be nonnegative")
+        raise ClusteringError("labels must be nonnegative")
     pred = np.unique(pred, return_inverse=True)[1]
     truth_ids, truth = np.unique(truth, return_inverse=True)
     cols = truth_ids.size
@@ -127,7 +126,7 @@ def kmeans_objective(basis: EmbeddedData, labels) -> float:
     For column-orthonormal data this equals the within-cluster sum of squared
     distances to centroids; the normalized indicator built from `labels`
     supplies H, and :func:`cluster_sums` the k x k product H'U. Raises
-    EmptyClusterError/BadLabelError for invalid labels.
+    ClusteringError for invalid labels.
     """
     h = make_indicator(labels, basis.k)
     cross = float(np.sum(cluster_sums(basis.matrix, h.labels, basis.k, h.values) ** 2))

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    AllZeroRowError,
     ClusterResult,
     EmbeddedData,
     IndicatorMatrix,
@@ -139,9 +138,9 @@ def repair_empty_columns(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
     For each empty column j in ascending order, the row with the largest
     `values[:, j]` among rows whose current cluster has at least two members
-    moves to j (ties broken by the lowest row index). Deterministic; raises
-    AllZeroRowError when no eligible row exists, which can only happen for
-    n < k.
+    moves to j (ties broken by the lowest row index). Deterministic. Needs
+    n >= k, as every caller has: an empty column then leaves some cluster
+    with two or more rows to move from.
     """
     n, k = values.shape
     labels = np.array(labels, dtype=int)
@@ -151,10 +150,6 @@ def repair_empty_columns(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
             continue
         candidates = np.where(sizes[labels] >= 2, values[:, j], -np.inf)
         i = int(np.argmax(candidates))
-        if candidates[i] == -np.inf:
-            raise AllZeroRowError(
-                f"cannot populate cluster {j}: no row is movable (n < k?)"
-            )
         sizes[labels[i]] -= 1
         labels[i] = j
         sizes[j] += 1
@@ -172,7 +167,7 @@ def round_to_indicator(n_mat: np.ndarray, mode: str = "magnitude") -> IndicatorM
     column to unit norm. "magnitude" mode preserves the kept values' relative
     sizes; "binary" mode is :func:`make_indicator` of the labels, with the
     equal-weight value 1/sqrt(n_j). Costs O(nk) for the argmax and O(n)
-    after it; no n x k array is built.
+    after it; no n x k array is built. For n < k, raises ClusteringError.
     """
     if mode not in ROUNDING_MODES:
         raise ValueError(f"mode must be one of {ROUNDING_MODES}")

@@ -43,15 +43,11 @@ from scipy.optimize import linear_sum_assignment
 from kindicators.core import (
     INDICATOR_TOL,
     ORTHONORMAL_TOL,
-    BadLabelError,
     BinaryIndicator,
     ClusteringError,
     ClusterResult,
-    EigSolverError,
     EmbeddedData,
-    EmptyClusterError,
-    InfeasibleKError,
-    IsolatedVertexError,
+    NumericalError,
     RelaxedAssignment,
     SolverTrace,
     _readonly,
@@ -227,13 +223,13 @@ class DenseIndicator:
         if np.any((self.matrix > 0).sum(axis=1) != 1):
             raise ValueError("each row must have exactly one positive entry")
         if self.labels.min() < 0 or self.labels.max() >= k:
-            raise BadLabelError(f"labels must lie in 0..{k - 1}")
+            raise ClusteringError(f"labels must lie in 0..{k - 1}")
         if np.any(self.matrix[np.arange(n), self.labels] <= 0):
             raise ValueError("labels must point at each row's positive entry")
         sizes = np.bincount(self.labels, minlength=k)
         empty = np.flatnonzero(sizes == 0)
         if empty.size:
-            raise EmptyClusterError(empty[0])
+            raise ClusteringError(f"cluster {int(empty[0])} is empty")
         gram = self.matrix.T @ self.matrix
         if np.max(np.abs(gram - np.eye(k))) > INDICATOR_TOL:
             raise ValueError("indicator columns must be orthonormal")
@@ -243,13 +239,13 @@ def reference_make_indicator(labels, k: int) -> DenseIndicator:
     """The normalized indicator of integer labels, built as a dense n x k matrix."""
     labels = np.asarray(labels, dtype=int)
     if labels.ndim != 1 or labels.size == 0:
-        raise BadLabelError("labels must be a nonempty 1-D sequence")
+        raise ClusteringError("labels must be a nonempty 1-D sequence")
     if labels.min() < 0 or labels.max() >= k:
-        raise BadLabelError(f"labels must lie in 0..{k - 1}")
+        raise ClusteringError(f"labels must lie in 0..{k - 1}")
     sizes = np.bincount(labels, minlength=k)
     empty = np.flatnonzero(sizes == 0)
     if empty.size:
-        raise EmptyClusterError(empty[0])
+        raise ClusteringError(f"cluster {int(empty[0])} is empty")
     h = np.zeros((labels.size, k))
     h[np.arange(labels.size), labels] = 1.0 / np.sqrt(sizes[labels])
     return DenseIndicator(h, labels)
@@ -328,7 +324,7 @@ def reference_kindap_solve(basis, params=None):
         params = KindapParams()
     n, k = basis.matrix.shape
     if n < k:
-        raise InfeasibleKError(f"{n} objects cannot form {k} clusters")
+        raise ClusteringError(f"{n} objects cannot form {k} clusters")
     trace = SolverTrace()
     current = RotatedBasis(basis.matrix, np.eye(k))
     best_f = np.inf
@@ -402,7 +398,7 @@ def _dense_laplacian(graph: SimilarityGraph) -> np.ndarray:
     degrees = w.sum(axis=1)
     isolated = np.flatnonzero(degrees <= 0)
     if isolated.size:
-        raise IsolatedVertexError(isolated[0])
+        raise ClusteringError(f"vertex {int(isolated[0])} is isolated (degree 0)")
     inv_sqrt = 1.0 / np.sqrt(degrees)
     laplacian = np.eye(w.shape[0]) - inv_sqrt[:, None] * w * inv_sqrt[None, :]
     return 0.5 * (laplacian + laplacian.T)
@@ -421,7 +417,7 @@ def dense_spectral_embed(graph: SimilarityGraph, k: int, row_normalize: bool = F
     try:
         _, vectors = np.linalg.eigh(_dense_laplacian(graph))
     except np.linalg.LinAlgError as exc:
-        raise EigSolverError(f"eigendecomposition failed: {exc}") from exc
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     u = fix_column_signs(vectors[:, :k])
     if row_normalize:
         norms = np.linalg.norm(u, axis=1)
@@ -449,7 +445,7 @@ def reference_kmeans_pp_init(data, k: int, rng: np.random.Generator) -> np.ndarr
     x = np.asarray(data, dtype=float)
     n = x.shape[0]
     if n < k:
-        raise InfeasibleKError(f"{n} points cannot seed {k} centers")
+        raise ClusteringError(f"{n} points cannot seed {k} centers")
     chosen = np.empty(k, dtype=int)
     chosen[0] = int(rng.integers(n))
     d2 = ((x - x[chosen[0]]) ** 2).sum(axis=1)
@@ -502,7 +498,7 @@ def _reference_seize_for_empty(x, labels, centers, dist_to_own):
         candidates = np.where(sizes[labels] >= 2, dist_to_own, -np.inf)
         i = int(np.argmax(candidates))
         if candidates[i] == -np.inf:
-            raise InfeasibleKError("cannot repair empty cluster: n < k")
+            raise ClusteringError("cannot repair empty cluster: n < k")
         sizes[labels[i]] -= 1
         labels[i] = j
         sizes[j] += 1

@@ -17,7 +17,7 @@ from kindicators.baselines import (
     sr_solve,
 )
 from kindicators.cli import stable_cell_seed
-from kindicators.core import InfeasibleKError, make_indicator, validate_embedding
+from kindicators.core import ClusteringError, make_indicator, validate_embedding
 from kindicators.evaluation import accuracy
 from kindicators.kindap import repair_empty_columns
 from kindicators.synthgen import SynthSpec, generate
@@ -122,13 +122,13 @@ def test_lloyd_repairs_empty_cluster():
 
 def test_lloyd_rejects_fewer_points_than_clusters():
     data = np.array([[0.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(InfeasibleKError):
+    with pytest.raises(ClusteringError, match="^2 points cannot form 3 clusters$"):
         lloyd_solve(data, 3, np.zeros((3, 2)), KmeansParams(replications=1))
 
 
 def test_kmeans_rejects_fewer_points_than_clusters():
     data = np.array([[0.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(InfeasibleKError):
+    with pytest.raises(ClusteringError, match="^2 points cannot form 3 clusters$"):
         kmeans_solve(data, 3, KmeansParams(replications=2, seed=0))
 
 

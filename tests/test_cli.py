@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from kindicators import cli
 from kindicators.cli import (
-    DataFileError,
+    UsageError,
     _read_matrix_csv_by_rows,
     main,
     read_labels_csv,
@@ -24,7 +24,7 @@ from kindicators.cli import (
     write_labels_csv,
     write_matrix_csv,
 )
-from kindicators.core import make_indicator
+from kindicators.core import ClusteringError, NumericalError, make_indicator
 from kindicators.evaluation import accuracy
 
 from oracles import reference_write_matrix_csv
@@ -128,7 +128,7 @@ def test_matrix_csv_parse_error_carries_line_number(tmp_path):
 def _read_outcome(read, path):
     try:
         m = read(path)
-    except DataFileError as exc:
+    except ClusteringError as exc:
         return type(exc).__name__, str(exc)
     return m.shape, m.tobytes()
 
@@ -268,13 +268,26 @@ def test_synth_rejects_specs_too_large_for_one_array(tmp_path, capsys, flags):
     assert not any(tmp_path.iterdir())
 
 
-def test_synth_out_of_memory_is_a_data_error(tmp_path, capsys, monkeypatch):
-    def no_memory(spec):
-        raise MemoryError
+@pytest.mark.parametrize(
+    "error, code, err",
+    [
+        (UsageError("bad"), 2, "error: bad\n"),
+        (ClusteringError("bad"), 3, "data error: bad\n"),
+        (NumericalError("bad"), 4, "numerical failure: bad\n"),
+        (np.linalg.LinAlgError("bad"), 4, "numerical failure: bad\n"),
+        (OSError(5, "bad", "f.csv"), 3, "data error: f.csv: [Errno 5] bad: 'f.csv'\n"),
+        (MemoryError(), 3, "data error: not enough memory\n"),
+    ],
+    ids=["usage", "clustering", "numerical", "linalg", "os", "memory"],
+)
+def test_main_maps_each_error_to_its_exit_code(tmp_path, capsys, monkeypatch, error, code, err):
+    # NumericalError is a ClusteringError: main must still map it to 4.
+    def fail(spec):
+        raise error
 
-    monkeypatch.setattr(cli, "generate", no_memory)
-    assert main(["synth", "--k", "3", "--out", str(tmp_path), "--quiet"]) == 3
-    assert capsys.readouterr().err == "data error: not enough memory\n"
+    monkeypatch.setattr(cli, "generate", fail)
+    assert main(["synth", "--k", "3", "--out", str(tmp_path), "--quiet"]) == code
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize("rho", ["nan", "inf"])
@@ -646,6 +659,9 @@ def test_cluster_rejects_mismatched_k(tmp_path):
         ["--tol-outer", "inf"],
         ["--method", "kmeans", "--tol", "nan"],
         ["--method", "sr", "--tol", "inf"],
+        # Above the largest intp, the most streams SeedSequence.spawn makes.
+        ["--method", "kmeans", "--replications", str(2**63)],
+        ["--method", "sr", "--replications", str(2**63)],
     ],
     ids=[
         "max_inner",
@@ -659,6 +675,8 @@ def test_cluster_rejects_mismatched_k(tmp_path):
         "tol_outer_inf",
         "kmeans_tol_nan",
         "sr_tol_inf",
+        "kmeans_replications_huge",
+        "sr_replications_huge",
     ],
 )
 def test_cluster_bad_solver_flag_values_are_usage_errors(tmp_path, capsys, flags):
@@ -845,7 +863,7 @@ def test_labels_csv_reads_a_one_column_matrix(tmp_path, text, expected):
     path = tmp_path / "labels.csv"
     path.write_bytes(text.encode())
     if isinstance(expected, str):
-        with pytest.raises(DataFileError, match=re.escape(expected)):
+        with pytest.raises(ClusteringError, match=re.escape(expected)):
             read_labels_csv(path)
     else:
         labels = read_labels_csv(path)
@@ -913,6 +931,21 @@ def test_bench_records_cell_failures_and_continues(tmp_path):
     assert by_k[8]["accuracy"] == ""
 
 
+@pytest.mark.parametrize("replications", ["0", str(2**63)], ids=["zero", "huge"])
+def test_bench_bad_replications_is_a_usage_error(tmp_path, capsys, replications):
+    # Checked as cluster checks it, before the sweep runs any cell.
+    code = main(
+        [
+            "bench", "--k-list", "3", "--rho-list", "0.5", "--methods", "kmeans",
+            "--replications", replications, "--seeds", "1", "--per-cluster", "4",
+            "--ambient-dim", "4", "--out", str(tmp_path / "bench"), "--quiet",
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: replications must be ")
+    assert not (tmp_path / "bench").exists()
+
+
 def test_bench_prints_one_progress_line_per_row(tmp_path, capsys):
     # k=8 exceeds ambient_dim=4, so generate fails for that group's cells.
     out = tmp_path / "bench"
@@ -967,8 +1000,14 @@ def test_validate_result_payload_rejects_bad_documents():
         {**good, "labels": [0, 2**63]},
         {**good, "kmeans_objective": -1.0},
         {key: value for key, value in good.items() if key != "trace"},
+        {**good, "labels": [False, True]},
+        {**good, "kmeans_objective": True},
+        {**good, "kind_objective": True},
+        {**good, "kmeans_objective": float("nan")},
+        {**good, "kmeans_objective": float("inf")},
+        {**good, "kind_objective": float("inf")},
     ):
-        with pytest.raises(DataFileError):
+        with pytest.raises(ClusteringError):
             validate_result_payload(corrupt)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kindicators.core import (
-    AllZeroRowError,
+    ClusteringError,
     RelaxedAssignment,
     make_indicator,
     validate_embedding,
@@ -158,8 +158,9 @@ def test_round_ties_go_to_lowest_column():
 
 
 def test_round_fails_when_fewer_rows_than_columns():
-    with pytest.raises(AllZeroRowError):
-        round_to_indicator(np.array([[0.9, 0.1]]))
+    for mode in ("magnitude", "binary"):
+        with pytest.raises(ClusteringError, match="^cluster 0 is empty$"):
+            round_to_indicator(np.array([[0.9, 0.1]]), mode=mode)
 
 
 def test_kindap_records_degenerate_projection_warnings():
