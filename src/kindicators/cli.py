@@ -33,7 +33,7 @@ from .core import (
 )
 from .embedding import knn_graph, spectral_embed
 from .evaluation import accuracy, kind_objective, kmeans_objective, soft_indicator
-from .kindap import ROUNDING_MODES, KindapParams, kindap_solve, warm_start_centers
+from .kindap import KindapParams, kindap_solve, warm_start_centers
 from .synthgen import SynthSpec, generate
 
 EXIT_OK = 0
@@ -241,11 +241,13 @@ def validate_result_payload(payload: dict) -> None:
     """Raise ClusteringError unless `payload` matches the result document schema."""
     if not isinstance(payload, dict):
         raise ClusteringError("result document must be a JSON object")
-    if payload.get("schema") != SCHEMA_VERSION:
+    if type(payload.get("schema")) is not int or payload["schema"] != SCHEMA_VERSION:
         raise ClusteringError(f"unsupported schema: {payload.get('schema')!r}")
     for key in ("method", "labels", "kmeans_objective", "trace", "params"):
         if key not in payload:
             raise ClusteringError(f"result document missing key {key!r}")
+    if payload["method"] not in METHODS:
+        raise ClusteringError(f"unknown method: {payload['method']!r}")
     labels = payload["labels"]
     if not isinstance(labels, list) or not labels:
         raise ClusteringError("labels must be a nonempty list")
@@ -460,6 +462,7 @@ def _require_out(args, kind="path"):
 
 
 def _cmd_synth(args) -> int:
+    out_dir = _require_out(args, "directory")
     try:
         spec = SynthSpec(
             k=args.k,
@@ -471,7 +474,6 @@ def _cmd_synth(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     data = generate(spec)
-    out_dir = _require_out(args, "directory")
     out_dir.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(out_dir / "raw.csv", data.raw)
     write_labels_csv(out_dir / "truth.csv", data.truth)
@@ -482,6 +484,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_embed(args) -> int:
+    out = _require_out(args, "file")
     matrix = read_matrix_csv(args.input)
     n = matrix.shape[0]
     if not 2 <= args.k <= n:
@@ -497,7 +500,6 @@ def _cmd_embed(args) -> int:
             file=sys.stderr,
         )
     embedded = spectral_embed(graph, args.k, row_normalize=args.row_normalize)
-    out = _require_out(args, "file")
     write_matrix_csv(out, embedded.matrix)
     if not args.quiet:
         print(f"wrote {n}x{args.k} embedding to {out}", file=sys.stderr)
@@ -517,7 +519,7 @@ def _read_embedding(path, labels=None) -> EmbeddedData:
 
 def _cmd_cluster(args) -> int:
     # The solver flags given on the command line; the rest keep the params' defaults.
-    flags = ("max_outer", "max_inner", "tol_inner", "tol_outer", "rounding", "max_iters", "tol")
+    flags = ("max_outer", "max_inner", "tol_inner", "tol_outer", "max_iters", "tol")
     given = {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
     try:
         kindap_params, baseline_params = _method_params(
@@ -584,6 +586,7 @@ def _parse_list(text: str, flag: str, convert) -> list:
 
 
 def _cmd_bench(args) -> int:
+    out_dir = _require_out(args, "directory")
     k_list = _parse_list(args.k_list, "--k-list", int)
     rho_list = _parse_list(args.rho_list, "--rho-list", float)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -602,7 +605,6 @@ def _cmd_bench(args) -> int:
         ambient_dim=args.ambient_dim,
         quiet=args.quiet,
     )
-    out_dir = _require_out(args, "directory")
     out_dir.mkdir(parents=True, exist_ok=True)
     write_bench_csv(out_dir / "bench.csv", cells)
     write_json(
@@ -669,9 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cluster.add_argument(
         "--tol-outer", type=float, help=f"KindAP outer tolerance (default {KindapParams.tol_outer})"
-    )
-    p_cluster.add_argument(
-        "--rounding", choices=ROUNDING_MODES, help=f"KindAP rounding (default {KindapParams.rounding})"
     )
     p_cluster.add_argument(
         "--max-iters",

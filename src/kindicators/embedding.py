@@ -48,7 +48,6 @@ class SimilarityGraph:
     """
 
     matrix: sparse.csr_array
-    knn: int
 
     def __post_init__(self):
         w = sparse.csr_array(self.matrix, dtype=float, copy=True)
@@ -169,7 +168,7 @@ def knn_graph(data, knn: int, weight: str = "binary") -> SimilarityGraph:
     directed = sparse.csr_array(
         (values, (np.repeat(np.arange(n), knn), neighbors.ravel())), shape=(n, n)
     )
-    return SimilarityGraph(directed.maximum(directed.T), knn)
+    return SimilarityGraph(directed.maximum(directed.T))
 
 
 def _null_space(sqrt_degrees: np.ndarray, labels: np.ndarray, count: int) -> np.ndarray:

@@ -33,8 +33,6 @@ OBJECTIVE_FLOOR = 1e-12
 # Iterations a KindAP inner phase starts with; see :func:`kindap_solve`.
 INNER_BUDGET = 3
 
-ROUNDING_MODES = ("magnitude", "binary")
-
 
 @dataclass
 class KindapParams:
@@ -46,17 +44,12 @@ class KindapParams:
     phases: a handful on separable data, up to about a hundred on hard,
     overlapping data, which the `max_outer` cap leaves room for. The solver
     is deterministic and draws no random numbers.
-
-    `rounding` picks the value written into the kept entry when rounding the
-    relaxed assignment: "magnitude" keeps the relaxed value (columns
-    renormalized), "binary" uses the equal-weight 1/sqrt(n_j) convention.
     """
 
     max_outer: int = 200
     max_inner: int = 200
     tol_inner: float = 1e-5
     tol_outer: float = 1e-5
-    rounding: str = "magnitude"
 
     def __post_init__(self):
         require_integers(max_outer=self.max_outer, max_inner=self.max_inner)
@@ -64,8 +57,6 @@ class KindapParams:
             raise ValueError("iteration caps must be >= 1")
         if not all(np.isfinite(t) and t > 0 for t in (self.tol_inner, self.tol_outer)):
             raise ValueError("tolerances must be finite and positive")
-        if self.rounding not in ROUNDING_MODES:
-            raise ValueError(f"rounding must be one of {ROUNDING_MODES}")
 
 
 def inner_solve(
@@ -156,7 +147,7 @@ def repair_empty_columns(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return labels
 
 
-def round_to_indicator(n_mat: np.ndarray, mode: str = "magnitude") -> IndicatorMatrix:
+def round_to_indicator(n_mat: np.ndarray) -> IndicatorMatrix:
     """Round a relaxed assignment to the nearest indicator-structured matrix.
 
     `n_mat` is an n x k matrix in the [0, 1] box, such as the buffer
@@ -164,17 +155,11 @@ def round_to_indicator(n_mat: np.ndarray, mode: str = "magnitude") -> IndicatorM
 
     Keeps each row's largest entry (ties go to the lowest column index),
     repairs empty columns with :func:`repair_empty_columns`, and scales every
-    column to unit norm. "magnitude" mode preserves the kept values' relative
-    sizes; "binary" mode is :func:`make_indicator` of the labels, with the
-    equal-weight value 1/sqrt(n_j). Costs O(nk) for the argmax and O(n)
-    after it; no n x k array is built. For n < k, raises ClusteringError.
+    column to unit norm. Costs O(nk) for the argmax and O(n) after it; no
+    n x k array is built. For n < k, raises ClusteringError.
     """
-    if mode not in ROUNDING_MODES:
-        raise ValueError(f"mode must be one of {ROUNDING_MODES}")
     n, k = n_mat.shape
     labels = repair_empty_columns(n_mat, np.argmax(n_mat, axis=1))
-    if mode == "binary":
-        return make_indicator(labels, k)
     kept = n_mat[np.arange(n), labels]
     # Rows parked by repair can carry a zero; give them unit weight so every
     # row keeps a positive entry.
@@ -234,7 +219,7 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
         trace.inner_iters_per_outer.append(inner_iters)
         trace.stop_reasons.append(phase_stop)
         trace.outer_iters = outer
-        rounded = round_to_indicator(n_mat, mode=params.rounding)
+        rounded = round_to_indicator(n_mat)
         f = kind_objective(basis, make_indicator(rounded.labels, k))
         trace.outer_objective_history.append(f)
         if f < best_f:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _ROW_BLOCK, EmbeddedData, _fix_column_signs_in_place, _readonly
+from .core import _ROW_BLOCK, EmbeddedData, _fix_column_signs_in_place, _readonly, require_integers
 from .projections import GRAM_EIGH_RATIO
 
 
@@ -26,6 +26,9 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(
+            k=self.k, per_cluster=self.per_cluster, ambient_dim=self.ambient_dim, seed=self.seed
+        )
         if self.k < 2:
             raise ValueError("k must be >= 2")
         if self.per_cluster < 1:

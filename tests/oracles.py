@@ -59,7 +59,6 @@ from kindicators.embedding import WEIGHT_SCHEMES, SimilarityGraph
 from kindicators.evaluation import kmeans_objective
 from kindicators.kindap import (
     OBJECTIVE_FLOOR,
-    ROUNDING_MODES,
     KindapParams,
     repair_empty_columns,
 )
@@ -251,23 +250,17 @@ def reference_make_indicator(labels, k: int) -> DenseIndicator:
     return DenseIndicator(h, labels)
 
 
-def reference_round_to_indicator(relaxed: RelaxedAssignment, mode="magnitude") -> DenseIndicator:
+def reference_round_to_indicator(relaxed: RelaxedAssignment) -> DenseIndicator:
     """Rounding to an indicator as first written, filling a dense n x k matrix."""
-    if mode not in ROUNDING_MODES:
-        raise ValueError(f"mode must be one of {ROUNDING_MODES}")
     n_mat = relaxed.matrix
     n, k = n_mat.shape
     labels = repair_empty_columns(n_mat, np.argmax(n_mat, axis=1))
-    if mode == "binary":
-        sizes = np.bincount(labels, minlength=k)
-        kept = 1.0 / np.sqrt(sizes[labels].astype(float))
-    else:
-        kept = n_mat[np.arange(n), labels].copy()
-        # Rows parked by repair can carry a zero; give them unit weight so the
-        # result still has one positive entry per row.
-        kept[kept <= 0] = 1.0
-        norms = np.sqrt(np.bincount(labels, weights=kept**2, minlength=k))
-        kept = kept / norms[labels]
+    kept = n_mat[np.arange(n), labels].copy()
+    # Rows parked by repair can carry a zero; give them unit weight so the
+    # result still has one positive entry per row.
+    kept[kept <= 0] = 1.0
+    norms = np.sqrt(np.bincount(labels, weights=kept**2, minlength=k))
+    kept = kept / norms[labels]
     h = np.zeros((n, k))
     h[np.arange(n), labels] = kept
     return DenseIndicator(h, labels)
@@ -336,7 +329,7 @@ def reference_kindap_solve(basis, params=None):
         last_relaxed = relaxed
         trace.inner_iters_per_outer.append(inner_iters)
         trace.outer_iters = outer
-        rounded = reference_round_to_indicator(relaxed, mode=params.rounding)
+        rounded = reference_round_to_indicator(relaxed)
         f = reference_kind_objective(basis, reference_make_indicator(rounded.labels, k))
         trace.outer_objective_history.append(f)
         if f < best_f:
@@ -390,7 +383,7 @@ def dense_knn_graph(data, knn: int, weight: str = "binary") -> SimilarityGraph:
     if weight == "gaussian":
         bandwidth = float(np.median(np.sqrt(d2[np.arange(n)[:, None], neighbors])))
         w = np.where(w > 0, np.exp(-d2 / (2.0 * bandwidth**2)), 0.0)
-    return SimilarityGraph(w, knn)
+    return SimilarityGraph(w)
 
 
 def _dense_laplacian(graph: SimilarityGraph) -> np.ndarray:

@@ -1,0 +1,123 @@
+"""Digests of every output a change to the solvers or the CLI must keep.
+
+Prints one JSON line per output, so the lines printed with two versions of
+`src/` can be diffed to show that a change left its outputs unchanged:
+
+- `solve`: the 12 `SynthSpec` cells (k 10, 50, 100; rho 0.33, 0.66; seeds
+  0, 1) through `cli.run_method` for `kindap`, `kmeans`, `sr` and `kindap+l`
+  (replications 3, seed 0). Per run: the labels' SHA-256, both objectives as
+  `float.hex`, `inner_iters_per_outer`, `stop_reasons`, `outer_stop_reason`,
+  `replication_index`, and the relaxed assignment's SHA-256 where there is
+  one; for `kindap+l` the same for the KindAP stage it starts from.
+- `front_end`: the `raw_pipeline` benchmark's raw data through
+  `knn_graph(raw, 10)` and `spectral_embed(graph, 20)`: the edge count and
+  the embedding's SHA-256.
+- `cluster`: the result JSON of `main(["cluster", ...])` for each method on
+  the embedding of a `synth` run, one line per top-level key, with
+  `wall_time_seconds` dropped.
+
+It uses only names that older versions of the package also have, so it runs
+unchanged on both sides of a change.
+
+Usage: ``PYTHONPATH=src python tests/output_digest.py > digest.jsonl``, then
+``diff`` two such files (about 6 s on 2 cores).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from kindicators import cli
+from kindicators.embedding import knn_graph, spectral_embed
+from kindicators.synthgen import SynthSpec, generate
+
+CELLS = [
+    SynthSpec(k=k, rho=rho, seed=seed)
+    for k in (10, 50, 100)
+    for rho in (0.33, 0.66)
+    for seed in (0, 1)
+]
+REPLICATIONS = 3
+RAW_PIPELINE = SynthSpec(k=20, per_cluster=100, rho=0.66)
+KNN = 10
+
+
+def _sha(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def _hex(value) -> str | None:
+    return None if value is None else float(value).hex()
+
+
+def _digest(result) -> dict:
+    trace = result.trace
+    return {
+        "labels": _sha(np.asarray(result.labels, dtype=np.int64)),
+        "kind_objective": _hex(result.kind_objective),
+        "kmeans_objective": _hex(result.kmeans_objective),
+        "inner_iters_per_outer": list(trace.inner_iters_per_outer),
+        "stop_reasons": list(trace.stop_reasons),
+        "outer_stop_reason": trace.outer_stop_reason,
+        "replication_index": trace.replication_index,
+        "relaxed": None if result.relaxed is None else _sha(result.relaxed.matrix),
+    }
+
+
+def _emit(record: dict) -> None:
+    sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def solve_digests() -> None:
+    for spec in CELLS:
+        embedded = generate(spec).embedded
+        for method in cli.METHODS:
+            kindap_params, baseline_params = cli._method_params(method, REPLICATIONS, 0)
+            result, _, stage_one = cli.run_method(
+                method, embedded, kindap_params, baseline_params
+            )
+            record = {"solve": method, "k": spec.k, "rho": spec.rho, "seed": spec.seed}
+            record.update(_digest(result))
+            if stage_one is not None:
+                record["stage_one"] = _digest(stage_one)
+            _emit(record)
+
+
+def front_end_digest() -> None:
+    raw = generate(RAW_PIPELINE).raw
+    graph = knn_graph(raw, KNN)
+    basis = spectral_embed(graph, RAW_PIPELINE.k)
+    _emit({"front_end": "raw_pipeline", "edges": int(graph.matrix.nnz // 2),
+           "embedding": _sha(basis.matrix)})
+
+
+def cluster_digests() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        assert cli.main(["synth", "--k", "5", "--out", str(tmp), "--quiet"]) == 0
+        for method in cli.METHODS:
+            out = tmp / "result.json"
+            argv = ["cluster", str(tmp / "embedded.csv"), "--method", method,
+                    "--replications", str(REPLICATIONS), "--out", str(out), "--quiet"]
+            assert cli.main(argv) == 0
+            payload = json.loads(out.read_text())
+            payload.pop("wall_time_seconds")
+            for key, value in sorted(payload.items()):
+                _emit({"cluster": method, "key": key, "value": value})
+
+
+def main() -> int:
+    solve_digests()
+    front_end_digest()
+    cluster_digests()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

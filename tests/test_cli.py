@@ -290,6 +290,25 @@ def test_main_maps_each_error_to_its_exit_code(tmp_path, capsys, monkeypatch, er
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["synth", "--k", "3"], "directory"),
+        (["embed", "raw.csv", "--k", "2"], "file"),
+        (["bench", "--k-list", "3", "--rho-list", "0.5", "--methods", "kindap"], "directory"),
+    ],
+    ids=["synth", "embed", "bench"],
+)
+def test_missing_out_is_rejected_before_any_work(capsys, monkeypatch, argv, kind):
+    def work(*args, **kwargs):
+        raise AssertionError("ran before checking --out")
+
+    for name in ("generate", "read_matrix_csv", "run_bench"):
+        monkeypatch.setattr(cli, name, work)
+    assert main([*argv, "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: --out {kind} is required for this command\n"
+
+
 @pytest.mark.parametrize("rho", ["nan", "inf"])
 def test_synth_rejects_non_finite_rho(tmp_path, capsys, rho):
     assert main(["synth", "--k", "3", "--rho", rho, "--out", str(tmp_path), "--quiet"]) == 2
@@ -686,6 +705,17 @@ def test_cluster_bad_solver_flag_values_are_usage_errors(tmp_path, capsys, flags
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("mode", ["binary", "magnitude"])
+def test_cluster_has_no_rounding_flag(tmp_path, capsys, mode):
+    # KindAP has one rounding rule, so there is nothing to choose.
+    emb_path = tmp_path / "emb.csv"
+    write_matrix_csv(emb_path, make_indicator([0, 0, 1, 1], 2).matrix)
+    with pytest.raises(SystemExit) as exc:
+        main(["cluster", str(emb_path), "--method", "kindap", "--rounding", mode])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rounding" in capsys.readouterr().err
+
+
 SHAPE_CASES = {
     "one_column": "need n >= d >= 2",
     "one_row": "need n >= d >= 2",
@@ -1006,6 +1036,10 @@ def test_validate_result_payload_rejects_bad_documents():
         {**good, "kmeans_objective": float("nan")},
         {**good, "kmeans_objective": float("inf")},
         {**good, "kind_objective": float("inf")},
+        {**good, "schema": True},
+        {**good, "schema": 1.0},
+        {**good, "method": 5},
+        {**good, "method": "nope"},
     ):
         with pytest.raises(ClusteringError):
             validate_result_payload(corrupt)

@@ -91,7 +91,7 @@ def _component_graph(sizes, rng):
         block = block + block.T
         w[start : start + size, start : start + size] = block
         start += size
-    return SimilarityGraph(w, knn=1)
+    return SimilarityGraph(w)
 
 
 def test_disconnected_components_give_zero_eigenvalues():
@@ -105,7 +105,7 @@ def test_disconnected_components_give_zero_eigenvalues():
 def test_complete_graph_spectrum():
     n = 4
     w = np.ones((n, n)) - np.eye(n)
-    graph = SimilarityGraph(w, knn=n - 1)
+    graph = SimilarityGraph(w)
     eigenvalues = laplacian_eigenvalues(graph)
     assert eigenvalues[0] == pytest.approx(0.0, abs=1e-12)
     # All nonzero eigenvalues of the normalized Laplacian of K_n equal n/(n-1).
@@ -147,7 +147,7 @@ def test_spectral_embed_rejects_isolated_vertex():
     w = np.zeros((4, 4))
     w[0, 1] = w[1, 0] = 1.0
     w[2, 3] = w[3, 2] = 0.0
-    graph = SimilarityGraph(w, knn=1)
+    graph = SimilarityGraph(w)
     with pytest.raises(ClusteringError, match=r"^vertex 2 is isolated \(degree 0\)$"):
         spectral_embed(graph, 2)
 
@@ -319,7 +319,7 @@ def test_null_space_columns_follow_smallest_vertex():
     w = np.zeros((7, 7))
     for i, j in [(0, 3), (3, 5), (0, 5), (1, 2), (4, 6)]:
         w[i, j] = w[j, i] = 1.0
-    graph = SimilarityGraph(w, knn=1)
+    graph = SimilarityGraph(w)
     count, labels = graph.components
     assert count == 3
     np.testing.assert_array_equal(labels, [0, 1, 1, 0, 2, 0, 2])
@@ -344,7 +344,7 @@ def test_eigensolver_failure_is_eig_solver_error(monkeypatch):
 def test_similarity_graph_is_csr_and_checks_its_input():
     w = np.array([[0.0, 2.0], [2.0, 0.0]])
     for value in (w, sparse.coo_array(w)):
-        graph = SimilarityGraph(value, knn=1)
+        graph = SimilarityGraph(value)
         assert isinstance(graph.matrix, sparse.csr_array)
         assert graph.matrix.nnz == 2
         assert not graph.weights.flags.writeable
@@ -358,7 +358,7 @@ def test_similarity_graph_is_csr_and_checks_its_input():
     }
     for word, value in bad.items():
         with pytest.raises(ValueError, match=word):
-            SimilarityGraph(value, knn=1)
+            SimilarityGraph(value)
 
 
 def test_knn_graph_rejects_non_finite_data():

@@ -42,8 +42,6 @@ def test_params_validation():
         KindapParams(max_outer=0)
     with pytest.raises(ValueError):
         KindapParams(tol_inner=0.0)
-    with pytest.raises(ValueError):
-        KindapParams(rounding="nearest")
 
 
 @pytest.mark.parametrize("field", ["max_outer", "max_inner"])
@@ -129,12 +127,6 @@ def test_round_repairs_empty_column():
     np.testing.assert_allclose(h.values, [1.0, 0.8 / norm0, 0.7 / norm0])
 
 
-def test_round_binary_mode_uses_equal_weights():
-    h = round_to_indicator(np.array([[0.9, 0.1], [0.8, 0.2], [0.1, 0.6]]), mode="binary")
-    assert np.array_equal(h.labels, [0, 0, 1])
-    np.testing.assert_allclose(h.values, [1 / np.sqrt(2), 1 / np.sqrt(2), 1.0])
-
-
 def test_round_matches_dense_reference():
     # Labels and values fill the same dense indicator, bit for bit, as the
     # rounding that built it entry by entry; repaired rows included.
@@ -145,11 +137,10 @@ def test_round_matches_dense_reference():
         n_mat = rng.uniform(0.0, 1.0, size=(n, k)) * (rng.uniform(size=(n, k)) < 0.7)
         n_mat[:, -1] = 0.0  # an empty column, so the repair runs
         relaxed = RelaxedAssignment(n_mat)
-        for mode in ("magnitude", "binary"):
-            new = round_to_indicator(relaxed.matrix, mode=mode)
-            old = reference_round_to_indicator(relaxed, mode=mode)
-            assert np.array_equal(new.labels, old.labels)
-            assert np.array_equal(new.matrix, old.matrix)
+        new = round_to_indicator(relaxed.matrix)
+        old = reference_round_to_indicator(relaxed)
+        assert np.array_equal(new.labels, old.labels)
+        assert np.array_equal(new.matrix, old.matrix)
 
 
 def test_round_ties_go_to_lowest_column():
@@ -158,9 +149,8 @@ def test_round_ties_go_to_lowest_column():
 
 
 def test_round_fails_when_fewer_rows_than_columns():
-    for mode in ("magnitude", "binary"):
-        with pytest.raises(ClusteringError, match="^cluster 0 is empty$"):
-            round_to_indicator(np.array([[0.9, 0.1]]), mode=mode)
+    with pytest.raises(ClusteringError, match="^cluster 0 is empty$"):
+        round_to_indicator(np.array([[0.9, 0.1]]))
 
 
 def test_kindap_records_degenerate_projection_warnings():

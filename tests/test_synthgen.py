@@ -27,6 +27,21 @@ def test_spec_validation():
         SynthSpec(k=2, per_cluster=2**62)
 
 
+@pytest.mark.parametrize("field", ["k", "per_cluster", "ambient_dim", "seed"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "3"])
+def test_spec_rejects_non_integer_counts(field, value):
+    # Checked before any comparison, so a string is a ValueError, not a TypeError.
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        SynthSpec(**{"k": 3, field: value})
+
+
+def test_spec_accepts_numpy_integer_counts():
+    spec = SynthSpec(
+        k=np.int64(3), per_cluster=np.int32(2), ambient_dim=np.int64(4), seed=np.uint8(1)
+    )
+    assert generate(spec).raw.shape == (6, 4)
+
+
 @pytest.mark.parametrize("rho", [float("nan"), float("inf")])
 def test_spec_rejects_non_finite_rho(rho):
     with pytest.raises(ValueError, match="rho must be positive and finite"):
