@@ -14,6 +14,7 @@ from .core import (
     cluster_sums,
     make_indicator,
     require_integers,
+    require_reals,
 )
 from .evaluation import kind_objective, kmeans_objective
 from .kindap import OBJECTIVE_FLOOR, repair_empty_columns
@@ -38,6 +39,7 @@ class KmeansParams:
 
     def __post_init__(self):
         require_integers(replications=self.replications, max_iters=self.max_iters, seed=self.seed)
+        require_reals(tol=self.tol)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         # The most streams SeedSequence.spawn can make.
@@ -107,7 +109,7 @@ def _check_k_and_data(data, k) -> np.ndarray:
     return x
 
 
-def kmeans_pp_init(data, k: int, rngs) -> np.ndarray:
+def kmeans_pp_init(data, k: int, rngs, *, _checked: bool = False) -> np.ndarray:
     """k-means++ seeding, one run per generator in `rngs`: an R x k x d array.
 
     The first center is uniform, the rest squared-distance weighted. When all
@@ -124,7 +126,8 @@ def kmeans_pp_init(data, k: int, rngs) -> np.ndarray:
     the same arithmetic and the same stream as ``rng.choice(n, p=d2 / total)``
     without its per-call validation and copies.
     """
-    x = _check_k_and_data(data, k)
+    # From kmeans_solve alone: data it already passed through _check_k_and_data.
+    x = data if _checked else _check_k_and_data(data, k)
     x_sq = np.einsum("ij,ij->i", x, x)
     n = x.shape[0]
     chosen = np.empty((len(rngs), k), dtype=int)
@@ -253,9 +256,9 @@ def kmeans_solve(data, k: int, params: KmeansParams | None = None) -> ClusterRes
     """Best of `params.replications` k-means++ starts of :func:`lloyd_solve` (:func:`_best_of`).
 
     All replications' starts come from one lockstep :func:`kmeans_pp_init`
-    call. The data is checked and its row norms summed once, for every
-    replication's :func:`lloyd_solve`, and the kind objective is scored for
-    the winner alone.
+    call. The data is checked once, for k-means++ and every replication's
+    :func:`lloyd_solve`; its row norms are summed once for the Lloyd runs,
+    and the kind objective is scored for the winner alone.
     """
     if params is None:
         params = KmeansParams()
@@ -267,7 +270,7 @@ def kmeans_solve(data, k: int, params: KmeansParams | None = None) -> ClusterRes
         (stop,) = lloyd.trace.stop_reasons
         return lloyd.labels, lloyd.kmeans_objective, lloyd.trace.objective_history, stop
 
-    labels, trace = _best_of(params, lambda rngs: kmeans_pp_init(x, k, rngs), run)
+    labels, trace = _best_of(params, lambda rngs: kmeans_pp_init(x, k, rngs, _checked=True), run)
     return ClusterResult(
         labels=labels,
         kind_objective=_kind_objective_if_embedded(x, labels),

@@ -533,6 +533,10 @@ def _cmd_cluster(args) -> int:
     started = time.perf_counter()
     result, soft, stage_one = run_method(args.method, embedded, kindap_params, baseline_params)
     elapsed = time.perf_counter() - started
+    # The settings the method read: KindAP's, Lloyd's or SR's, or both for "kindap+l".
+    params = asdict(kindap_params) if args.method in ("kindap", "kindap+l") else {}
+    if args.method != "kindap":
+        params.update(max_iters=baseline_params.max_iters, tol=baseline_params.tol)
     payload = result_payload(
         args.method,
         result,
@@ -540,11 +544,7 @@ def _cmd_cluster(args) -> int:
         replications=baseline_params.replications,
         orthonormalized=embedded.orthonormalized,
         wall_time_seconds=elapsed,
-        params={
-            **asdict(kindap_params),
-            "max_iters": baseline_params.max_iters,
-            "tol": baseline_params.tol,
-        },
+        params=params,
         soft_values=soft,
         kindap_trace=None if stage_one is None else stage_one.trace,
     )

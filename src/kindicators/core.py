@@ -52,6 +52,13 @@ def require_integers(**values) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def require_reals(**values) -> None:
+    """Raise ValueError unless each value is an int, float, numpy integer or numpy float (not a bool)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def fix_column_signs(matrix: np.ndarray) -> np.ndarray:
     """A copy of `matrix` with column signs flipped so each column's first
     largest-magnitude entry is positive (:func:`_fix_column_signs_in_place`).

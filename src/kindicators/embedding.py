@@ -2,10 +2,12 @@
 
 No step forms an n x n array. `knn_graph` computes squared distances one
 block of rows at a time, with the block height chosen so that one distance
-tile holds at most TILE_ENTRIES floats, and keeps only each row's neighbors:
-O(block * n + n * knn) memory. `spectral_embed` reads the Laplacian's null
-space off the graph's connected components, exactly, and asks an
-eigensolver only for the eigenvectors beyond it: O(nnz + n * k) memory.
+tile holds at most TILE_ENTRIES floats, and selects each row's neighbors in
+chunks of the tile's rows: memory is the one tile, O(chunk * n) selection
+temporaries, the block x d scaled copy of the data and O(n * knn) for the
+neighbors. `spectral_embed` reads the Laplacian's null space off the graph's
+connected components, exactly, and asks an eigensolver only for the
+eigenvectors beyond it: O(nnz + n * k) memory.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .core import (
 
 WEIGHT_SCHEMES = ("binary", "gaussian")
 # Largest distance tile knn_graph holds at once: 4M float64 entries, 32 MB.
+# It is the only tile-sized array: neighbor selection reads it in chunks of
+# a sixteenth of its rows.
 TILE_ENTRIES = 1 << 22
 # Smallest Lanczos basis handed to ARPACK, which is otherwise twice the
 # wanted pairs plus one. When the complement of the null space is no larger
@@ -89,6 +93,37 @@ class SimilarityGraph:
         return count, ids
 
 
+def _nearest(d2: np.ndarray, first: int, sq_norms: np.ndarray, knn: int):
+    """Each row's `knn` nearest columns and their squared distances, ordered by (distance, index).
+
+    `d2` holds -2 x_i x' for the rows i = first, first + 1, ... and is
+    completed in place to squared distances, with the row's own column set
+    to infinity. Every step works row by row, so the result does not depend
+    on how the rows are chunked.
+    """
+    rows = np.arange(d2.shape[0])
+    d2 += sq_norms[first : first + rows.size, None]
+    d2 += sq_norms[None, :]
+    np.maximum(d2, 0.0, out=d2)
+    d2[rows, first + rows] = np.inf
+    # The knn + 1 smallest of each row, the largest of them last. A row
+    # whose (knn + 1)-th distance equals its knn-th has ties across the
+    # cut, so it takes every candidate at or below that distance.
+    part = np.argpartition(d2, knn, axis=1)[:, : knn + 1]
+    part_d2 = np.take_along_axis(d2, part, axis=1)
+    kth = part_d2[:, :knn].max(axis=1)
+    tied = part_d2[:, knn] == kth
+    tied_row, tied_col = np.nonzero(d2[tied] <= kth[tied, None])
+    row = np.concatenate([np.repeat(rows[~tied], knn), rows[tied][tied_row]])
+    col = np.concatenate([part[~tied, :knn].ravel(), tied_col])
+    dist = d2[row, col]
+    # Order by (row, distance, index) and keep each row's first knn.
+    order = np.lexsort((col, dist, row))
+    first_of_row = np.searchsorted(row[order], rows)
+    keep = order[(first_of_row[:, None] + np.arange(knn)).ravel()]
+    return col[keep].reshape(-1, knn), dist[keep].reshape(-1, knn)
+
+
 def knn_graph(data, knn: int, weight: str = "binary") -> SimilarityGraph:
     """Symmetrized k-nearest-neighbor graph under Euclidean distance.
 
@@ -98,8 +133,10 @@ def knn_graph(data, knn: int, weight: str = "binary") -> SimilarityGraph:
     exp(-d^2 / (2 h^2)) with bandwidth h equal to the median neighbor
     distance.
 
-    Cost: O(n^2 d) time in blocked GEMMs and O(block * n + n * knn) memory,
-    where one block of rows times n is at most TILE_ENTRIES floats.
+    Cost: O(n^2 d) time in blocked GEMMs. Memory is one distance tile of
+    block x n <= TILE_ENTRIES floats, plus O(chunk * n) selection temporaries
+    (chunk = block / 16 rows), plus the block x d scaled copy of the data,
+    plus O(n * knn) for the neighbors.
 
     Raises ClusteringError when a squared row norm exceeds a quarter of the
     largest float (squared distances would overflow), and for "gaussian"
@@ -124,36 +161,20 @@ def knn_graph(data, knn: int, weight: str = "binary") -> SimilarityGraph:
             "largest float, so distances would overflow; rescale the data"
         )
     block = max(1, TILE_ENTRIES // n)
+    # Selection reads the tile in chunks, so its temporaries are O(chunk * n).
+    chunk = max(1, block // 16)
     neighbors = np.empty((n, knn), dtype=np.intp)
     neighbor_d2 = np.empty((n, knn))
     tile = np.empty((min(block, n), n))
     for start in range(0, n, block):
         stop = min(start + block, n)
-        rows = np.arange(stop - start)
-        d2 = tile[: stop - start]
         # Scaling an operand by -2 is exact, so this is bitwise -2 x_B x'.
-        np.matmul(-2.0 * x[start:stop], x.T, out=d2)
-        d2 += sq_norms[start:stop, None]
-        d2 += sq_norms[None, :]
-        np.maximum(d2, 0.0, out=d2)
-        d2[rows, start + rows] = np.inf
-        # The knn + 1 smallest of each row, the largest of them last. A row
-        # whose (knn + 1)-th distance equals its knn-th has ties across the
-        # cut, so it takes every candidate at or below that distance.
-        part = np.argpartition(d2, knn, axis=1)[:, : knn + 1].copy()
-        part_d2 = np.take_along_axis(d2, part, axis=1)
-        kth = part_d2[:, :knn].max(axis=1)
-        tied = part_d2[:, knn] == kth
-        tied_row, tied_col = np.nonzero(d2[tied] <= kth[tied, None])
-        row = np.concatenate([np.repeat(rows[~tied], knn), rows[tied][tied_row]])
-        col = np.concatenate([part[~tied, :knn].ravel(), tied_col])
-        dist = d2[row, col]
-        # Order by (row, distance, index) and keep each row's first knn.
-        order = np.lexsort((col, dist, row))
-        first = np.searchsorted(row[order], rows)
-        keep = order[(first[:, None] + np.arange(knn)).ravel()]
-        neighbors[start:stop] = col[keep].reshape(-1, knn)
-        neighbor_d2[start:stop] = dist[keep].reshape(-1, knn)
+        np.matmul(-2.0 * x[start:stop], x.T, out=tile[: stop - start])
+        for lo in range(start, stop, chunk):
+            hi = min(lo + chunk, stop)
+            neighbors[lo:hi], neighbor_d2[lo:hi] = _nearest(
+                tile[lo - start : hi - start], lo, sq_norms, knn
+            )
     if weight == "gaussian":
         bandwidth = float(np.median(np.sqrt(neighbor_d2)))
         scale = 2.0 * bandwidth**2

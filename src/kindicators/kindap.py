@@ -23,6 +23,7 @@ from .core import (
     cluster_sums,
     make_indicator,
     require_integers,
+    require_reals,
 )
 from .evaluation import kind_objective, kmeans_objective
 from .projections import DEGENERATE_SV_TOL, procrustes_rotation
@@ -53,6 +54,7 @@ class KindapParams:
 
     def __post_init__(self):
         require_integers(max_outer=self.max_outer, max_inner=self.max_inner)
+        require_reals(tol_inner=self.tol_inner, tol_outer=self.tol_outer)
         if self.max_outer < 1 or self.max_inner < 1:
             raise ValueError("iteration caps must be >= 1")
         if not all(np.isfinite(t) and t > 0 for t in (self.tol_inner, self.tol_outer)):

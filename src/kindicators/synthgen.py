@@ -6,7 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _ROW_BLOCK, EmbeddedData, _fix_column_signs_in_place, _readonly, require_integers
+from .core import (
+    _ROW_BLOCK,
+    EmbeddedData,
+    _fix_column_signs_in_place,
+    _readonly,
+    require_integers,
+    require_reals,
+)
 from .projections import GRAM_EIGH_RATIO
 
 
@@ -29,6 +36,7 @@ class SynthSpec:
         require_integers(
             k=self.k, per_cluster=self.per_cluster, ambient_dim=self.ambient_dim, seed=self.seed
         )
+        require_reals(rho=self.rho)
         if self.k < 2:
             raise ValueError("k must be >= 2")
         if self.per_cluster < 1:

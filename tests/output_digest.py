@@ -10,8 +10,9 @@ Prints one JSON line per output, so the lines printed with two versions of
   `replication_index`, and the relaxed assignment's SHA-256 where there is
   one; for `kindap+l` the same for the KindAP stage it starts from.
 - `front_end`: the `raw_pipeline` benchmark's raw data through
-  `knn_graph(raw, 10)` and `spectral_embed(graph, 20)`: the edge count and
-  the embedding's SHA-256.
+  `knn_graph(raw, 10)` and `spectral_embed(graph, 20)`: the edge count, the
+  SHA-256s of the graph's CSR `indices` and `indptr`, of the `data` of
+  `knn_graph(raw, 10, weight="gaussian")`, and of the embedding.
 - `cluster`: the result JSON of `main(["cluster", ...])` for each method on
   the embedding of a `synth` run, one line per top-level key, with
   `wall_time_seconds` dropped.
@@ -92,9 +93,11 @@ def solve_digests() -> None:
 def front_end_digest() -> None:
     raw = generate(RAW_PIPELINE).raw
     graph = knn_graph(raw, KNN)
+    gaussian = knn_graph(raw, KNN, weight="gaussian")
     basis = spectral_embed(graph, RAW_PIPELINE.k)
     _emit({"front_end": "raw_pipeline", "edges": int(graph.matrix.nnz // 2),
-           "embedding": _sha(basis.matrix)})
+           "indices": _sha(graph.matrix.indices), "indptr": _sha(graph.matrix.indptr),
+           "gaussian_data": _sha(gaussian.matrix.data), "embedding": _sha(basis.matrix)})
 
 
 def cluster_digests() -> None:

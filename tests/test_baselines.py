@@ -147,6 +147,19 @@ def test_params_reject_non_integer_counts(params_type, field, value):
 
 
 @pytest.mark.parametrize("params_type", [KmeansParams, SrParams])
+@pytest.mark.parametrize("value", [True, False, np.True_, "0.1", None])
+def test_params_reject_non_real_tol(params_type, value):
+    with pytest.raises(ValueError, match=f"^tol must be a real number, got {re.escape(repr(value))}$"):
+        params_type(tol=value)
+
+
+@pytest.mark.parametrize("params_type", [KmeansParams, SrParams])
+def test_params_accept_integer_and_numpy_tol(params_type):
+    for tol in (1, np.float32(0.5), np.int64(2)):
+        assert params_type(tol=tol).tol == tol
+
+
+@pytest.mark.parametrize("params_type", [KmeansParams, SrParams])
 def test_params_accept_numpy_integer_counts(params_type):
     params = params_type(replications=np.int64(3), max_iters=np.int32(4), seed=np.uint64(5))
     assert (params.replications, params.max_iters, params.seed) == (3, 4, 5)
@@ -284,8 +297,9 @@ def test_kmeans_single_replication_equals_lloyd():
 
 
 def test_kmeans_solve_does_its_set_up_once_per_solve(monkeypatch):
-    # The data checks do not repeat per replication, and k-means++ computes
-    # no distances to the last center it picks.
+    # The data is checked once per solve, for k-means++ and every
+    # replication, and k-means++ computes no distances to the last center
+    # it picks.
     counts = {}
 
     def counting(name):
@@ -303,7 +317,7 @@ def test_kmeans_solve_does_its_set_up_once_per_solve(monkeypatch):
     for replications in (1, 10):
         counts.clear()
         kmeans_solve(x, 6, KmeansParams(replications=replications, seed=4))
-        assert counts == {"_check_k_and_data": 2, "_distances_to_rows": 5}
+        assert counts == {"_check_k_and_data": 1, "_distances_to_rows": 5}
 
 
 def test_kmeans_deterministic_and_selects_minimum():

@@ -624,6 +624,37 @@ def test_cluster_takes_its_defaults_from_the_params_types(tmp_path):
     assert {key: params[key] for key in asdict(KindapParams())} == asdict(KindapParams())
 
 
+KINDAP_FLAGS = {"max_outer": 50, "max_inner": 40, "tol_inner": 1e-4, "tol_outer": 1e-3}
+LLOYD_FLAGS = {"max_iters": 30, "tol": 1e-5}
+
+
+@pytest.mark.parametrize(
+    "method, expected",
+    [
+        ("kindap", KINDAP_FLAGS),
+        ("kmeans", LLOYD_FLAGS),
+        ("sr", LLOYD_FLAGS),
+        ("kindap+l", {**KINDAP_FLAGS, **LLOYD_FLAGS}),
+    ],
+)
+def test_cluster_params_hold_only_the_settings_the_method_reads(tmp_path, method, expected):
+    # Every solver flag is given, but `params` records only those the method reads.
+    from kindicators.synthgen import SynthSpec, generate
+
+    data = generate(SynthSpec(k=3, per_cluster=10, rho=0.5, ambient_dim=9, seed=5))
+    emb_path = tmp_path / "emb.csv"
+    write_matrix_csv(emb_path, data.embedded.matrix)
+    out = tmp_path / "result.json"
+    flags = [
+        arg
+        for name, value in {**KINDAP_FLAGS, **LLOYD_FLAGS}.items()
+        for arg in ("--" + name.replace("_", "-"), str(value))
+    ]
+    argv = ["cluster", str(emb_path), "--method", method, *flags, "--out", str(out), "--quiet"]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["params"] == expected
+
+
 def test_cluster_kmeans_reproducible_best_of_ten(tmp_path):
     from kindicators.synthgen import SynthSpec, generate
 

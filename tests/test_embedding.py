@@ -203,12 +203,14 @@ def _lattice():
 
 
 @pytest.mark.parametrize("knn", [1, 4, 9])
-@pytest.mark.parametrize("tile_rows", [None, 1, 3])
+@pytest.mark.parametrize("tile_rows", [None, 1, 3, 48])
 def test_knn_graph_edges_equal_dense_oracle(monkeypatch, knn, tile_rows):
     rng = np.random.default_rng(11)
     for data in (rng.standard_normal((60, 5)), _lattice(), np.eye(12)):
         if tile_rows is not None:
-            # Blocks of `tile_rows` rows, so ties and neighbors cross block edges.
+            # Tiles of `tile_rows` rows, selected in chunks of a sixteenth of
+            # them (1 row, or 3 for 48-row tiles), so ties and neighbors cross
+            # both tile and chunk edges.
             monkeypatch.setattr(embedding, "TILE_ENTRIES", tile_rows * len(data))
         np.testing.assert_array_equal(
             knn_graph(data, knn).weights, dense_knn_graph(data, knn).weights
@@ -239,7 +241,7 @@ def test_knn_graph_gaussian_weights_match_dense_oracle():
 
 def test_knn_graph_peak_allocation_is_blocked():
     # One dense 6,000 x 6,000 float64 array is 288 MB; the blocked build
-    # holds a 4M-entry tile (32 MB) plus its partition copy and mask.
+    # holds a 4M-entry tile (32 MB) plus O(chunk * n) selection temporaries.
     data = np.random.default_rng(13).standard_normal((6000, 20))
     tracemalloc.start()
     try:
@@ -249,6 +251,22 @@ def test_knn_graph_peak_allocation_is_blocked():
         tracemalloc.stop()
     assert peak < 100e6
     assert graph.matrix.nnz >= 6000 * 10
+
+
+def test_knn_graph_peak_is_one_tile_at_raw_pipeline_shape(raw_pipeline):
+    # At 2,000 x 300 the tile holds every row: 2,000^2 floats, 32 MB. The
+    # slack covers the 4.8 MB block x d scaled copy that feeds the GEMM and
+    # the O(chunk * n) selection temporaries, not a second tile-sized array.
+    raw = raw_pipeline[0].raw
+    assert raw.dtype == float and raw.shape == (2000, 300)
+    tile = raw.shape[0] ** 2 * 8
+    tracemalloc.start()
+    try:
+        knn_graph(raw, RAW_PIPELINE_KNN)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= tile + 8e6
 
 
 def _blobs(rng, centers, per, scale):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from functools import lru_cache
 
@@ -49,6 +50,18 @@ def test_params_validation():
 def test_params_reject_non_integer_caps(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
         KindapParams(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["tol_inner", "tol_outer"])
+@pytest.mark.parametrize("value", [True, False, np.True_, "0.1", None])
+def test_params_reject_non_real_tolerances(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a real number, got {re.escape(repr(value))}$"):
+        KindapParams(**{field: value})
+
+
+def test_params_accept_integer_and_numpy_tolerances():
+    params = KindapParams(tol_inner=1, tol_outer=np.float32(0.5))
+    assert (params.tol_inner, params.tol_outer) == (1, 0.5)
 
 
 def test_params_accept_numpy_integer_caps():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -40,6 +41,17 @@ def test_spec_accepts_numpy_integer_counts():
         k=np.int64(3), per_cluster=np.int32(2), ambient_dim=np.int64(4), seed=np.uint8(1)
     )
     assert generate(spec).raw.shape == (6, 4)
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, "0.5", None])
+def test_spec_rejects_non_real_rho(value):
+    with pytest.raises(ValueError, match=f"^rho must be a real number, got {re.escape(repr(value))}$"):
+        SynthSpec(k=3, rho=value)
+
+
+def test_spec_accepts_integer_and_numpy_rho():
+    for rho in (1, np.float32(0.5), np.float64(0.66)):
+        assert generate(SynthSpec(k=2, per_cluster=2, ambient_dim=3, rho=rho)).raw.shape == (4, 3)
 
 
 @pytest.mark.parametrize("rho", [float("nan"), float("inf")])
