@@ -190,9 +190,8 @@ def read_labels_csv(path) -> np.ndarray:
 
 
 def write_labels_csv(path, labels) -> None:
-    with open(path, "w") as fh:
-        for value in np.asarray(labels, dtype=int):
-            fh.write(f"{int(value)}\n")
+    """Write one integer id per line: a one-column :func:`write_matrix_csv` (exact below 2^53)."""
+    write_matrix_csv(path, np.asarray(labels, dtype=int)[:, None])
 
 
 def _trace_payload(trace: SolverTrace) -> dict:
@@ -313,24 +312,23 @@ def run_method(
 ):
     """Run one clustering method on validated embedded data with :func:`_method_params`' output.
 
-    Returns (result, soft_values, stage_one). For "kindap+l" the result is
-    the Lloyd polish and `stage_one` the KindAP result it started from;
-    otherwise `stage_one` is None.
+    Returns (result, stage_one). For "kindap+l" the result is the Lloyd
+    polish, carrying KindAP's relaxed assignment, and `stage_one` the KindAP
+    result it started from; otherwise `stage_one` is None.
     """
     k = embedded.k
     if method == "kindap":
-        result = kindap_solve(embedded, kindap_params)
-        return result, soft_indicator(result.relaxed).s, None
+        return kindap_solve(embedded, kindap_params), None
     if method == "kindap+l":
         stage_one = kindap_solve(embedded, kindap_params)
         centers = warm_start_centers(embedded, stage_one)
         result = lloyd_solve(embedded.matrix, k, centers, baseline_params)
         result.relaxed = stage_one.relaxed
-        return result, soft_indicator(stage_one.relaxed).s, stage_one
+        return result, stage_one
     if method == "kmeans":
-        return kmeans_solve(embedded.matrix, k, baseline_params), None, None
+        return kmeans_solve(embedded.matrix, k, baseline_params), None
     if method == "sr":
-        return sr_solve(embedded, baseline_params), None, None
+        return sr_solve(embedded, baseline_params), None
     raise UsageError(f"unknown method {method!r} (choose from {', '.join(METHODS)})")
 
 
@@ -362,13 +360,13 @@ class BenchCell:
     outer_iters: int | None = None
     inner_iters_total: int | None = None
     error: str | None = None
-    result: ClusterResult | None = None
+    trace: SolverTrace | None = None
 
     def row(self) -> dict:
         return {name: getattr(self, name) for name in BENCH_FIELDS}
 
 
-BENCH_FIELDS = tuple(f.name for f in fields(BenchCell) if f.name != "result")
+BENCH_FIELDS = tuple(f.name for f in fields(BenchCell) if f.name != "trace")
 
 
 def stable_cell_seed(base_seed: int, k: int, rho: float, method: str, seed_index: int) -> int:
@@ -422,7 +420,7 @@ def run_bench(
                             cell_seed = stable_cell_seed(seed, k, rho, method, seed_index)
                             params = _method_params(method, replications, cell_seed)
                             started = time.perf_counter()
-                            result, _, stage_one = run_method(method, data.embedded, *params)
+                            result, stage_one = run_method(method, data.embedded, *params)
                             cell.wall_time_seconds = time.perf_counter() - started
                             cell.accuracy = accuracy(result.labels, data.truth)
                             cell.kind_objective = result.kind_objective
@@ -430,7 +428,7 @@ def run_bench(
                             cell.outer_iters, cell.inner_iters_total = _iteration_counts(
                                 result, stage_one
                             )
-                            cell.result = result
+                            cell.trace = result.trace
                         except Exception as exc:
                             cell.error = f"{type(exc).__name__}: {exc}"
                     if not quiet:
@@ -531,7 +529,7 @@ def _cmd_cluster(args) -> int:
     if args.k is not None and args.k != embedded.k:
         raise UsageError(f"--k {args.k} does not match the embedding width {embedded.k}")
     started = time.perf_counter()
-    result, soft, stage_one = run_method(args.method, embedded, kindap_params, baseline_params)
+    result, stage_one = run_method(args.method, embedded, kindap_params, baseline_params)
     elapsed = time.perf_counter() - started
     # The settings the method read: KindAP's, Lloyd's or SR's, or both for "kindap+l".
     params = asdict(kindap_params) if args.method in ("kindap", "kindap+l") else {}
@@ -545,7 +543,7 @@ def _cmd_cluster(args) -> int:
         orthonormalized=embedded.orthonormalized,
         wall_time_seconds=elapsed,
         params=params,
-        soft_values=soft,
+        soft_values=None if result.relaxed is None else soft_indicator(result.relaxed).s,
         kindap_trace=None if stage_one is None else stage_one.trace,
     )
     validate_result_payload(payload)

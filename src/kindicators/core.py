@@ -59,20 +59,11 @@ def require_reals(**values) -> None:
             raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
-def fix_column_signs(matrix: np.ndarray) -> np.ndarray:
-    """A copy of `matrix` with column signs flipped so each column's first
-    largest-magnitude entry is positive (:func:`_fix_column_signs_in_place`).
-
-    Makes orthonormal factors (SVD/eigenvector output) deterministic across
-    platforms up to the underlying LAPACK result.
-    """
-    return _fix_column_signs_in_place(np.array(matrix, dtype=float))
-
-
 def _fix_column_signs_in_place(m: np.ndarray) -> np.ndarray:
     """Flip the columns of the float array `m` in place so each column's first
     largest-magnitude entry is positive (a column whose largest is 0 keeps its
-    sign, and one holding NaN becomes NaN); returns `m`.
+    sign, and one holding NaN becomes NaN); returns `m`. This makes SVD and
+    eigenvector output deterministic across platforms up to LAPACK's result.
 
     Reads `m` by row blocks, so the temporaries are O(block x k), never n x k.
     """
@@ -350,9 +341,10 @@ def validate_embedding(matrix) -> EmbeddedData:
         raise ValueError("embedding input must be finite")
     # A Gram within ORTHONORMAL_TOL of I bounds sigma_min^2 below by
     # 1 - d * ORTHONORMAL_TOL, so only inputs that fail it need the rank test.
-    gram = m.T @ m
-    if np.max(np.abs(gram - np.eye(d))) <= ORTHONORMAL_TOL:
+    try:
         return EmbeddedData(m)
+    except ValueError:  # shape and finiteness hold, so only its Gram test failed
+        pass
     singular = np.linalg.svd(m, compute_uv=False)
     if singular[-1] < RANK_TOL * singular[0]:
         raise NumericalError(

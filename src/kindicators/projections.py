@@ -81,11 +81,6 @@ def procrustes_rotation(cross) -> tuple[np.ndarray, np.ndarray]:
     return p @ qt, sigma
 
 
-def _nuclear_norm(a, b) -> float:
-    sigma = np.linalg.svd(np.asarray(a).T @ np.asarray(b), compute_uv=False)
-    return float(sigma.sum())
-
-
 def subspace_distance(a, b) -> float:
     """Rotation-minimal distance between the ranges of two orthonormal bases.
 
@@ -98,7 +93,7 @@ def subspace_distance(a, b) -> float:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     k = a.shape[1]
-    nn = min(max(_nuclear_norm(a, b), 0.0), float(k))
+    nn = min(max(float(np.linalg.svd(a.T @ b, compute_uv=False).sum()), 0.0), float(k))
     return float(np.sqrt(2.0 * k - 2.0 * nn))
 
 

@@ -24,10 +24,15 @@ Gram-validated n x k form, with every U'H product a GEMM, as the arithmetic
 that the label-and-weight indicator and `cluster_sums` are gated against.
 `reference_accuracy` keeps accuracy on a dense confusion matrix, as the
 score the sparse assignment is gated against. `reference_write_matrix_csv`
-keeps the matrix CSV writer's one f-string per cell, as the bytes the
-row-at-a-time writer is gated against. `gaussian_blobs` is a harder
-test family than `generate`: Gaussian clusters whose spread makes k-means
-miss, for gates that must show a solver change does no harm.
+and `reference_write_labels_csv` keep the matrix CSV writer's one f-string
+per cell and the label writer's one f-string per label, as the bytes the
+row-at-a-time writer is gated against. `reference_fix_column_signs` keeps
+the sign convention as one dense argmax per column, independent of the
+block-by-block `_fix_column_signs_in_place`; `dense_spectral_embed`,
+`reference_generate` and `gaussian_blobs` take their signs from it.
+`gaussian_blobs` is a harder test family than `generate`: Gaussian clusters
+whose spread makes k-means miss, for gates that must show a solver change
+does no harm.
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ from kindicators.core import (
     SolverTrace,
     _readonly,
     cluster_sums,
-    fix_column_signs,
     validate_embedding,
 )
 from kindicators.embedding import WEIGHT_SCHEMES, SimilarityGraph
@@ -170,6 +174,16 @@ def exhaustive_best(matrix, k: int, objective: str) -> tuple[np.ndarray, float]:
             best_labels = arr
     assert best_labels is not None
     return best_labels, float(best_value)
+
+
+def reference_fix_column_signs(matrix) -> np.ndarray:
+    """A copy of `matrix` with each column multiplied by the sign of its entry
+    at the column's argmax of |matrix| (1 where that entry is 0), from one
+    dense argmax over the whole column."""
+    m = np.array(matrix, dtype=float)
+    signs = np.sign(m[np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])])
+    signs[signs == 0] = 1.0
+    return m * signs
 
 
 def random_orthonormal(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -411,7 +425,7 @@ def dense_spectral_embed(graph: SimilarityGraph, k: int, row_normalize: bool = F
         _, vectors = np.linalg.eigh(_dense_laplacian(graph))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    u = fix_column_signs(vectors[:, :k])
+    u = reference_fix_column_signs(vectors[:, :k])
     if row_normalize:
         norms = np.linalg.norm(u, axis=1)
         u = u / np.maximum(norms, np.finfo(float).tiny)[:, None]
@@ -563,7 +577,7 @@ def reference_generate(spec) -> SynthDataset:
     directions /= np.linalg.norm(directions, axis=1)[:, None]
     raw = centers[truth] + spec.rho * directions
     left, _, _ = np.linalg.svd(raw, full_matrices=False)
-    embedded = EmbeddedData(fix_column_signs(left[:, : spec.k]))
+    embedded = EmbeddedData(reference_fix_column_signs(left[:, : spec.k]))
     return SynthDataset(raw=raw, truth=truth, embedded=embedded)
 
 
@@ -574,6 +588,13 @@ def reference_write_matrix_csv(path, matrix) -> None:
         for row in m:
             fh.write(",".join(f"{v:.17g}" for v in row))
             fh.write("\n")
+
+
+def reference_write_labels_csv(path, labels) -> None:
+    """The label CSV writer as first written: one integer f-string per label."""
+    with open(path, "w") as fh:
+        for value in np.asarray(labels, dtype=int):
+            fh.write(f"{int(value)}\n")
 
 
 def reference_accuracy(pred, truth) -> float:
@@ -603,4 +624,5 @@ def gaussian_blobs(k: int, sigma: float, seed: int, per_cluster: int = 40) -> Sy
     raw = sigma * rng.standard_normal((n, k))
     raw[np.arange(n), truth] += np.sqrt(2.0)
     left, _, _ = np.linalg.svd(raw, full_matrices=False)
-    return SynthDataset(raw=raw, truth=truth, embedded=EmbeddedData(fix_column_signs(left)))
+    embedded = EmbeddedData(reference_fix_column_signs(left))
+    return SynthDataset(raw=raw, truth=truth, embedded=embedded)

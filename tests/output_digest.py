@@ -16,6 +16,11 @@ Prints one JSON line per output, so the lines printed with two versions of
 - `cluster`: the result JSON of `main(["cluster", ...])` for each method on
   the embedding of a `synth` run, one line per top-level key, with
   `wall_time_seconds` dropped.
+- `file`: the SHA-256 of the bytes of that `synth` run's `raw.csv`,
+  `truth.csv` and `embedded.csv`, of `embed` on its `raw.csv` with the
+  default flags and with `--weight gaussian --row-normalize` (which takes
+  `validate_embedding`'s QR path), and of the `eval --embedded` JSON of
+  the `kindap` result.
 
 It uses only names that older versions of the package also have, so it runs
 unchanged on both sides of a change.
@@ -80,9 +85,9 @@ def solve_digests() -> None:
         embedded = generate(spec).embedded
         for method in cli.METHODS:
             kindap_params, baseline_params = cli._method_params(method, REPLICATIONS, 0)
-            result, _, stage_one = cli.run_method(
-                method, embedded, kindap_params, baseline_params
-            )
+            # Older versions return (result, soft_values, stage_one).
+            solved = cli.run_method(method, embedded, kindap_params, baseline_params)
+            result, stage_one = solved[0], solved[-1]
             record = {"solve": method, "k": spec.k, "rho": spec.rho, "seed": spec.seed}
             record.update(_digest(result))
             if stage_one is not None:
@@ -100,12 +105,18 @@ def front_end_digest() -> None:
            "gaussian_data": _sha(gaussian.matrix.data), "embedding": _sha(basis.matrix)})
 
 
-def cluster_digests() -> None:
+def _emit_file(name: str, path: Path) -> None:
+    _emit({"file": name, "sha256": hashlib.sha256(path.read_bytes()).hexdigest()})
+
+
+def cluster_and_file_digests() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         assert cli.main(["synth", "--k", "5", "--out", str(tmp), "--quiet"]) == 0
+        for name in ("raw.csv", "truth.csv", "embedded.csv"):
+            _emit_file(f"synth {name}", tmp / name)
         for method in cli.METHODS:
-            out = tmp / "result.json"
+            out = tmp / f"{method}.json"
             argv = ["cluster", str(tmp / "embedded.csv"), "--method", method,
                     "--replications", str(REPLICATIONS), "--out", str(out), "--quiet"]
             assert cli.main(argv) == 0
@@ -113,12 +124,22 @@ def cluster_digests() -> None:
             payload.pop("wall_time_seconds")
             for key, value in sorted(payload.items()):
                 _emit({"cluster": method, "key": key, "value": value})
+        for flags in ([], ["--weight", "gaussian", "--row-normalize"]):
+            out = tmp / "embed.csv"
+            argv = ["embed", str(tmp / "raw.csv"), "--k", "5", *flags, "--out", str(out), "--quiet"]
+            assert cli.main(argv) == 0
+            _emit_file(" ".join(["embed", *flags]), out)
+        out = tmp / "eval.json"
+        argv = ["eval", "--pred", str(tmp / "kindap.json"), "--truth", str(tmp / "truth.csv"),
+                "--embedded", str(tmp / "embedded.csv"), "--out", str(out), "--quiet"]
+        assert cli.main(argv) == 0
+        _emit_file("eval --embedded", out)
 
 
 def main() -> int:
     solve_digests()
     front_end_digest()
-    cluster_digests()
+    cluster_and_file_digests()
     return 0
 
 

@@ -104,7 +104,7 @@ def test_criterion_2_warm_start_dominates_km100():
     worst_margin = -np.inf
     for seed in SWEEP_SEEDS:
         data = generate(SynthSpec(k=50, rho=0.66, per_cluster=40, seed=seed))
-        warm, _, _ = run_method(
+        warm, _ = run_method(
             "kindap+l", data.embedded, KindapParams(), KmeansParams(replications=1, seed=seed)
         )
         km100 = kmeans_solve(
@@ -231,7 +231,7 @@ def test_criterion_6_monotone_traces(sweep):
     checked = 0
     for cell in cells:
         assert cell.error is None, f"cell failed: {cell}"
-        trace = cell.result.trace
+        trace = cell.trace
         if cell.method == "kindap":
             offset = 0
             for count in trace.inner_iters_per_outer:

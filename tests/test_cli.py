@@ -27,7 +27,7 @@ from kindicators.cli import (
 from kindicators.core import ClusteringError, NumericalError, make_indicator
 from kindicators.evaluation import accuracy
 
-from oracles import reference_write_matrix_csv
+from oracles import reference_write_labels_csv, reference_write_matrix_csv
 
 
 def _read_rows(path):
@@ -116,6 +116,14 @@ def test_labels_csv_round_trip(tmp_path):
     path = tmp_path / "labels.csv"
     write_labels_csv(path, labels)
     assert np.array_equal(read_labels_csv(path), labels)
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 9, 10, 12345, 2**53 - 1], []], ids=["ids", "empty"])
+def test_labels_csv_bytes_match_the_per_label_writer(tmp_path, labels):
+    shipped, reference = tmp_path / "shipped.csv", tmp_path / "reference.csv"
+    write_labels_csv(shipped, labels)
+    reference_write_labels_csv(reference, labels)
+    assert shipped.read_bytes() == reference.read_bytes()
 
 
 def test_matrix_csv_parse_error_carries_line_number(tmp_path):
@@ -1032,6 +1040,36 @@ def test_bench_method_accuracy_on_separable_data():
         assert cell.error is None
         assert cell.accuracy == 1.0
         assert cell.wall_time_seconds >= 0.0
+
+
+def test_bench_wall_time_excludes_confidence_scoring(monkeypatch):
+    # A sweep that scored confidences inside its timed call would turn
+    # every KindAP cell into an error row.
+    def scoring(*args, **kwargs):
+        raise AssertionError("soft_indicator ran during a bench sweep")
+
+    monkeypatch.setattr(cli, "soft_indicator", scoring)
+    cells = run_bench([3], [0.33], ["kindap", "kindap+l"], 1, [1], per_cluster=10, ambient_dim=12)
+    assert [cell.error for cell in cells] == [None, None]
+
+
+def test_bench_holds_no_per_cell_assignment():
+    # Each KindAP cell solves an n x k relaxed assignment (2,000 x 20 floats,
+    # 320 KB); the finished sweep keeps only each cell's trace, so three more
+    # seeds (six more cells) hold less than one such assignment more.
+    sweep = dict(per_cluster=100, ambient_dim=30)
+    run_bench([20], [0.33], ["kindap", "kindap+l"], 1, [0], **sweep)  # warm caches
+    held = []
+    for seeds in ([0], [0, 1, 2, 3]):
+        tracemalloc.start()
+        try:
+            cells = run_bench([20], [0.33], ["kindap", "kindap+l"], 1, seeds, **sweep)
+            held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert all(cell.error is None for cell in cells)
+        del cells
+    assert held[1] - held[0] < 2_000 * 20 * 8
 
 
 def test_stable_cell_seed_deterministic_and_distinct():
