@@ -60,7 +60,7 @@ PLAIN_NUMERIC_BYTES = b"0123456789.eE+-, \r\n"
 
 
 class _NotPlainNumeric(Exception):
-    """Raised from inside np.loadtxt to hand the file to the row reader."""
+    """Raised from inside np.loadtxt to hand the file to a slower, more general reader."""
 
 
 def _plain_numeric_lines(fh):
@@ -90,15 +90,21 @@ def read_matrix_csv(path) -> np.ndarray:
     longer than csv's field limit, no cells) goes to the row reader, which
     gives the same result or the error with its line number.
     """
+    matrix = _load_plain_numeric(path, float)
+    if matrix is not None and np.isfinite(matrix).all():
+        return matrix
+    return _read_matrix_csv_by_rows(path)
+
+
+def _load_plain_numeric(path, dtype):
+    """The file through np.loadtxt as `dtype`, or None unless it is plain numeric and parses."""
     try:
         with open(path, "rb") as fh:
-            matrix = np.loadtxt(_plain_numeric_lines(fh), delimiter=",", comments=None, ndmin=2)
+            return np.loadtxt(
+                _plain_numeric_lines(fh), delimiter=",", comments=None, dtype=dtype, ndmin=2
+            )
     except (_NotPlainNumeric, ValueError, OSError):
-        pass
-    else:
-        if np.isfinite(matrix).all():
-            return matrix
-    return _read_matrix_csv_by_rows(path)
+        return None
 
 
 def _not_utf8(path) -> ClusteringError:
@@ -153,19 +159,25 @@ def _read_matrix_csv_by_rows(path) -> np.ndarray:
 def write_matrix_csv(path, matrix) -> None:
     """Write `matrix` as a headerless CSV, each cell with 17 significant digits.
 
-    Every cell must be finite, as :func:`read_matrix_csv` requires: a NaN or
-    infinite cell raises ValueError naming its 1-based row and column before
-    the file is opened. Each row is formatted by one ``%`` call, so memory
-    stays O(one row).
+    An integer-dtype matrix is written with every digit (``%d``), so any
+    int64 reads back exactly. Every other cell must be finite, as
+    :func:`read_matrix_csv` requires: a NaN or infinite cell raises
+    ValueError naming its 1-based row and column before the file is opened.
+    Each row is formatted by one ``%`` call, so memory stays O(one row).
     """
-    m = np.atleast_2d(np.asarray(matrix, dtype=float))
-    # min and max propagate NaN, and neither builds a temporary.
-    if not (np.isfinite(m.min(initial=0.0)) and np.isfinite(m.max(initial=0.0))):
-        row, col = np.argwhere(~np.isfinite(m))[0]
-        raise ValueError(
-            f"cannot write the non-finite value {m[row, col]} at row {row + 1}, column {col + 1}"
-        )
-    fmt = ",".join(["%.17g"] * m.shape[1]) + "\n"
+    m = np.atleast_2d(np.asarray(matrix))
+    if np.issubdtype(m.dtype, np.integer):
+        cell = "%d"
+    else:
+        cell = "%.17g"
+        m = m.astype(float, copy=False)
+        # min and max propagate NaN, and neither builds a temporary.
+        if not (np.isfinite(m.min(initial=0.0)) and np.isfinite(m.max(initial=0.0))):
+            row, col = np.argwhere(~np.isfinite(m))[0]
+            raise ValueError(
+                f"cannot write the non-finite value {m[row, col]} at row {row + 1}, column {col + 1}"
+            )
+    fmt = ",".join([cell] * m.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
         for row in m:
             fh.write(fmt % tuple(row.tolist()))
@@ -174,10 +186,15 @@ def write_matrix_csv(path, matrix) -> None:
 def read_labels_csv(path) -> np.ndarray:
     """Read one 0-based integer label per line, as a one-column :func:`read_matrix_csv`.
 
-    A label may be spelled as a float ("3.0"); fractional or
-    out-of-int64-range values are rejected with ClusteringError, naming their
-    1-based row.
+    A plain numeric file of integers is parsed as int64, so every id reads
+    back exactly, above 2^53 too. Any other file goes through
+    :func:`read_matrix_csv`'s floats: a label may be spelled as a float
+    ("3.0"); fractional or out-of-int64-range values are rejected with
+    ClusteringError, naming their 1-based row.
     """
+    labels = _load_plain_numeric(path, np.int64)
+    if labels is not None and labels.shape[1] == 1:
+        return labels[:, 0]
     values = read_matrix_csv(path)
     if values.shape[1] != 1:
         raise ClusteringError(f"{path}: expected one label per line, got {values.shape[1]} columns")
@@ -190,7 +207,7 @@ def read_labels_csv(path) -> np.ndarray:
 
 
 def write_labels_csv(path, labels) -> None:
-    """Write one integer id per line: a one-column :func:`write_matrix_csv` (exact below 2^53)."""
+    """Write one integer id per line: a one-column integer :func:`write_matrix_csv`."""
     write_matrix_csv(path, np.asarray(labels, dtype=int)[:, None])
 
 

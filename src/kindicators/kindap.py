@@ -3,9 +3,10 @@
 The inner loop alternates exact projections between the rotations of the data
 basis and the [0, 1] box (the semi-convex relaxation of the indicator set);
 the outer loop rounds the relaxed assignment to an indicator matrix, scores
-it, and projects it back onto the rotation set to restart. Both projections
-are exact, so the inner gap is nonincreasing by construction, and the whole
-solve is deterministic for fixed inputs.
+it, and projects it back onto the rotation set to restart (or resumes the
+inner phase, when the budget cut it short and the score stalled). Both
+projections are exact, so the inner gap is nonincreasing by construction,
+and the whole solve is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -43,8 +44,10 @@ class KindapParams:
     under a budget that starts at INNER_BUDGET (3) iterations and grows up to
     `max_inner` (see :func:`kindap_solve`), so a solve takes many short
     phases: a handful on separable data, up to about a hundred on hard,
-    overlapping data, which the `max_outer` cap leaves room for. The solver
-    is deterministic and draws no random numbers.
+    overlapping data, which the `max_outer` cap leaves room for. A phase
+    that the budget cut short and after which the outer objective stalled is
+    resumed, not restarted, and counts as a phase of its own. The solver is
+    deterministic and draws no random numbers.
     """
 
     max_outer: int = 200
@@ -87,9 +90,10 @@ def inner_solve(
     :func:`~kindicators.projections.procrustes_rotation`). The only n x k
     memory is one buffer, `out` or else allocated: each B R is written into
     it and clipped in place, as nothing reads B R once clipped. The B R of
-    the phase's last iteration is skipped, since the next phase starts from
-    its own rotation: a phase of t iterations makes t products B R, the
-    first from `rotation`, and its buffer ends holding the last N.
+    the phase's last iteration is skipped, since the next phase makes its
+    own first product, also when it resumes from the returned rotation: a
+    phase of t iterations makes t products B R, the first from `rotation`,
+    and its buffer ends holding the last N.
 
     Returns that buffer holding the final box projection N (entries in
     [0, 1]), the k x k rotation of the last projection, the iteration count
@@ -185,7 +189,15 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
     phase, so many short phases reach the partition in fewer iterations than
     a few long ones (on recoverable data the same partition). When a phase
     that spent its whole budget leaves the outer objective stalled, the
-    budget doubles, up to `params.max_inner`, instead of stopping. The outer
+    budget doubles, up to `params.max_inner`, instead of stopping, and the
+    next phase resumes from the rotation that phase ended on rather than
+    restarting: the stall says the rounded partition scored no better, so a
+    restart would come from much the same partition and re-walk much the
+    same path. A resumed phase
+    follows the stalled one bit for bit, as one longer :func:`inner_solve`
+    would, except that its first iteration cannot stop on
+    `params.tol_inner` (it has no previous gap to compare with); it takes no
+    restart projection. Every other phase restarts. The outer
     loop stops at the objective floor ("floor"), when the relative
     improvement drops below `params.tol_outer` after a phase that ended on
     `params.tol_inner` or `params.max_inner` ("tol"), or else after the phase
@@ -213,7 +225,7 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
     n_mat = np.empty((n, k))
     f_prev = None
     for outer in range(1, params.max_outer + 1):
-        n_mat, _, inner_iters, phase_stop = inner_solve(
+        n_mat, last_rotation, inner_iters, phase_stop = inner_solve(
             rotation, basis, params, trace=trace,
             budget=None if outer == params.max_outer else budget,
             out=n_mat,
@@ -233,12 +245,19 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
         if outer == params.max_outer:
             trace.outer_stop_reason = "cap"
             break
-        if f_prev is not None and f_prev - f <= params.tol_outer * max(f_prev, OBJECTIVE_FLOOR):
+        stalled = (
+            f_prev is not None and f_prev - f <= params.tol_outer * max(f_prev, OBJECTIVE_FLOOR)
+        )
+        f_prev = f
+        if stalled:
             if phase_stop != "budget":
                 trace.outer_stop_reason = "tol"
                 break
+            # The budget cut the phase short and the partition scored no
+            # better: resume the phase where it stopped, with a doubled budget.
             budget = min(2 * budget, params.max_inner)
-        f_prev = f
+            rotation = last_rotation
+            continue
         # Restart the next outer phase from the projection of the rounded
         # indicator H back onto the rotation set, through U'H = (H'U)'.
         cross = cluster_sums(basis.matrix, rounded.labels, k, rounded.values).T

@@ -6,10 +6,13 @@ Runs `kindap_solve` three times per cell:
   phase runs until `tol_inner` or `max_inner` (the rule
   `tests/test_kindap.py` gates against `reference_kindap_solve`);
 - `b20`: `INNER_BUDGET` 20 and `max_outer` 50, the growing budget as it
-  was first shipped;
+  was first shipped (a phase after a stalled, budget-cut phase resumes it,
+  as in the shipped rule);
 - `new`: as shipped (`kindap.INNER_BUDGET` and `KindapParams().max_outer`).
 
-Prints one row per cell and exits 1 when a gate fails:
+Prints one row per cell, then per family a summary line with each rule's
+total KindAP time, inner iterations and phases, and exits 1 when a gate
+fails:
 
 - `synth`: 81 `SynthSpec` cells where every partition is recoverable. Against
   both references: the same partition, the truth (accuracy 1.000), and kind
@@ -205,11 +208,13 @@ def print_rows(rows, markdown: bool) -> None:
             new["stop"] + (" (at the cap)" if new["capped"] else ""),
         ])
     _print_table(header, lines, markdown)
-    totals = [sum(r["refs"][name]["s"] for r in rows) for name in REFERENCES]
-    new_s = sum(r["new"]["s"] for r in rows)
+    solves = {name: [r["refs"][name] for r in rows] for name in REFERENCES}
+    solves["new"] = [r["new"] for r in rows]
+    seconds = ", ".join(f"{name} {sum(x['s'] for x in runs):.1f} s" for name, runs in solves.items())
+    iters = ", ".join(f"{name} {sum(sum(x['inner']) for x in runs):,}" for name, runs in solves.items())
+    phases = ", ".join(f"{name} {sum(len(x['inner']) for x in runs):,}" for name, runs in solves.items())
     print(
-        f"total KindAP time full {totals[0]:.1f} s, b20 {totals[1]:.1f} s, new {new_s:.1f} s "
-        f"over {len(rows)} cells",
+        f"over {len(rows)} cells: KindAP time {seconds}; inner iterations {iters}; phases {phases}",
         flush=True,
     )
 

@@ -118,12 +118,22 @@ def test_labels_csv_round_trip(tmp_path):
     assert np.array_equal(read_labels_csv(path), labels)
 
 
-@pytest.mark.parametrize("labels", [[0, 1, 9, 10, 12345, 2**53 - 1], []], ids=["ids", "empty"])
+@pytest.mark.parametrize(
+    "labels", [[0, 1, 9, 10, 12345, 2**53 - 1, 2**53 + 1, 2**63 - 1], []], ids=["ids", "empty"]
+)
 def test_labels_csv_bytes_match_the_per_label_writer(tmp_path, labels):
     shipped, reference = tmp_path / "shipped.csv", tmp_path / "reference.csv"
     write_labels_csv(shipped, labels)
     reference_write_labels_csv(reference, labels)
     assert shipped.read_bytes() == reference.read_bytes()
+
+
+def test_labels_csv_round_trip_is_exact_above_two_to_53(tmp_path):
+    # As floats, 2^53 + 1 rounds to 2^53: two clusters would read as one.
+    labels = np.array([2**53 + 1, 2**53, -(2**53 + 1)])
+    path = tmp_path / "labels.csv"
+    write_labels_csv(path, labels)
+    assert read_labels_csv(path).tolist() == labels.tolist()
 
 
 def test_matrix_csv_parse_error_carries_line_number(tmp_path):

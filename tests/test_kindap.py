@@ -477,11 +477,10 @@ def _replay_budget_rule(trace, params, budget):
     return doubled
 
 
-def test_kindap_stop_reasons_follow_the_budget_rule(monkeypatch):
-    # Small budgets and caps, so phases end on each of "budget", "tol" and
-    # "cap", and stalls double the budget.
+def _budget_rule_cases():
+    """(basis, params, INNER_BUDGET) triples; their phases end on "budget", "tol" and "cap"."""
     default = kindap.INNER_BUDGET
-    cases = [
+    return [
         (generate(SynthSpec(k=10, rho=rho, per_cluster=20, ambient_dim=60, seed=seed)).embedded, p, b)
         for rho in (0.33, 0.9)
         for seed in (0, 1)
@@ -496,8 +495,13 @@ def test_kindap_stop_reasons_follow_the_budget_rule(monkeypatch):
         for sigma in (0.35, 0.45)
         for p, b in ((KindapParams(), default), (KindapParams(max_inner=10, max_outer=6), 3))
     ]
+
+
+def test_kindap_stop_reasons_follow_the_budget_rule(monkeypatch):
+    # Small budgets and caps, so phases end on each of "budget", "tol" and
+    # "cap", and stalls double the budget.
     seen, doubled = set(), False
-    for basis, params, budget in cases:
+    for basis, params, budget in _budget_rule_cases():
         monkeypatch.setattr(kindap, "INNER_BUDGET", budget)
         trace = kindap_solve(basis, params).trace
         doubled |= _replay_budget_rule(trace, params, budget)
@@ -505,6 +509,56 @@ def test_kindap_stop_reasons_follow_the_budget_rule(monkeypatch):
         seen.add("outer " + trace.outer_stop_reason)
     assert doubled
     assert seen >= {"budget", "tol", "cap", "outer tol", "outer cap"}
+
+
+def test_resumed_phase_continues_the_stalled_one_bit_for_bit():
+    # A phase resumed from the rotation the stalled phase returned follows
+    # the path of one longer phase: the same gaps, N and R, bit for bit.
+    basis = generate(SynthSpec(k=10, rho=0.33, per_cluster=40, ambient_dim=300, seed=1)).embedded
+    params = KindapParams()
+    whole_trace, split_trace = SolverTrace(), SolverTrace()
+    whole = inner_solve(np.eye(10), basis, params, trace=whole_trace, budget=9)
+    first = inner_solve(np.eye(10), basis, params, trace=split_trace, budget=3)
+    resumed = inner_solve(first[1], basis, params, trace=split_trace, budget=6)
+    assert whole[2:] == (9, "budget") and first[2:] == (3, "budget") and resumed[2:] == (6, "budget")
+    assert whole_trace.objective_history == split_trace.objective_history
+    assert whole[0].tobytes() == resumed[0].tobytes()
+    assert whole[1].tobytes() == resumed[1].tobytes()
+
+
+def test_stalled_budget_phase_is_resumed_not_restarted(monkeypatch):
+    # After a phase that spent its budget and left the outer objective
+    # stalled, the next phase goes on from that phase's last rotation: its
+    # gap starts no higher than where the stalled phase stopped, and no
+    # restart Procrustes step is taken. Every other phase ends in a restart.
+    calls = []
+    procrustes = kindap.procrustes_rotation
+
+    def counted(cross):
+        calls.append(1)
+        return procrustes(cross)
+
+    monkeypatch.setattr(kindap, "procrustes_rotation", counted)
+    resumes = 0
+    for basis, params, budget in _budget_rule_cases():
+        monkeypatch.setattr(kindap, "INNER_BUDGET", budget)
+        calls.clear()
+        trace = kindap_solve(basis, params).trace
+        f, inner = trace.outer_objective_history, trace.inner_iters_per_outer
+        ends = np.cumsum(inner)
+        resumed = 0
+        # Phase i resumes when phase i - 1 ended on "budget" and stalled.
+        for i in range(2, trace.outer_iters):
+            stalled = f[i - 2] - f[i - 1] <= params.tol_outer * max(f[i - 2], OBJECTIVE_FLOOR)
+            if stalled and trace.stop_reasons[i - 1] == "budget":
+                resumed += 1
+                last_gap = trace.objective_history[ends[i - 1] - 1]
+                first_gap = trace.objective_history[ends[i - 1]]
+                assert first_gap <= last_gap + 1e-12 * max(1.0, last_gap)
+        restarts = trace.outer_iters - 1 - resumed
+        assert len(calls) == sum(inner) + restarts
+        resumes += resumed
+    assert resumes
 
 
 def test_cap_ended_solve_closes_with_a_full_phase():
@@ -520,11 +574,11 @@ def test_cap_ended_solve_closes_with_a_full_phase():
 
 
 def test_stall_in_the_phase_at_max_outer_is_reported_as_cap():
-    # The default solve takes 4 phases. At max_outer 2 the second phase runs
+    # The default solve takes 3 phases. At max_outer 2 the second phase runs
     # without the budget and the outer objective stalls after it, but the
     # solve was cut short by the cap, and the stop reason says so.
     basis = generate(SynthSpec(k=5, rho=0.33, seed=1)).embedded
-    assert kindap_solve(basis).trace.outer_iters == 4
+    assert kindap_solve(basis).trace.outer_iters == 3
     trace = kindap_solve(basis, KindapParams(max_outer=2)).trace
     f = trace.outer_objective_history
     assert trace.inner_iters_per_outer == [3, 7]
