@@ -13,8 +13,8 @@ from .core import (
     SolverTrace,
     cluster_sums,
     make_indicator,
-    require_integers,
-    require_reals,
+    require_counts,
+    require_positive,
 )
 from .evaluation import kind_objective, kmeans_objective
 from .kindap import OBJECTIVE_FLOOR, repair_empty_columns
@@ -38,19 +38,12 @@ class KmeansParams:
     seed: int = 0
 
     def __post_init__(self):
-        require_integers(replications=self.replications, max_iters=self.max_iters, seed=self.seed)
-        require_reals(tol=self.tol)
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        require_counts(1, replications=self.replications, max_iters=self.max_iters)
+        require_counts(0, seed=self.seed)
+        require_positive(tol=self.tol)
         # The most streams SeedSequence.spawn can make.
         if self.replications > np.iinfo(np.intp).max:
             raise ValueError(f"replications must be <= {np.iinfo(np.intp).max}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise ValueError("tol must be finite and positive")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -94,9 +87,7 @@ def _check_k_and_data(data, k) -> np.ndarray:
     a bound on any sum of n squared distances between points and means of
     points, is finite: one pass each for the data's min and max.
     """
-    require_integers(k=k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    require_counts(1, k=k)
     x = np.asarray(data, dtype=float)
     if x.ndim != 2 or x.shape[1] == 0:
         raise ValueError(f"data must be a 2-D array with at least one column, got shape {x.shape}")

@@ -16,7 +16,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -141,8 +141,6 @@ def _read_matrix_csv_by_rows(path) -> np.ndarray:
                     )
                 rows.append(row)
                 line_numbers.append(line_no)
-    except OSError as exc:
-        raise ClusteringError(f"{path}: {exc}") from exc
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     except csv.Error as exc:
@@ -291,8 +289,6 @@ def read_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise ClusteringError(f"{path}: {exc}") from exc
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     except json.JSONDecodeError as exc:
@@ -312,13 +308,17 @@ def _method_params(
 
     Only "kmeans" and "sr" replicate: the "kindap+l" polish is one Lloyd run.
     Each setting in `given` goes to the type with that field; the rest keep
-    the defaults. Both are built for every method, so a bad value always
-    raises ValueError.
+    the defaults. Both are built from the given values for every method
+    (only then does a method that does not replicate get replications=1), so
+    a bad value always raises ValueError.
     """
     kindap = {f.name: given.pop(f.name) for f in fields(KindapParams) if f.name in given}
-    baseline = SrParams if method == "sr" else KmeansParams
-    replications = replications if method in ("kmeans", "sr") else 1
-    return KindapParams(**kindap), baseline(replications=replications, seed=seed, **given)
+    baseline = (SrParams if method == "sr" else KmeansParams)(
+        replications=replications, seed=seed, **given
+    )
+    if method not in ("kmeans", "sr"):
+        baseline = replace(baseline, replications=1)
+    return KindapParams(**kindap), baseline
 
 
 def run_method(
@@ -543,8 +543,6 @@ def _cmd_cluster(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     embedded = _read_embedding(args.input)
-    if args.k is not None and args.k != embedded.k:
-        raise UsageError(f"--k {args.k} does not match the embedding width {embedded.k}")
     started = time.perf_counter()
     result, stage_one = run_method(args.method, embedded, kindap_params, baseline_params)
     elapsed = time.perf_counter() - started
@@ -671,7 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster = sub.add_parser("cluster", parents=[common], help="cluster an embedded matrix CSV")
     p_cluster.add_argument("input", help="embedded matrix CSV")
     p_cluster.add_argument("--method", choices=METHODS, required=True)
-    p_cluster.add_argument("--k", type=int, default=None, help="cluster count (must equal the embedding width)")
     p_cluster.add_argument("--replications", type=int, default=10)
     p_cluster.add_argument("--seed", type=int, default=0, help="base random seed")
     # Solver flags default to None: the params types hold the defaults.

@@ -45,18 +45,22 @@ def _readonly(values, dtype=float) -> np.ndarray:
     return out
 
 
-def require_integers(**values) -> None:
-    """Raise ValueError unless each value is an int or a numpy integer (a bool is not)."""
+def require_counts(minimum: int, **values) -> None:
+    """Raise ValueError unless each value is an int or numpy integer (not a bool) >= `minimum`."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
-def require_reals(**values) -> None:
-    """Raise ValueError unless each value is an int, float, numpy integer or numpy float (not a bool)."""
+def require_positive(**values) -> None:
+    """Raise ValueError unless each value is a real number (not a bool) with 0 < value < inf."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
             raise ValueError(f"{name} must be a real number, got {value!r}")
+        if not 0 < value < np.inf:  # NaN fails it
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _fix_column_signs_in_place(m: np.ndarray) -> np.ndarray:
@@ -290,9 +294,11 @@ def make_indicator(labels, k: int) -> IndicatorMatrix:
         k: number of clusters.
 
     Raises:
+        ValueError: k is not an integer >= 1.
         ClusteringError: some id is negative or >= k, or some cluster id in
             0..k-1 is unused.
     """
+    require_counts(1, k=k)
     labels = np.asarray(labels, dtype=int)
     if labels.ndim != 1 or labels.size == 0:
         raise ClusteringError("labels must be a nonempty 1-D sequence")

@@ -25,6 +25,7 @@ from .core import (
     EmbeddedData,
     NumericalError,
     _fix_column_signs_in_place,
+    require_counts,
     validate_embedding,
 )
 
@@ -146,7 +147,8 @@ def knn_graph(data, knn: int, weight: str = "binary") -> SimilarityGraph:
     if x.ndim != 2:
         raise ValueError("data must be a 2-D matrix")
     n = x.shape[0]
-    if not 1 <= knn < n:
+    require_counts(1, knn=knn)
+    if knn >= n:
         raise ValueError(f"need 1 <= knn < n, got knn={knn}, n={n}")
     if weight not in WEIGHT_SCHEMES:
         raise ValueError(f"weight must be one of {WEIGHT_SCHEMES}")
@@ -256,7 +258,8 @@ def spectral_embed(graph: SimilarityGraph, k: int, row_normalize: bool = False) 
     """
     w = graph.matrix
     n = w.shape[0]
-    if not 2 <= k <= n:
+    require_counts(2, k=k)
+    if k > n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     degrees = w.sum(axis=1)
     isolated = np.flatnonzero(degrees <= 0)

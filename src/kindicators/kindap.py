@@ -23,8 +23,8 @@ from .core import (
     SolverTrace,
     cluster_sums,
     make_indicator,
-    require_integers,
-    require_reals,
+    require_counts,
+    require_positive,
 )
 from .evaluation import kind_objective, kmeans_objective
 from .projections import DEGENERATE_SV_TOL, procrustes_rotation
@@ -56,12 +56,8 @@ class KindapParams:
     tol_outer: float = 1e-5
 
     def __post_init__(self):
-        require_integers(max_outer=self.max_outer, max_inner=self.max_inner)
-        require_reals(tol_inner=self.tol_inner, tol_outer=self.tol_outer)
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise ValueError("iteration caps must be >= 1")
-        if not all(np.isfinite(t) and t > 0 for t in (self.tol_inner, self.tol_outer)):
-            raise ValueError("tolerances must be finite and positive")
+        require_counts(1, max_outer=self.max_outer, max_inner=self.max_inner)
+        require_positive(tol_inner=self.tol_inner, tol_outer=self.tol_outer)
 
 
 def inner_solve(

@@ -11,8 +11,8 @@ from .core import (
     EmbeddedData,
     _fix_column_signs_in_place,
     _readonly,
-    require_integers,
-    require_reals,
+    require_counts,
+    require_positive,
 )
 from .projections import GRAM_EIGH_RATIO
 
@@ -33,20 +33,12 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        require_integers(
-            k=self.k, per_cluster=self.per_cluster, ambient_dim=self.ambient_dim, seed=self.seed
-        )
-        require_reals(rho=self.rho)
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
-        if self.per_cluster < 1:
-            raise ValueError("per_cluster must be >= 1")
-        if not 0 < self.rho < np.inf:
-            raise ValueError("rho must be positive and finite")
+        require_counts(2, k=self.k)
+        require_counts(1, per_cluster=self.per_cluster, ambient_dim=self.ambient_dim)
+        require_counts(0, seed=self.seed)
+        require_positive(rho=self.rho)
         if self.ambient_dim < self.k:
             raise ValueError("ambient_dim must be >= k")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
         if self.k * self.per_cluster * self.ambient_dim * 8 > np.iinfo(np.intp).max:
             raise ValueError("k * per_cluster * ambient_dim is too large for one array")
 

@@ -21,6 +21,9 @@ Prints one JSON line per output, so the lines printed with two versions of
   default flags and with `--weight gaussian --row-normalize` (which takes
   `validate_embedding`'s QR path), and of the `eval --embedded` JSON of
   the `kindap` result.
+- `usage`: the exit code and stderr of `main` for each flag value in
+  `REJECTED_FLAGS`, the values the parameter types must reject, so a diff
+  lists every reworded message.
 
 It uses only names that older versions of the package also have, so it runs
 unchanged on both sides of a change.
@@ -31,7 +34,9 @@ Usage: ``PYTHONPATH=src python tests/output_digest.py > digest.jsonl``, then
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -52,6 +57,18 @@ CELLS = [
 REPLICATIONS = 3
 RAW_PIPELINE = SynthSpec(k=20, per_cluster=100, rho=0.66)
 KNN = 10
+# Flag values the CLI must reject, each after the command it goes to; every
+# `cluster` line runs on the `synth` run's embedding.
+REJECTED_FLAGS = [
+    ["synth", "--k", "3", "--seed", "-1"],
+    ["synth", "--k", "3", "--rho", "0"],
+    ["cluster", "--method", "kindap", "--max-outer", "0"],
+    ["cluster", "--method", "kindap", "--tol-inner", "-1"],
+    ["cluster", "--method", "kmeans", "--max-iters", "0"],
+    ["cluster", "--method", "kmeans", "--tol", "0"],
+    *(["cluster", "--method", method, "--replications", "0"] for method in cli.METHODS),
+    ["bench", "--k-list", "3", "--rho-list", "0.5", "--methods", "kmeans", "--replications", "0"],
+]
 
 
 def _sha(array) -> str:
@@ -134,6 +151,13 @@ def cluster_and_file_digests() -> None:
                 "--embedded", str(tmp / "embedded.csv"), "--out", str(out), "--quiet"]
         assert cli.main(argv) == 0
         _emit_file("eval --embedded", out)
+        for flags in REJECTED_FLAGS:
+            command, *rest = flags
+            argv = [command, *([str(tmp / "embedded.csv")] if command == "cluster" else []), *rest]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main([*argv, "--out", str(tmp / "rejected"), "--quiet"])
+            _emit({"usage": " ".join(flags), "exit": code, "stderr": err.getvalue()})
 
 
 def main() -> int:

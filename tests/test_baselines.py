@@ -213,6 +213,12 @@ def test_kmeans_entry_points_accept_large_finite_data(entry):
     KMEANS_ENTRY_POINTS[entry](GOOD_DATA * 1e150, 2)
 
 
+def test_lloyd_rejects_centers_of_the_wrong_shape():
+    for centers in (np.zeros((3, 2)), np.zeros((2, 3)), np.zeros(4)):
+        with pytest.raises(ValueError, match="^init_centers must be 2 x 2$"):
+            lloyd_solve(GOOD_DATA, 2, centers)
+
+
 def test_lloyd_rejects_non_finite_centers():
     with pytest.raises(ValueError, match="^init_centers must be finite$"):
         lloyd_solve(GOOD_DATA, 2, np.array([[0.0, 0.0], [np.nan, 1.0]]))

@@ -309,6 +309,23 @@ def test_main_maps_each_error_to_its_exit_code(tmp_path, capsys, monkeypatch, er
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["cluster", "{missing}", "--method", "kindap"],
+        ["eval", "--pred", "{missing}", "--truth", "{missing}"],
+    ],
+    ids=["cluster_input", "eval_pred_json"],
+)
+def test_missing_input_file_is_a_data_error(tmp_path, capsys, argv):
+    # The readers let OSError through, and main maps it to exit 3.
+    missing = str(tmp_path / "missing.json")
+    argv = [arg.format(missing=missing) for arg in argv]
+    assert main([*argv, "--out", str(tmp_path / "out.json"), "--quiet"]) == 3
+    err = f"data error: {missing}: [Errno 2] No such file or directory: {missing!r}\n"
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize(
     "argv, kind",
     [
         (["synth", "--k", "3"], "directory"),
@@ -706,11 +723,29 @@ def test_cluster_reports_orthonormalization(tmp_path):
     assert json.loads(out.read_text())["orthonormalized"] is True
 
 
-def test_cluster_rejects_mismatched_k(tmp_path):
+def test_cluster_has_no_k_flag(tmp_path, capsys):
+    # The cluster count is the embedding's width, so there is nothing to choose.
     emb_path = tmp_path / "emb.csv"
     write_matrix_csv(emb_path, np.eye(5)[:, :3])
-    code = main(["cluster", str(emb_path), "--method", "kindap", "--k", "4"])
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["cluster", str(emb_path), "--method", "kindap", "--k", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("replications", ["0", "-5"])
+@pytest.mark.parametrize("method", cli.METHODS)
+def test_cluster_rejects_replications_below_one_for_every_method(
+    tmp_path, capsys, method, replications
+):
+    # kindap and kindap+l do not replicate, but still check the value given.
+    emb_path = tmp_path / "emb.csv"
+    write_matrix_csv(emb_path, make_indicator([0, 0, 1, 1], 2).matrix)
+    out = tmp_path / "r.json"
+    argv = ["cluster", str(emb_path), "--method", method, "--replications", replications]
+    assert main([*argv, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: replications must be >= 1, got {replications}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -1008,6 +1043,37 @@ def test_bench_records_cell_failures_and_continues(tmp_path):
     assert by_k[3]["accuracy"] == "1.0"
     assert by_k[8]["error"] != ""
     assert by_k[8]["accuracy"] == ""
+
+
+def test_bench_records_a_solver_failure_as_an_error_row(monkeypatch):
+    def fail(method, *args):
+        if method == "sr":
+            raise ArithmeticError("solver blew up")
+        return real(method, *args)
+
+    real = cli.run_method
+    monkeypatch.setattr(cli, "run_method", fail)
+    cells = run_bench([3], [0.33], ["kmeans", "sr"], 1, [1], per_cluster=10, ambient_dim=12)
+    assert [(cell.method, cell.error) for cell in cells] == [
+        ("kmeans", None),
+        ("sr", "ArithmeticError: solver blew up"),
+    ]
+    assert cells[1].accuracy is None and cells[1].wall_time_seconds is None
+
+
+@pytest.mark.parametrize(
+    "k_list, err",
+    [
+        ("x", "error: --k-list: invalid literal for int() with base 10: 'x'\n"),
+        (",", "error: --k-list must be a nonempty comma-separated list\n"),
+    ],
+    ids=["not_an_integer", "empty"],
+)
+def test_bench_bad_k_list_is_a_usage_error(tmp_path, capsys, k_list, err):
+    argv = ["bench", "--k-list", k_list, "--rho-list", "0.5", "--methods", "kindap"]
+    assert main([*argv, "--out", str(tmp_path / "bench"), "--quiet"]) == 2
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "bench").exists()
 
 
 @pytest.mark.parametrize("replications", ["0", str(2**63)], ids=["zero", "huge"])

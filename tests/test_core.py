@@ -5,6 +5,7 @@ import pytest
 
 from kindicators.core import (
     ClusteringError,
+    ClusterResult,
     EmbeddedData,
     IndicatorMatrix,
     NumericalError,
@@ -51,6 +52,17 @@ def test_make_indicator_normalized_values():
 def test_make_indicator_empty_cluster():
     with pytest.raises(ClusteringError, match="^cluster 1 is empty$"):
         make_indicator([0, 0], 2)
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [(0, "k must be >= 1, got 0"), (True, "k must be an integer, got True"),
+     (2.0, "k must be an integer, got 2.0")],
+    ids=["zero", "bool", "float"],
+)
+def test_make_indicator_rejects_bad_k(k, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make_indicator([0, 0], k)
 
 
 def test_make_indicator_bad_label():
@@ -237,6 +249,22 @@ def test_indicator_matrix_rejects_invalid_partitions():
         IndicatorMatrix(np.array([-1, 0]), ok)
     h = IndicatorMatrix(np.array([1, 0]), ok)
     assert (h.n, h.k) == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "labels, kind, kmeans, error, message",
+    [
+        ([0, -1], 0.0, 0.0, ClusteringError, "labels must be nonnegative"),
+        ([0, 1], np.nan, 0.0, ValueError, "kind objective must be finite"),
+        ([0, 1], np.inf, 0.0, ValueError, "kind objective must be finite"),
+        ([0, 1], None, np.nan, ValueError, "k-means objective must be finite and nonnegative"),
+        ([0, 1], None, -1.0, ValueError, "k-means objective must be finite and nonnegative"),
+    ],
+    ids=["negative_label", "nan_kind", "inf_kind", "nan_kmeans", "negative_kmeans"],
+)
+def test_cluster_result_rejects_bad_values(labels, kind, kmeans, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        ClusterResult(labels, kind, kmeans)
 
 
 def test_types_are_readonly():

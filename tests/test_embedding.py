@@ -72,6 +72,29 @@ def test_knn_graph_gaussian_weights_preserve_sparsity():
     np.testing.assert_allclose(gaussian, gaussian.T)
 
 
+@pytest.mark.parametrize(
+    "knn, message",
+    [(2.5, "knn must be an integer, got 2.5"), (True, "knn must be an integer, got True"),
+     (0, "knn must be >= 1, got 0")],
+    ids=["float", "bool", "zero"],
+)
+def test_knn_graph_rejects_a_bad_knn_count(knn, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        knn_graph(np.zeros((4, 2)), knn)
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [(2.5, "k must be an integer, got 2.5"), (True, "k must be an integer, got True"),
+     (1, "k must be >= 2, got 1")],
+    ids=["float", "bool", "one"],
+)
+def test_spectral_embed_rejects_a_bad_k_count(k, message):
+    graph = knn_graph(np.arange(8.0).reshape(4, 2), 2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        spectral_embed(graph, k)
+
+
 def test_knn_graph_validates_knn():
     data = np.zeros((4, 2))
     with pytest.raises(ValueError):

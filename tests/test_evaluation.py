@@ -182,6 +182,19 @@ def test_soft_indicator_type_rejects_nan():
     assert SoftIndicator(np.array([0.0, 0.5, 1.0])).s.size == 3
 
 
+def test_soft_indicator_rejects_one_column():
+    with pytest.raises(ValueError, match="^soft indicator needs at least two columns$"):
+        soft_indicator(RelaxedAssignment(np.ones((3, 1))))
+
+
+def test_kind_objective_rejects_mismatched_shapes():
+    basis = validate_embedding(np.eye(4)[:, :2])
+    with pytest.raises(ValueError, match="^basis and indicator shapes must agree$"):
+        kind_objective(basis, make_indicator([0, 1, 1], 2))  # 3 rows, not 4
+    with pytest.raises(ValueError, match="^basis and indicator shapes must agree$"):
+        kind_objective(basis, make_indicator([0, 1, 2, 2], 3))  # 3 columns, not 2
+
+
 def test_kind_objective_zero_when_ranges_match():
     h = make_indicator([0, 0, 1, 1, 2], 3)
     basis = validate_embedding(h.matrix)

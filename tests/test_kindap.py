@@ -7,6 +7,7 @@ import pytest
 
 from kindicators.core import (
     ClusteringError,
+    ClusterResult,
     RelaxedAssignment,
     make_indicator,
     validate_embedding,
@@ -257,6 +258,13 @@ def test_kindap_trace_lengths_consistent():
         phase = np.asarray(trace.objective_history[offset : offset + count])
         assert np.all(np.diff(phase) <= 1e-12)
         offset += count
+
+
+def test_warm_start_centers_rejects_wrong_label_length():
+    basis = validate_embedding(np.eye(4)[:, :2])
+    result = ClusterResult(np.array([0, 1, 1]), None, 0.0)
+    with pytest.raises(ValueError, match="^labels length must match the embedding$"):
+        warm_start_centers(basis, result)
 
 
 def test_warm_start_centers_singletons():
