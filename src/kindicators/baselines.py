@@ -11,6 +11,7 @@ from .core import (
     ClusterResult,
     EmbeddedData,
     SolverTrace,
+    _qr_orthonormal,
     cluster_sums,
     make_indicator,
     require_counts,
@@ -272,10 +273,7 @@ def kmeans_solve(data, k: int, params: KmeansParams | None = None) -> ClusterRes
 
 def _random_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
     """Orthogonal factor of a standard Gaussian k x k matrix, sign-fixed."""
-    q, r = np.linalg.qr(rng.standard_normal((k, k)))
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
+    return _qr_orthonormal(rng.standard_normal((k, k)))
 
 
 def _sr_once(basis: EmbeddedData, rotation: np.ndarray, params: SrParams):

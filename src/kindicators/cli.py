@@ -29,6 +29,8 @@ from .core import (
     NumericalError,
     SolverTrace,
     make_indicator,
+    require_counts,
+    require_positive,
     validate_embedding,
 )
 from .embedding import knn_graph, spectral_embed
@@ -406,9 +408,12 @@ def run_bench(
 
     Every method within a cell group sees the same dataset (generated from the
     group's seed); solver randomness is seeded per cell by
-    :func:`stable_cell_seed`. Per-cell failures become rows with an `error`
-    value and the sweep continues, so the row count always equals the product
-    of the list cardinalities. Rows come back sorted by (k, rho, method, seed).
+    :func:`stable_cell_seed`, and a row's `replications` is the count its
+    method ran. A value that one field checks on its own raises UsageError
+    before any cell runs; other per-cell failures become rows with an
+    `error` value and the sweep continues, so the row count always equals
+    the product of the list cardinalities. Rows come back sorted by (k, rho,
+    method, seed).
     """
     k_list = list(k_list)
     rho_list = list(rho_list)
@@ -419,6 +424,17 @@ def run_bench(
     for method in methods:
         if method not in METHODS:
             raise UsageError(f"unknown method {method!r}")
+    try:  # SynthSpec's order, so a bad value gets the message `synth` gives it
+        for k in k_list:
+            require_counts(2, k=k)
+        require_counts(1, per_cluster=per_cluster, ambient_dim=ambient_dim)
+        for seed in seeds:
+            require_counts(0, seed=seed)
+        for rho in rho_list:
+            require_positive(rho=rho)
+        KmeansParams(replications=replications)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     sizes = {"per_cluster": per_cluster, "ambient_dim": ambient_dim}
     cells: list[BenchCell] = []
     for k in k_list:
@@ -430,12 +446,12 @@ def run_bench(
                 except Exception as exc:
                     error = f"{type(exc).__name__}: {exc}"
                 for method in methods:
-                    cell = BenchCell(method, k, rho, replications, seed, error=error)
+                    cell_seed = stable_cell_seed(seed, k, rho, method, seed_index)
+                    params = _method_params(method, replications, cell_seed)
+                    cell = BenchCell(method, k, rho, params[1].replications, seed, error=error)
                     cells.append(cell)
                     if data is not None:
                         try:
-                            cell_seed = stable_cell_seed(seed, k, rho, method, seed_index)
-                            params = _method_params(method, replications, cell_seed)
                             started = time.perf_counter()
                             result, stage_one = run_method(method, data.embedded, *params)
                             cell.wall_time_seconds = time.perf_counter() - started
@@ -604,10 +620,6 @@ def _cmd_bench(args) -> int:
     rho_list = _parse_list(args.rho_list, "--rho-list", float)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     seeds = _parse_list(args.seeds, "--seeds", int)
-    try:
-        KmeansParams(replications=args.replications)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     cells = run_bench(
         k_list,
         rho_list,

@@ -9,8 +9,6 @@ from scipy import sparse
 
 # Column-orthonormality tolerance for embedded data (entrywise on U'U - I).
 ORTHONORMAL_TOL = 1e-8
-# Tighter tolerance for indicator column norms, which are exact by construction.
-INDICATOR_TOL = 1e-10
 # Relative singular-value cutoff below which an input matrix counts as rank deficient.
 RANK_TOL = 1e-10
 # Rows per block in row-by-row passes over a matrix (normalizing rows,
@@ -89,6 +87,14 @@ def _fix_column_signs_in_place(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _qr_orthonormal(m: np.ndarray) -> np.ndarray:
+    """The Q of a thin QR factorization of `m`, its column signs fixed so R's diagonal is >= 0."""
+    q, r = np.linalg.qr(m)
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    return q * signs
+
+
 @dataclass(eq=False)
 class EmbeddedData:
     """Column-orthonormal feature matrix; rows are objects, columns span the embedding.
@@ -122,35 +128,27 @@ class EmbeddedData:
 
 @dataclass(eq=False)
 class IndicatorMatrix:
-    """A partition of n objects into k nonempty clusters, with one positive weight per object.
+    """A partition of n objects into k nonempty clusters, stored as its labels alone.
 
-    Stands for the n x k indicator H with `values[i]` at (i, `labels[i]`) and
-    zeros elsewhere, whose columns have unit norm. Only the labels and the
-    values are stored; k is the largest label plus one, since every cluster
-    is nonempty. Products with H go through :func:`cluster_sums`, and
-    `matrix` builds the dense H only when asked.
+    Stands for the normalized n x k indicator H: 1/sqrt(n_j) at (i, `labels[i]`)
+    for each row i of cluster j, zeros elsewhere. Those entries, `values`, are
+    derived once and read-only; k is the largest label plus one. Products with
+    H go through :func:`cluster_sums`, and `matrix` builds the dense H only when asked.
     """
 
     labels: np.ndarray
-    values: np.ndarray
 
     def __post_init__(self):
         self.labels = _readonly(self.labels, dtype=int)
-        self.values = _readonly(self.values)
         if self.labels.ndim != 1 or self.labels.size == 0:
             raise ClusteringError("labels must be a nonempty 1-D sequence")
-        if self.values.shape != self.labels.shape:
-            raise ValueError("values length must match the labels length")
         if self.labels.min() < 0:
             raise ClusteringError("labels must be nonnegative")
-        if not np.all(self.values > 0):
-            raise ValueError("indicator values must be positive")
-        empty = np.flatnonzero(self.cluster_sizes == 0)
-        if empty.size:
-            raise ClusteringError(f"cluster {int(empty[0])} is empty")
-        norms = np.bincount(self.labels, weights=self.values**2)
-        if np.max(np.abs(norms - 1.0)) > INDICATOR_TOL:
-            raise ValueError("indicator columns must have unit norm")
+        sizes = self.cluster_sizes
+        if not sizes.all():
+            raise ClusteringError(f"cluster {int(np.argmin(sizes))} is empty")
+        self.values = 1.0 / np.sqrt(sizes[self.labels])
+        self.values.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -283,32 +281,21 @@ class ClusterResult:
 
 
 def make_indicator(labels, k: int) -> IndicatorMatrix:
-    """The normalized indicator of integer labels: value 1/sqrt(n_j) in every row of cluster j.
+    """The normalized indicator of integer labels with k clusters; O(n), no n x k array.
 
-    Each column then has unit norm with equal weights. Costs O(n); no n x k
-    array is built.
-
-    Args:
-        labels: length-n sequence of cluster ids in 0..k-1; every cluster must
-            be nonempty.
-        k: number of clusters.
-
-    Raises:
-        ValueError: k is not an integer >= 1.
-        ClusteringError: some id is negative or >= k, or some cluster id in
-            0..k-1 is unused.
+    Adds the checks that need k to those of :class:`IndicatorMatrix`: raises
+    ValueError unless k is an integer >= 1, and ClusteringError when an id
+    is negative or >= k, or an id in 0..k-1 is unused.
     """
     require_counts(1, k=k)
     labels = np.asarray(labels, dtype=int)
-    if labels.ndim != 1 or labels.size == 0:
-        raise ClusteringError("labels must be a nonempty 1-D sequence")
-    if labels.min() < 0 or labels.max() >= k:
+    # An empty or non-1-D sequence is left to the type, which names it.
+    if labels.ndim == 1 and labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ClusteringError(f"labels must lie in 0..{k - 1}")
-    sizes = np.bincount(labels, minlength=k)
-    empty = np.flatnonzero(sizes == 0)
-    if empty.size:
-        raise ClusteringError(f"cluster {int(empty[0])} is empty")
-    return IndicatorMatrix(labels, 1.0 / np.sqrt(sizes[labels]))
+    indicator = IndicatorMatrix(labels)
+    if indicator.k < k:  # the type sees the clusters up to the largest label
+        raise ClusteringError(f"cluster {indicator.k} is empty")
+    return indicator
 
 
 def cluster_sums(x: np.ndarray, labels: np.ndarray, k: int, weights=None) -> np.ndarray:
@@ -356,7 +343,4 @@ def validate_embedding(matrix) -> EmbeddedData:
         raise NumericalError(
             f"numerical rank < {d}: smallest singular value {singular[-1]:.3e}"
         )
-    q, r = np.linalg.qr(m)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return EmbeddedData(q * signs, orthonormalized=True)
+    return EmbeddedData(_qr_orthonormal(m), orthonormalized=True)

@@ -109,8 +109,9 @@ def soft_indicator(relaxed: RelaxedAssignment) -> SoftIndicator:
 def kind_objective(basis: EmbeddedData, indicator: IndicatorMatrix) -> float:
     """Squared rotation-minimal subspace distance between data and indicator ranges.
 
-    Equals 2k minus twice the nuclear norm of U'H, clamped at 0; the k x k
-    product is read off :func:`cluster_sums` as its transpose H'U.
+    H is the normalized indicator of the labels, as `indicator.values`
+    holds it. Equals 2k minus twice the nuclear norm of U'H, clamped at 0;
+    the k x k product is read off :func:`cluster_sums` as its transpose H'U.
     """
     if (indicator.n, indicator.k) != (basis.n, basis.k):
         raise ValueError("basis and indicator shapes must agree")

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    ClusteringError,
     ClusterResult,
     EmbeddedData,
-    IndicatorMatrix,
     RelaxedAssignment,
     SolverTrace,
     cluster_sums,
@@ -149,7 +149,7 @@ def repair_empty_columns(values: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return labels
 
 
-def round_to_indicator(n_mat: np.ndarray) -> IndicatorMatrix:
+def round_to_indicator(n_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Round a relaxed assignment to the nearest indicator-structured matrix.
 
     `n_mat` is an n x k matrix in the [0, 1] box, such as the buffer
@@ -157,8 +157,9 @@ def round_to_indicator(n_mat: np.ndarray) -> IndicatorMatrix:
 
     Keeps each row's largest entry (ties go to the lowest column index),
     repairs empty columns with :func:`repair_empty_columns`, and scales every
-    column to unit norm. Costs O(nk) for the argmax and O(n) after it; no
-    n x k array is built. For n < k, raises ClusteringError.
+    column to unit norm: returns the labels and each row's weight, as plain
+    arrays. Costs O(nk) for the argmax and O(n) after it; no n x k array is
+    built. For n < k, raises ClusteringError.
     """
     n, k = n_mat.shape
     labels = repair_empty_columns(n_mat, np.argmax(n_mat, axis=1))
@@ -167,7 +168,9 @@ def round_to_indicator(n_mat: np.ndarray) -> IndicatorMatrix:
     # row keeps a positive entry.
     kept[kept <= 0] = 1.0
     norms = np.sqrt(np.bincount(labels, weights=kept**2, minlength=k))
-    return IndicatorMatrix(labels, kept / norms[labels])
+    if not norms.all():  # only for n < k; otherwise the repair fills every column
+        raise ClusteringError(f"cluster {int(np.argmin(norms))} is empty")
+    return labels, kept / norms[labels]
 
 
 def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> ClusterResult:
@@ -229,12 +232,13 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
         trace.inner_iters_per_outer.append(inner_iters)
         trace.stop_reasons.append(phase_stop)
         trace.outer_iters = outer
-        rounded = round_to_indicator(n_mat)
-        f = kind_objective(basis, make_indicator(rounded.labels, k))
+        labels, weights = round_to_indicator(n_mat)
+        indicator = make_indicator(labels, k)
+        f = kind_objective(basis, indicator)
         trace.outer_objective_history.append(f)
         if f < best_f:
             best_f = f
-            best_labels = rounded.labels
+            best_labels = indicator.labels
         if f <= OBJECTIVE_FLOOR:
             trace.outer_stop_reason = "floor"
             break
@@ -254,9 +258,9 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
             budget = min(2 * budget, params.max_inner)
             rotation = last_rotation
             continue
-        # Restart the next outer phase from the projection of the rounded
-        # indicator H back onto the rotation set, through U'H = (H'U)'.
-        cross = cluster_sums(basis.matrix, rounded.labels, k, rounded.values).T
+        # Restart the next outer phase from the projection of the rounded,
+        # weighted indicator H back onto the rotation set, through U'H = (H'U)'.
+        cross = cluster_sums(basis.matrix, labels, k, weights).T
         rotation, sigma = procrustes_rotation(cross)
         if sigma[-1] < DEGENERATE_SV_TOL:
             trace.warnings.append(f"degenerate restart projection at outer iteration {outer}")

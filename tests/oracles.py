@@ -46,7 +46,6 @@ from kindicators.baselines import KmeansParams
 from scipy.optimize import linear_sum_assignment
 
 from kindicators.core import (
-    INDICATOR_TOL,
     ORTHONORMAL_TOL,
     BinaryIndicator,
     ClusteringError,
@@ -216,6 +215,10 @@ def sampled_rotation_min(basis_matrix, target, samples: int, rng: np.random.Gene
     rotated = np.einsum("nk,mkj->mnj", b, rotations)
     gaps = np.sqrt(((rotated - t[None]) ** 2).sum(axis=(1, 2)))
     return float(gaps.min())
+
+
+# Tolerance for a dense indicator's column norms, which are exact by construction.
+INDICATOR_TOL = 1e-10
 
 
 @dataclass(eq=False)

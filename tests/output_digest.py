@@ -21,6 +21,8 @@ Prints one JSON line per output, so the lines printed with two versions of
   default flags and with `--weight gaussian --row-normalize` (which takes
   `validate_embedding`'s QR path), and of the `eval --embedded` JSON of
   the `kindap` result.
+- `bench`: each row of the `bench.json` of a tiny four-method sweep
+  (`BENCH_SWEEP`), with `wall_time_seconds` dropped.
 - `usage`: the exit code and stderr of `main` for each flag value in
   `REJECTED_FLAGS`, the values the parameter types must reject, so a diff
   lists every reworded message.
@@ -68,7 +70,12 @@ REJECTED_FLAGS = [
     ["cluster", "--method", "kmeans", "--tol", "0"],
     *(["cluster", "--method", method, "--replications", "0"] for method in cli.METHODS),
     ["bench", "--k-list", "3", "--rho-list", "0.5", "--methods", "kmeans", "--replications", "0"],
+    ["bench", "--k-list", "3", "--rho-list", "0.5", "--methods", "kmeans", "--per-cluster", "0"],
+    ["bench", "--k-list", "3", "--rho-list", "0.5", "--methods", "kmeans", "--seeds", "-1"],
 ]
+BENCH_SWEEP = ["bench", "--k-list", "3", "--rho-list", "0.5", "--methods", ",".join(cli.METHODS),
+               "--replications", str(REPLICATIONS), "--seeds", "1", "--per-cluster", "10",
+               "--ambient-dim", "12"]
 
 
 def _sha(array) -> str:
@@ -151,6 +158,10 @@ def cluster_and_file_digests() -> None:
                 "--embedded", str(tmp / "embedded.csv"), "--out", str(out), "--quiet"]
         assert cli.main(argv) == 0
         _emit_file("eval --embedded", out)
+        assert cli.main([*BENCH_SWEEP, "--out", str(tmp / "bench"), "--quiet"]) == 0
+        for row in json.loads((tmp / "bench" / "bench.json").read_text())["rows"]:
+            row.pop("wall_time_seconds")
+            _emit({"bench": row})
         for flags in REJECTED_FLAGS:
             command, *rest = flags
             argv = [command, *([str(tmp / "embedded.csv")] if command == "cluster" else []), *rest]

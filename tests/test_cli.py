@@ -1091,6 +1091,76 @@ def test_bench_bad_replications_is_a_usage_error(tmp_path, capsys, replications)
     assert not (tmp_path / "bench").exists()
 
 
+@pytest.mark.parametrize(
+    "methods, err",
+    [(",", "error: k-list, rho-list, methods, and seeds must be nonempty\n"),
+     ("foo", "error: unknown method 'foo'\n")],
+    ids=["empty", "unknown"],
+)
+def test_bench_bad_methods_is_a_usage_error(tmp_path, capsys, methods, err):
+    argv = ["bench", "--k-list", "3", "--rho-list", "0.5", "--methods", methods]
+    assert main([*argv, "--out", str(tmp_path / "bench"), "--quiet"]) == 2
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "bench").exists()
+
+
+@pytest.mark.parametrize(
+    "bench_flags, synth_flags",
+    [
+        (["--k-list", "3,1"], ["--k", "1"]),
+        (["--rho-list", "0.5,0"], ["--rho", "0"]),
+        (["--rho-list", "inf"], ["--rho", "inf"]),
+        (["--per-cluster", "0"], ["--per-cluster", "0"]),
+        (["--ambient-dim", "0"], ["--ambient-dim", "0"]),
+        (["--seeds", "1,-1"], ["--seed", "-1"]),
+        (["--seeds", "-1", "--per-cluster", "0"], ["--seed", "-1", "--per-cluster", "0"]),
+    ],
+    ids=["k", "rho_zero", "rho_inf", "per_cluster", "ambient_dim", "seed", "seed_and_per_cluster"],
+)
+def test_bench_checks_synth_values_before_the_sweep(tmp_path, capsys, bench_flags, synth_flags):
+    # A value SynthSpec rejects on its own stops the sweep before any cell,
+    # with the message `synth` gives it.
+    def run(argv):
+        code = main([*argv, "--out", str(tmp_path / "out"), "--quiet"])
+        return code, capsys.readouterr().err
+
+    synth = run(["synth", "--k", "3", *synth_flags])
+    bench = run(["bench", "--k-list", "3", "--rho-list", "0.5", "--methods", "kmeans", *bench_flags])
+    assert bench == synth
+    assert bench[0] == 2 and bench[1].startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_bench_rows_record_the_replications_that_ran(tmp_path):
+    # Only kmeans and sr replicate; kindap and the kindap+l polish run once.
+    out = tmp_path / "bench"
+    code = main(
+        [
+            "bench", "--k-list", "3", "--rho-list", "0.5", "--methods", "kindap,kindap+l,kmeans",
+            "--replications", "7", "--seeds", "1", "--per-cluster", "4", "--ambient-dim", "4",
+            "--out", str(out), "--quiet",
+        ]
+    )
+    assert code == 0
+    expected = {"kindap": 1, "kindap+l": 1, "kmeans": 7}
+    rows = _read_rows(out / "bench.csv")
+    assert {r["method"]: int(r["replications"]) for r in rows} == expected
+    payload = json.loads((out / "bench.json").read_text())
+    assert {r["method"]: r["replications"] for r in payload["rows"]} == expected
+    assert payload["replications"] == 7
+
+
+def test_eval_rejects_a_result_whose_trace_is_not_an_object(tmp_path, capsys):
+    pred = tmp_path / "pred.json"
+    document = {"schema": 1, "method": "kindap", "labels": [0, 1], "kind_objective": 0.0,
+                "kmeans_objective": 0.0, "trace": [], "params": {}}
+    pred.write_text(json.dumps(document))
+    truth = tmp_path / "truth.csv"
+    write_labels_csv(truth, [0, 1])
+    assert main(["eval", "--pred", str(pred), "--truth", str(truth), "--quiet"]) == 3
+    assert capsys.readouterr().err == "data error: trace must be an object\n"
+
+
 def test_bench_prints_one_progress_line_per_row(tmp_path, capsys):
     # k=8 exceeds ambient_dim=4, so generate fails for that group's cells.
     out = tmp_path / "bench"

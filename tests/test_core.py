@@ -1,3 +1,4 @@
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -63,6 +64,19 @@ def test_make_indicator_empty_cluster():
 def test_make_indicator_rejects_bad_k(k, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         make_indicator([0, 0], k)
+
+
+@pytest.mark.parametrize(
+    "labels, k, message",
+    [([], 2, "labels must be a nonempty 1-D sequence"),
+     ([[0, 1]], 2, "labels must be a nonempty 1-D sequence"),
+     ([0, 2, 2], 3, "cluster 1 is empty"), ([0, 1, 1], 4, "cluster 2 is empty")],
+    ids=["empty", "two_d", "inner_cluster_empty", "trailing_clusters_empty"],
+)
+def test_make_indicator_rejects_bad_labels(labels, k, message):
+    # Split between make_indicator (checks that need k) and IndicatorMatrix.
+    with pytest.raises(ClusteringError, match=f"^{message}$"):
+        make_indicator(labels, k)
 
 
 def test_make_indicator_bad_label():
@@ -179,6 +193,22 @@ def test_validate_embedding_rejects_bad_shapes():
         validate_embedding(np.ones((5, 1)))
 
 
+@pytest.mark.parametrize(
+    "build, matrix, message",
+    [
+        (EmbeddedData, np.ones(4), "embedded data must be a 2-D matrix"),
+        (EmbeddedData, np.eye(3)[:2], "need n >= k >= 2, got shape 2x3"),
+        (validate_embedding, np.ones(4), "embedding input must be a 2-D matrix"),
+        (validate_embedding, np.array([[1.0, 0.0], [0.0, np.inf], [0.0, 0.0]]),
+         "embedding input must be finite"),
+    ],
+    ids=["embedded_data_1d", "embedded_data_n_below_k", "validate_1d", "validate_non_finite"],
+)
+def test_embedding_inputs_rejected_with_their_message(build, matrix, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(matrix)
+
+
 def test_validate_embedding_output_invariants():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -234,21 +264,19 @@ def test_binary_indicator_rejects_multiple_ones():
 
 
 def test_indicator_matrix_rejects_invalid_partitions():
-    ok = np.array([1.0, 1.0])
-    with pytest.raises(ValueError):
-        IndicatorMatrix(np.array([0, 1]), np.array([1.0, 0.0]))  # a zero weight
-    with pytest.raises(ValueError):
-        IndicatorMatrix(np.array([0, 1]), np.array([1.0, np.nan]))
-    with pytest.raises(ValueError):
-        IndicatorMatrix(np.array([0, 0, 1]), np.array([0.5, 0.5, 1.0]))  # column norm != 1
-    with pytest.raises(ValueError):
-        IndicatorMatrix(np.array([0, 1]), np.array([1.0]))
     with pytest.raises(ClusteringError, match="^cluster 1 is empty$"):
-        IndicatorMatrix(np.array([0, 2]), ok)
+        IndicatorMatrix(np.array([0, 2]))
     with pytest.raises(ClusteringError, match="^labels must be nonnegative$"):
-        IndicatorMatrix(np.array([-1, 0]), ok)
-    h = IndicatorMatrix(np.array([1, 0]), ok)
+        IndicatorMatrix(np.array([-1, 0]))
+    h = IndicatorMatrix(np.array([1, 0]))
     assert (h.n, h.k) == (2, 2)
+
+
+def test_indicator_matrix_derives_its_values_from_the_labels():
+    h = IndicatorMatrix([1, 0, 1, 1])
+    assert [f.name for f in fields(IndicatorMatrix)] == ["labels"]
+    assert np.array_equal(h.values, 1.0 / np.sqrt([3, 1, 3, 3]))
+    assert np.array_equal(h.matrix, make_indicator([1, 0, 1, 1], 2).matrix)
 
 
 @pytest.mark.parametrize(

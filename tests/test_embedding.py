@@ -84,10 +84,21 @@ def test_knn_graph_rejects_a_bad_knn_count(knn, message):
 
 
 @pytest.mark.parametrize(
+    "data, weight, message",
+    [(np.zeros(4), "binary", "data must be a 2-D matrix"),
+     (np.zeros((4, 2)), "cosine", r"weight must be one of \('binary', 'gaussian'\)")],
+    ids=["one_d", "unknown_weight"],
+)
+def test_knn_graph_rejects_bad_data_and_weight(data, weight, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        knn_graph(data, 1, weight=weight)
+
+
+@pytest.mark.parametrize(
     "k, message",
     [(2.5, "k must be an integer, got 2.5"), (True, "k must be an integer, got True"),
-     (1, "k must be >= 2, got 1")],
-    ids=["float", "bool", "one"],
+     (1, "k must be >= 2, got 1"), (5, "need 2 <= k <= n, got k=5, n=4")],
+    ids=["float", "bool", "one", "above_n"],
 )
 def test_spectral_embed_rejects_a_bad_k_count(k, message):
     graph = knn_graph(np.arange(8.0).reshape(4, 2), 2)

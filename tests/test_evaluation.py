@@ -137,6 +137,17 @@ def test_accuracy_length_mismatch():
         accuracy([0, 1], [0, 1, 1])
 
 
+@pytest.mark.parametrize(
+    "pred, truth, message",
+    [([], [], "labels must be nonempty"), ([0, -1], [0, 1], "labels must be nonnegative"),
+     ([0, 1], [-1, 0], "labels must be nonnegative")],
+    ids=["empty", "negative_pred", "negative_truth"],
+)
+def test_accuracy_rejects_bad_labels(pred, truth, message):
+    with pytest.raises(ClusteringError, match=f"^{message}$"):
+        accuracy(pred, truth)
+
+
 def test_soft_indicator_examples():
     s = soft_indicator(RelaxedAssignment(np.array([[1.0, 0.0, 0.0]]))).s
     assert s[0] == 1.0

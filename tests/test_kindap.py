@@ -119,30 +119,30 @@ def test_inner_gap_matches_direct_residual():
 
 
 def test_round_keeps_largest_per_row():
-    h = round_to_indicator(np.array([[0.9, 0.1], [0.2, 0.7]]))
-    assert np.array_equal(h.labels, [0, 1])
-    np.testing.assert_allclose(h.values, [1.0, 1.0])
+    labels, weights = round_to_indicator(np.array([[0.9, 0.1], [0.2, 0.7]]))
+    assert np.array_equal(labels, [0, 1])
+    np.testing.assert_allclose(weights, [1.0, 1.0])
 
 
 def test_round_idempotent_on_indicator():
     original = make_indicator([0, 1, 1, 0], 2)
-    again = round_to_indicator(original.matrix)
-    np.testing.assert_allclose(again.matrix, original.matrix, atol=1e-15)
-    assert np.array_equal(again.labels, original.labels)
+    labels, weights = round_to_indicator(original.matrix)
+    np.testing.assert_allclose(weights, original.values, atol=1e-15)
+    assert np.array_equal(labels, original.labels)
 
 
 def test_round_repairs_empty_column():
     # Every argmax lands in column 0; the repair rule moves the row with the
     # largest column-1 value among clusters that can spare one (row 0 here).
     n_mat = np.array([[0.9, 0.3], [0.8, 0.2], [0.7, 0.1]])
-    h = round_to_indicator(n_mat)
-    assert np.array_equal(h.labels, [1, 0, 0])
+    labels, weights = round_to_indicator(n_mat)
+    assert np.array_equal(labels, [1, 0, 0])
     norm0 = np.hypot(0.8, 0.7)
-    np.testing.assert_allclose(h.values, [1.0, 0.8 / norm0, 0.7 / norm0])
+    np.testing.assert_allclose(weights, [1.0, 0.8 / norm0, 0.7 / norm0])
 
 
 def test_round_matches_dense_reference():
-    # Labels and values fill the same dense indicator, bit for bit, as the
+    # Labels and weights fill the same dense indicator, bit for bit, as the
     # rounding that built it entry by entry; repaired rows included.
     rng = np.random.default_rng(12)
     for _ in range(30):
@@ -151,15 +151,17 @@ def test_round_matches_dense_reference():
         n_mat = rng.uniform(0.0, 1.0, size=(n, k)) * (rng.uniform(size=(n, k)) < 0.7)
         n_mat[:, -1] = 0.0  # an empty column, so the repair runs
         relaxed = RelaxedAssignment(n_mat)
-        new = round_to_indicator(relaxed.matrix)
+        labels, weights = round_to_indicator(relaxed.matrix)
         old = reference_round_to_indicator(relaxed)
-        assert np.array_equal(new.labels, old.labels)
-        assert np.array_equal(new.matrix, old.matrix)
+        assert np.array_equal(labels, old.labels)
+        dense = np.zeros((n, k))
+        dense[np.arange(n), labels] = weights
+        assert np.array_equal(dense, old.matrix)
 
 
 def test_round_ties_go_to_lowest_column():
-    h = round_to_indicator(np.array([[0.5, 0.5], [0.2, 0.6]]))
-    assert np.array_equal(h.labels, [0, 1])
+    labels, _ = round_to_indicator(np.array([[0.5, 0.5], [0.2, 0.6]]))
+    assert np.array_equal(labels, [0, 1])
 
 
 def test_round_fails_when_fewer_rows_than_columns():
