@@ -20,7 +20,6 @@ from .core import (
 from .embedding import SimilarityGraph, knn_graph, spectral_embed
 from .evaluation import SoftIndicator, accuracy, kind_objective, kmeans_objective, soft_indicator
 from .kindap import KindapParams, kindap_solve, warm_start_centers
-from .projections import projection_distance, subspace_distance
 from .synthgen import SynthDataset, SynthSpec, generate
 
 __version__ = "0.1.0"
@@ -48,11 +47,9 @@ __all__ = [
     "knn_graph",
     "lloyd_solve",
     "make_indicator",
-    "projection_distance",
     "soft_indicator",
     "spectral_embed",
     "sr_solve",
-    "subspace_distance",
     "validate_embedding",
     "warm_start_centers",
 ]

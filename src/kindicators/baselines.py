@@ -101,7 +101,7 @@ def _check_k_and_data(data, k) -> np.ndarray:
     return x
 
 
-def kmeans_pp_init(data, k: int, rngs, *, _checked: bool = False) -> np.ndarray:
+def kmeans_pp_init(data, k: int, rngs) -> np.ndarray:
     """k-means++ seeding, one run per generator in `rngs`: an R x k x d array.
 
     The first center is uniform, the rest squared-distance weighted. When all
@@ -116,10 +116,10 @@ def kmeans_pp_init(data, k: int, rngs, *, _checked: bool = False) -> np.ndarray:
     ||x_i||^2 + ||c||^2 - 2 x_i'c with the row norms computed once. Each
     weighted draw inverts the cumulative distribution at one uniform draw,
     the same arithmetic and the same stream as ``rng.choice(n, p=d2 / total)``
-    without its per-call validation and copies.
+    without its per-call validation and copies. Every call checks k and the
+    data (:func:`_check_k_and_data`), from :func:`kmeans_solve` too.
     """
-    # From kmeans_solve alone: data it already passed through _check_k_and_data.
-    x = data if _checked else _check_k_and_data(data, k)
+    x = _check_k_and_data(data, k)
     x_sq = np.einsum("ij,ij->i", x, x)
     n = x.shape[0]
     chosen = np.empty((len(rngs), k), dtype=int)
@@ -248,9 +248,10 @@ def kmeans_solve(data, k: int, params: KmeansParams | None = None) -> ClusterRes
     """Best of `params.replications` k-means++ starts of :func:`lloyd_solve` (:func:`_best_of`).
 
     All replications' starts come from one lockstep :func:`kmeans_pp_init`
-    call. The data is checked once, for k-means++ and every replication's
-    :func:`lloyd_solve`; its row norms are summed once for the Lloyd runs,
-    and the kind objective is scored for the winner alone.
+    call, which checks the data on its own. The data is checked once more,
+    for every replication's :func:`lloyd_solve`; its row norms are summed
+    once for the Lloyd runs, and the kind objective is scored for the
+    winner alone.
     """
     if params is None:
         params = KmeansParams()
@@ -262,7 +263,7 @@ def kmeans_solve(data, k: int, params: KmeansParams | None = None) -> ClusterRes
         (stop,) = lloyd.trace.stop_reasons
         return lloyd.labels, lloyd.kmeans_objective, lloyd.trace.objective_history, stop
 
-    labels, trace = _best_of(params, lambda rngs: kmeans_pp_init(x, k, rngs, _checked=True), run)
+    labels, trace = _best_of(params, lambda rngs: kmeans_pp_init(x, k, rngs), run)
     return ClusterResult(
         labels=labels,
         kind_objective=_kind_objective_if_embedded(x, labels),

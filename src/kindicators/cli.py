@@ -618,7 +618,7 @@ def _cmd_bench(args) -> int:
     out_dir = _require_out(args, "directory")
     k_list = _parse_list(args.k_list, "--k-list", int)
     rho_list = _parse_list(args.rho_list, "--rho-list", float)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    methods = _parse_list(args.methods, "--methods", str.strip)
     seeds = _parse_list(args.seeds, "--seeds", int)
     cells = run_bench(
         k_list,

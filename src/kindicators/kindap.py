@@ -64,8 +64,8 @@ def inner_solve(
     rotation: np.ndarray,
     basis: EmbeddedData,
     params: KindapParams,
-    trace: SolverTrace | None = None,
-    budget: int | None = None,
+    trace: SolverTrace,
+    budget: int,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int, str]:
     """Alternate box and Procrustes projections from B R until the gap stalls.
@@ -79,7 +79,8 @@ def inner_solve(
     nonincreasing because both projections are exact. Stops once the
     relative gap improvement drops below `params.tol_inner` ("tol"), or
     after `budget` iterations ("budget") or `params.max_inner` ("cap"),
-    whichever is fewer; no `budget` means `params.max_inner`.
+    whichever is fewer; a `budget` of `params.max_inner` or more stops on
+    "cap".
 
     Per iteration the work is two GEMMs with an n x k operand (B'N and B R),
     one in-place clip and one k x k Procrustes step (see
@@ -93,17 +94,16 @@ def inner_solve(
 
     Returns that buffer holding the final box projection N (entries in
     [0, 1]), the k x k rotation of the last projection, the iteration count
-    and the stop reason. When `trace` is given, the gap sequence is appended
-    to its objective_history and near-degenerate projections are noted in
-    its warnings.
+    and the stop reason. The gap sequence is appended to `trace`'s
+    objective_history and near-degenerate projections are noted in its
+    warnings.
     """
-    limit = params.max_inner if budget is None else min(budget, params.max_inner)
+    limit = min(budget, params.max_inner)
     stop = "cap" if limit == params.max_inner else "budget"
     b = basis.matrix
     b_sq = float(np.vdot(b, b))
     n_mat = np.matmul(b, rotation, out=out)
     prev = None
-    history: list[float] = []
     iters = 0
     for t in range(1, limit + 1):
         np.clip(n_mat, 0.0, 1.0, out=n_mat)
@@ -111,9 +111,9 @@ def inner_solve(
         # Exact in real arithmetic; in floating point a zero gap can come out
         # a few ulps below zero.
         gap = max(b_sq + float(np.vdot(n_mat, n_mat)) - 2.0 * float(sigma.sum()), 0.0)
-        history.append(gap)
+        trace.objective_history.append(gap)
         iters = t
-        if trace is not None and sigma[-1] < DEGENERATE_SV_TOL:
+        if sigma[-1] < DEGENERATE_SV_TOL:
             trace.warnings.append(f"degenerate projection at inner iteration {t}")
         if prev is not None and prev - gap <= params.tol_inner * max(prev, OBJECTIVE_FLOOR):
             stop = "tol"
@@ -121,8 +121,6 @@ def inner_solve(
         prev = gap
         if t < limit:
             np.matmul(b, rotation, out=n_mat)
-    if trace is not None:
-        trace.objective_history.extend(history)
     return n_mat, rotation, iters, stop
 
 
@@ -225,8 +223,8 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
     f_prev = None
     for outer in range(1, params.max_outer + 1):
         n_mat, last_rotation, inner_iters, phase_stop = inner_solve(
-            rotation, basis, params, trace=trace,
-            budget=None if outer == params.max_outer else budget,
+            rotation, basis, params, trace,
+            params.max_inner if outer == params.max_outer else budget,
             out=n_mat,
         )
         trace.inner_iters_per_outer.append(inner_iters)

@@ -1,7 +1,8 @@
-"""Closed-form projections and subspace distances for column-orthonormal bases.
+"""The closed-form projection onto the rotations, for column-orthonormal bases.
 
-All distances go through k x k Gram matrices; nothing here ever materializes
-an n x n projector, so memory stays linear in the number of objects.
+The Procrustes step reads only the k x k product B'T; nothing here
+materializes an n x n projector, so memory stays linear in the number of
+objects.
 """
 
 from __future__ import annotations
@@ -79,34 +80,3 @@ def procrustes_rotation(cross) -> tuple[np.ndarray, np.ndarray]:
                 return (cross @ (v / root)) @ v.T, root[::-1]
     p, sigma, qt = np.linalg.svd(cross)
     return p @ qt, sigma
-
-
-def subspace_distance(a, b) -> float:
-    """Rotation-minimal distance between the ranges of two orthonormal bases.
-
-    Computed as sqrt(2k - 2 ||a' b||_*) with the nuclear norm clamped to
-    [0, k] before the square root; equals min over orthogonal R of
-    ||a R - b||_F.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    k = a.shape[1]
-    nn = min(max(float(np.linalg.svd(a.T @ b, compute_uv=False).sum()), 0.0), float(k))
-    return float(np.sqrt(2.0 * k - 2.0 * nn))
-
-
-def projection_distance(a, b) -> float:
-    """Frobenius distance between the orthogonal projectors a a' and b b'.
-
-    Evaluated as sqrt(2k - 2 ||a' b||_F^2) so the n x n projectors are never
-    formed.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    k = a.shape[1]
-    cross = min(max(float(np.sum((a.T @ b) ** 2)), 0.0), float(k))
-    return float(np.sqrt(2.0 * k - 2.0 * cross))

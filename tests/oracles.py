@@ -32,7 +32,9 @@ block-by-block `_fix_column_signs_in_place`; `dense_spectral_embed`,
 `reference_generate` and `gaussian_blobs` take their signs from it.
 `gaussian_blobs` is a harder test family than `generate`: Gaussian clusters
 whose spread makes k-means miss, for gates that must show a solver change
-does no harm.
+does no harm. `subspace_distance` and `projection_distance` are the model's
+two distances between ranges, from k x k products; the solver never calls
+them, and the tests hold its objectives and the metric properties to them.
 """
 
 from __future__ import annotations
@@ -215,6 +217,37 @@ def sampled_rotation_min(basis_matrix, target, samples: int, rng: np.random.Gene
     rotated = np.einsum("nk,mkj->mnj", b, rotations)
     gaps = np.sqrt(((rotated - t[None]) ** 2).sum(axis=(1, 2)))
     return float(gaps.min())
+
+
+def subspace_distance(a, b) -> float:
+    """Rotation-minimal distance between the ranges of two orthonormal bases.
+
+    Computed as sqrt(2k - 2 ||a' b||_*) with the nuclear norm clamped to
+    [0, k] before the square root; equals min over orthogonal R of
+    ||a R - b||_F.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    k = a.shape[1]
+    nn = min(max(float(np.linalg.svd(a.T @ b, compute_uv=False).sum()), 0.0), float(k))
+    return float(np.sqrt(2.0 * k - 2.0 * nn))
+
+
+def projection_distance(a, b) -> float:
+    """Frobenius distance between the orthogonal projectors a a' and b b'.
+
+    Evaluated as sqrt(2k - 2 ||a' b||_F^2) so the n x n projectors are never
+    formed.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    k = a.shape[1]
+    cross = min(max(float(np.sum((a.T @ b) ** 2)), 0.0), float(k))
+    return float(np.sqrt(2.0 * k - 2.0 * cross))
 
 
 # Tolerance for a dense indicator's column norms, which are exact by construction.

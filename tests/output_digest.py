@@ -26,6 +26,10 @@ Prints one JSON line per output, so the lines printed with two versions of
 - `usage`: the exit code and stderr of `main` for each flag value in
   `REJECTED_FLAGS`, the values the parameter types must reject, so a diff
   lists every reworded message.
+- `api`: one line with the sorted `kindicators.__all__`, the field names of
+  `KindapParams`, `KmeansParams`, `SrParams` and `SynthSpec`, and each
+  subcommand's flags from `cli.build_parser()`, so a change to the public
+  surface shows as this one differing line.
 
 It uses only names that older versions of the package also have, so it runs
 unchanged on both sides of a change.
@@ -36,7 +40,9 @@ Usage: ``PYTHONPATH=src python tests/output_digest.py > digest.jsonl``, then
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -46,8 +52,11 @@ from pathlib import Path
 
 import numpy as np
 
+import kindicators
 from kindicators import cli
+from kindicators.baselines import KmeansParams, SrParams
 from kindicators.embedding import knn_graph, spectral_embed
+from kindicators.kindap import KindapParams
 from kindicators.synthgen import SynthSpec, generate
 
 CELLS = [
@@ -72,6 +81,7 @@ REJECTED_FLAGS = [
     ["bench", "--k-list", "3", "--rho-list", "0.5", "--methods", "kmeans", "--replications", "0"],
     ["bench", "--k-list", "3", "--rho-list", "0.5", "--methods", "kmeans", "--per-cluster", "0"],
     ["bench", "--k-list", "3", "--rho-list", "0.5", "--methods", "kmeans", "--seeds", "-1"],
+    ["bench", "--k-list", "3", "--rho-list", "0.5", "--methods", ","],
 ]
 BENCH_SWEEP = ["bench", "--k-list", "3", "--rho-list", "0.5", "--methods", ",".join(cli.METHODS),
                "--replications", str(REPLICATIONS), "--seeds", "1", "--per-cluster", "10",
@@ -171,10 +181,22 @@ def cluster_and_file_digests() -> None:
             _emit({"usage": " ".join(flags), "exit": code, "stderr": err.getvalue()})
 
 
+def api_digest() -> None:
+    (commands,) = (action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    flags = {name: sorted(flag for action in parser._actions
+                          for flag in action.option_strings or [action.dest])
+             for name, parser in commands.choices.items()}
+    params = {cls.__name__: [field.name for field in dataclasses.fields(cls)]
+              for cls in (KindapParams, KmeansParams, SrParams, SynthSpec)}
+    _emit({"api": sorted(kindicators.__all__), "params": params, "flags": flags})
+
+
 def main() -> int:
     solve_digests()
     front_end_digest()
     cluster_and_file_digests()
+    api_digest()
     return 0
 
 

@@ -15,10 +15,16 @@ from kindicators.cli import main, run_bench, run_method, write_matrix_csv
 from kindicators.core import validate_embedding
 from kindicators.evaluation import accuracy, soft_indicator
 from kindicators.kindap import KindapParams, kindap_solve
-from kindicators.projections import procrustes_rotation, subspace_distance
+from kindicators.projections import procrustes_rotation
 from kindicators.synthgen import SynthSpec, generate
 
-from oracles import exhaustive_best, random_orthonormal, sampled_rotation_min
+from oracles import (
+    exhaustive_best,
+    projection_distance,
+    random_orthonormal,
+    sampled_rotation_min,
+    subspace_distance,
+)
 
 SWEEP_K = (10, 25, 50)
 SWEEP_RHO = (0.33, 0.66)
@@ -154,8 +160,6 @@ def test_criterion_4_distance_metric_properties():
     # forms (which carry full precision at every scale); the literal unsquared
     # inequalities are asserted as well whenever the distances are above the
     # floating-point floor.
-    from kindicators.projections import projection_distance
-
     rng = np.random.default_rng(2024)
     worst_triangle = -np.inf
     worst_chain = -np.inf

@@ -303,9 +303,10 @@ def test_kmeans_single_replication_equals_lloyd():
 
 
 def test_kmeans_solve_does_its_set_up_once_per_solve(monkeypatch):
-    # The data is checked once per solve, for k-means++ and every
-    # replication, and k-means++ computes no distances to the last center
-    # it picks.
+    # The data is checked twice per solve, whatever the replication count:
+    # once by kmeans_solve for every replication's Lloyd run, and once by
+    # the lockstep k-means++ call. k-means++ computes no distances to the
+    # last center it picks.
     counts = {}
 
     def counting(name):
@@ -323,7 +324,7 @@ def test_kmeans_solve_does_its_set_up_once_per_solve(monkeypatch):
     for replications in (1, 10):
         counts.clear()
         kmeans_solve(x, 6, KmeansParams(replications=replications, seed=4))
-        assert counts == {"_check_k_and_data": 1, "_distances_to_rows": 5}
+        assert counts == {"_check_k_and_data": 2, "_distances_to_rows": 5}
 
 
 def test_kmeans_deterministic_and_selects_minimum():

@@ -1093,7 +1093,7 @@ def test_bench_bad_replications_is_a_usage_error(tmp_path, capsys, replications)
 
 @pytest.mark.parametrize(
     "methods, err",
-    [(",", "error: k-list, rho-list, methods, and seeds must be nonempty\n"),
+    [(",", "error: --methods must be a nonempty comma-separated list\n"),
      ("foo", "error: unknown method 'foo'\n")],
     ids=["empty", "unknown"],
 )
@@ -1102,6 +1102,14 @@ def test_bench_bad_methods_is_a_usage_error(tmp_path, capsys, methods, err):
     assert main([*argv, "--out", str(tmp_path / "bench"), "--quiet"]) == 2
     assert capsys.readouterr().err == err
     assert not (tmp_path / "bench").exists()
+
+
+def test_bench_methods_are_stripped_like_the_other_lists(tmp_path):
+    out = tmp_path / "bench"
+    argv = ["bench", "--k-list", "3", "--rho-list", "0.5", "--methods", " kindap , kmeans ",
+            "--seeds", "1", "--per-cluster", "4", "--ambient-dim", "4"]
+    assert main([*argv, "--out", str(out), "--quiet"]) == 0
+    assert [r["method"] for r in _read_rows(out / "bench.csv")] == ["kindap", "kmeans"]
 
 
 @pytest.mark.parametrize(

@@ -18,9 +18,8 @@ from kindicators.evaluation import (
     kmeans_objective,
     soft_indicator,
 )
-from kindicators.projections import subspace_distance
 
-from oracles import random_orthonormal, reference_accuracy
+from oracles import random_orthonormal, reference_accuracy, subspace_distance
 
 
 def _accuracy_by_permutation(pred, truth):

@@ -72,8 +72,8 @@ def test_params_accept_numpy_integer_caps():
 
 def test_inner_solve_indicator_fixed_point():
     basis = _indicator_basis()
-    trace = SolverTrace()
-    n_mat, rotation, iters, _ = inner_solve(np.eye(3), basis, KindapParams(), trace=trace)
+    trace, params = SolverTrace(), KindapParams()
+    n_mat, rotation, iters, _ = inner_solve(np.eye(3), basis, params, trace, params.max_inner)
     assert iters <= 2
     gap = float(((basis.matrix @ rotation - n_mat) ** 2).sum())
     assert gap <= 1e-12
@@ -82,8 +82,8 @@ def test_inner_solve_indicator_fixed_point():
 
 def test_inner_solve_monotone_on_synth():
     data = generate(SynthSpec(k=3, rho=0.33, per_cluster=40, seed=1))
-    trace = SolverTrace()
-    inner_solve(np.eye(3), data.embedded, KindapParams(), trace=trace)
+    trace, params = SolverTrace(), KindapParams()
+    inner_solve(np.eye(3), data.embedded, params, trace, params.max_inner)
     history = np.asarray(trace.objective_history)
     assert history.size >= 2
     assert np.all(np.diff(history) <= 1e-12)
@@ -95,7 +95,8 @@ def test_inner_solve_never_increases_set_gap():
     initial_gap = float(
         np.linalg.norm(basis.matrix - np.clip(basis.matrix, 0.0, 1.0))
     )
-    n_mat, rotation, _, _ = inner_solve(np.eye(2), basis, KindapParams())
+    params = KindapParams()
+    n_mat, rotation, _, _ = inner_solve(np.eye(2), basis, params, SolverTrace(), params.max_inner)
     final_gap = float(np.linalg.norm(basis.matrix @ rotation - n_mat))
     assert final_gap <= initial_gap + 1e-12
 
@@ -111,7 +112,7 @@ def test_inner_gap_matches_direct_residual():
         start = random_orthonormal(k, k, rng)
         params = KindapParams(max_inner=int(rng.integers(1, 5)))
         trace = SolverTrace()
-        n_mat, rotation, iters, _ = inner_solve(start, basis, params, trace=trace)
+        n_mat, rotation, iters, _ = inner_solve(start, basis, params, trace, params.max_inner)
         gap = trace.objective_history[-1]
         direct = float(((basis.matrix @ rotation - n_mat) ** 2).sum())
         assert len(trace.objective_history) == iters
@@ -352,9 +353,9 @@ def test_kindap_matches_svd_procrustes(k, rho, seed):
 
 def test_inner_solve_out_matches_its_own_buffer():
     basis = generate(SynthSpec(k=10, rho=0.33, per_cluster=40, ambient_dim=300, seed=1)).embedded
-    alone = inner_solve(np.eye(10), basis, KindapParams(), budget=7)
+    alone = inner_solve(np.eye(10), basis, KindapParams(), SolverTrace(), 7)
     n_mat = np.full((400, 10), np.nan)
-    shared = inner_solve(np.eye(10), basis, KindapParams(), budget=7, out=n_mat)
+    shared = inner_solve(np.eye(10), basis, KindapParams(), SolverTrace(), 7, out=n_mat)
     assert shared[0] is n_mat
     assert np.array_equal(shared[0], alone[0]) and np.array_equal(shared[1], alone[1])
     assert shared[2:] == alone[2:]
@@ -376,7 +377,7 @@ class _CountingNumpy:
 
 def _without_buffer(inner):
     """`inner` allocating its own N in every phase, so no phase sees another's buffer."""
-    def solve(rotation, basis, params, trace=None, budget=None, out=None):
+    def solve(rotation, basis, params, trace, budget, out=None):
         return inner(rotation, basis, params, trace, budget)
 
     return solve

@@ -10,11 +10,15 @@ from kindicators.projections import (
     GRAM_EIGH_RATIO,
     RotatedBasis,
     procrustes_rotation,
-    projection_distance,
-    subspace_distance,
 )
 
-from oracles import random_orthonormal, reference_procrustes_rotation, sampled_rotation_min
+from oracles import (
+    projection_distance,
+    random_orthonormal,
+    reference_procrustes_rotation,
+    sampled_rotation_min,
+    subspace_distance,
+)
 from procrustes_grid import recorded
 
 
