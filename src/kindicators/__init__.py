@@ -14,7 +14,6 @@ from .core import (
     IndicatorMatrix,
     RelaxedAssignment,
     SolverTrace,
-    make_indicator,
     validate_embedding,
 )
 from .embedding import SimilarityGraph, knn_graph, spectral_embed
@@ -46,7 +45,6 @@ __all__ = [
     "kmeans_solve",
     "knn_graph",
     "lloyd_solve",
-    "make_indicator",
     "soft_indicator",
     "spectral_embed",
     "sr_solve",

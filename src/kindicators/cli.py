@@ -28,6 +28,7 @@ from .core import (
     EmbeddedData,
     NumericalError,
     SolverTrace,
+    _integer_labels,
     make_indicator,
     require_counts,
     require_positive,
@@ -186,29 +187,33 @@ def write_matrix_csv(path, matrix) -> None:
 def read_labels_csv(path) -> np.ndarray:
     """Read one 0-based integer label per line, as a one-column :func:`read_matrix_csv`.
 
-    A plain numeric file of integers is parsed as int64, so every id reads
-    back exactly, above 2^53 too. Any other file goes through
-    :func:`read_matrix_csv`'s floats: a label may be spelled as a float
-    ("3.0"); fractional or out-of-int64-range values are rejected with
-    ClusteringError, naming their 1-based row.
+    A label may be spelled as a float ("3.0"), but not be fractional. Floats
+    merge neighbouring ids from 2^53 up, so a file holding such an id is read
+    again as int64, which needs plain integers. Errors name the 1-based row.
     """
-    labels = _load_plain_numeric(path, np.int64)
-    if labels is not None and labels.shape[1] == 1:
-        return labels[:, 0]
     values = read_matrix_csv(path)
     if values.shape[1] != 1:
         raise ClusteringError(f"{path}: expected one label per line, got {values.shape[1]} columns")
-    bad = np.flatnonzero((values != np.trunc(values)) | (np.abs(values) >= 2.0**63))
+    bad, rule = np.flatnonzero(values != np.trunc(values)), ""
+    if not bad.size and np.abs(values).max() >= 2.0**53:
+        labels = _load_plain_numeric(path, np.int64)
+        if labels is not None:
+            return labels[:, 0]
+        bad = np.flatnonzero(np.abs(values) >= 2.0**53)
+        rule = "; ids of 2^53 or more must be plain integers within int64"
     if bad.size:
         raise ClusteringError(
-            f"{path}: label {float(values[bad[0], 0])} in row {bad[0] + 1} is not an integer id"
+            f"{path}: label {float(values[bad[0], 0])} in row {bad[0] + 1} is not an integer id{rule}"
         )
     return values[:, 0].astype(int)
 
 
 def write_labels_csv(path, labels) -> None:
-    """Write one integer id per line: a one-column integer :func:`write_matrix_csv`."""
-    write_matrix_csv(path, np.asarray(labels, dtype=int)[:, None])
+    """Write one integer id per line: a one-column integer :func:`write_matrix_csv`.
+
+    A value that is not an integer id raises ClusteringError before the file is opened.
+    """
+    write_matrix_csv(path, _integer_labels(labels)[:, None])
 
 
 def _trace_payload(trace: SolverTrace) -> dict:
@@ -352,14 +357,12 @@ def run_method(
 
 
 def _iteration_counts(result: ClusterResult, stage_one: ClusterResult | None) -> tuple[int, int]:
-    """Outer and total inner iterations off the traces; "kindap+l" adds Lloyd's to KindAP's."""
+    """Outer and total inner iterations (one per history entry); "kindap+l" adds KindAP's."""
     trace = result.trace
-    if stage_one is not None:
-        inner = sum(stage_one.trace.inner_iters_per_outer) + len(trace.objective_history)
-        return stage_one.trace.outer_iters, inner
-    if trace.inner_iters_per_outer:
-        return trace.outer_iters, sum(trace.inner_iters_per_outer)
-    return trace.outer_iters, sum(len(h) for h in trace.replication_histories)
+    inner = sum(len(h) for h in trace.replication_histories) or len(trace.objective_history)
+    if stage_one is None:
+        return trace.outer_iters, inner
+    return stage_one.trace.outer_iters, inner + len(stage_one.trace.objective_history)
 
 
 # ---------------------------------------------------------------------------

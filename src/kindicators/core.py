@@ -61,6 +61,20 @@ def require_positive(**values) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _integer_labels(labels) -> np.ndarray:
+    """`labels` as ints; ClusteringError names the first that is not an integer within int64."""
+    values = np.asarray(labels)
+    if values.dtype.kind in "iu":  # not scanned, and an int array is not copied
+        return values.astype(int, copy=False)
+    floats = values.astype(float, copy=False)
+    # NaN fails the first test, before the cast, which would warn and return garbage.
+    bad = ~(np.abs(floats) < 2.0**63) | (floats != np.trunc(floats))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ClusteringError(f"label {floats.flat[i]} at index {i} is not an integer id")
+    return floats.astype(int)
+
+
 def _fix_column_signs_in_place(m: np.ndarray) -> np.ndarray:
     """Flip the columns of the float array `m` in place so each column's first
     largest-magnitude entry is positive (a column whose largest is 0 keeps its
@@ -128,22 +142,26 @@ class EmbeddedData:
 
 @dataclass(eq=False)
 class IndicatorMatrix:
-    """A partition of n objects into k nonempty clusters, stored as its labels alone.
+    """A partition of n objects into k nonempty clusters, stored as its labels and k.
 
-    Stands for the normalized n x k indicator H: 1/sqrt(n_j) at (i, `labels[i]`)
-    for each row i of cluster j, zeros elsewhere. Those entries, `values`, are
-    derived once and read-only; k is the largest label plus one. Products with
-    H go through :func:`cluster_sums`, and `matrix` builds the dense H only when asked.
+    The labels are a nonempty 1-D sequence of integer ids in 0..k-1 using every
+    id (else ClusteringError; ValueError unless k is an integer >= 1). They stand
+    for the normalized n x k indicator H: 1/sqrt(n_j) at (i, `labels[i]`) for
+    each row i of cluster j, zeros elsewhere. Those entries, `values`, are
+    derived once and read-only. Products with H go through :func:`cluster_sums`,
+    and `matrix` builds the dense H only when asked.
     """
 
     labels: np.ndarray
+    k: int
 
     def __post_init__(self):
-        self.labels = _readonly(self.labels, dtype=int)
+        require_counts(1, k=self.k)
+        self.labels = _readonly(_integer_labels(self.labels), dtype=int)
         if self.labels.ndim != 1 or self.labels.size == 0:
             raise ClusteringError("labels must be a nonempty 1-D sequence")
-        if self.labels.min() < 0:
-            raise ClusteringError("labels must be nonnegative")
+        if self.labels.min() < 0 or self.labels.max() >= self.k:
+            raise ClusteringError(f"labels must lie in 0..{self.k - 1}")
         sizes = self.cluster_sizes
         if not sizes.all():
             raise ClusteringError(f"cluster {int(np.argmin(sizes))} is empty")
@@ -155,10 +173,6 @@ class IndicatorMatrix:
         return self.labels.size
 
     @property
-    def k(self) -> int:
-        return int(self.labels.max()) + 1
-
-    @property
     def matrix(self) -> np.ndarray:
         """The dense n x k indicator, read-only, built anew on every access."""
         h = np.zeros((self.n, self.k))
@@ -168,7 +182,7 @@ class IndicatorMatrix:
 
     @property
     def cluster_sizes(self) -> np.ndarray:
-        return np.bincount(self.labels)
+        return np.bincount(self.labels, minlength=self.k)
 
 
 @dataclass(eq=False)
@@ -184,14 +198,6 @@ class RelaxedAssignment:
         # NaN fails both comparisons; `initial` keeps an empty matrix valid.
         if not (self.matrix.min(initial=0) >= 0 and self.matrix.max(initial=1) <= 1):
             raise ValueError("relaxed assignment entries must lie in [0, 1]")
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.matrix.shape[1]
 
 
 @dataclass(eq=False)
@@ -213,15 +219,6 @@ class BinaryIndicator:
             raise ValueError("each row must sum to exactly 1")
         if np.any(self.matrix[np.arange(n), self.labels] != 1):
             raise ValueError("labels must point at each row's 1 entry")
-
-    @classmethod
-    def from_labels(cls, labels, k: int) -> "BinaryIndicator":
-        labels = np.asarray(labels, dtype=int)
-        if labels.min() < 0 or labels.max() >= k:
-            raise ClusteringError(f"labels must lie in 0..{k - 1}")
-        b = np.zeros((labels.size, k))
-        b[np.arange(labels.size), labels] = 1.0
-        return cls(b, labels)
 
 
 @dataclass
@@ -271,7 +268,7 @@ class ClusterResult:
     trace: SolverTrace = field(default_factory=SolverTrace)
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=int)
+        self.labels = _integer_labels(self.labels)
         if self.labels.min(initial=0) < 0:
             raise ClusteringError("labels must be nonnegative")
         if self.kind_objective is not None and not np.isfinite(self.kind_objective):
@@ -281,21 +278,8 @@ class ClusterResult:
 
 
 def make_indicator(labels, k: int) -> IndicatorMatrix:
-    """The normalized indicator of integer labels with k clusters; O(n), no n x k array.
-
-    Adds the checks that need k to those of :class:`IndicatorMatrix`: raises
-    ValueError unless k is an integer >= 1, and ClusteringError when an id
-    is negative or >= k, or an id in 0..k-1 is unused.
-    """
-    require_counts(1, k=k)
-    labels = np.asarray(labels, dtype=int)
-    # An empty or non-1-D sequence is left to the type, which names it.
-    if labels.ndim == 1 and labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise ClusteringError(f"labels must lie in 0..{k - 1}")
-    indicator = IndicatorMatrix(labels)
-    if indicator.k < k:  # the type sees the clusters up to the largest label
-        raise ClusteringError(f"cluster {indicator.k} is empty")
-    return indicator
+    """``IndicatorMatrix(labels, k)``, under the name the solvers call and the benchmark traces."""
+    return IndicatorMatrix(labels, k)
 
 
 def cluster_sums(x: np.ndarray, labels: np.ndarray, k: int, weights=None) -> np.ndarray:

@@ -13,6 +13,7 @@ from .core import (
     EmbeddedData,
     IndicatorMatrix,
     RelaxedAssignment,
+    _integer_labels,
     _readonly,
     cluster_sums,
     make_indicator,
@@ -42,8 +43,8 @@ def accuracy(pred, truth) -> float:
     :func:`_max_matching_weight`, so memory stays O(n) however many ids
     there are.
     """
-    pred = np.asarray(pred, dtype=int)
-    truth = np.asarray(truth, dtype=int)
+    pred = _integer_labels(pred)
+    truth = _integer_labels(truth)
     if pred.ndim != 1 or truth.ndim != 1 or pred.shape != truth.shape:
         raise ClusteringError(
             f"label lengths differ: {pred.shape} vs {truth.shape}"

@@ -516,7 +516,7 @@ def reference_sr_once(basis: EmbeddedData, rotation: np.ndarray, params):
     for _ in range(1, params.max_iters + 1):
         scores = u_hat @ rotation
         labels = repair_empty_columns(scores, np.argmax(scores, axis=1))
-        b = BinaryIndicator.from_labels(labels, k)
+        b = BinaryIndicator(np.eye(k)[labels], labels)
         rotation, _ = reference_procrustes_rotation(u_hat.T @ b.matrix)
         obj = float(((u_hat @ rotation - b.matrix) ** 2).sum())
         if prev is not None and obj > prev:

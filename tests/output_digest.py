@@ -26,6 +26,11 @@ Prints one JSON line per output, so the lines printed with two versions of
 - `usage`: the exit code and stderr of `main` for each flag value in
   `REJECTED_FLAGS`, the values the parameter types must reject, so a diff
   lists every reworded message.
+- `labels`: for each label-file text in `test_cli.LABEL_CASES`, the ids
+  `cli.read_labels_csv` reads from it, or its error's class and message.
+- `truncation`: `make_indicator`, `accuracy` and `write_labels_csv` given
+  fractional labels (`LIBRARY_LABEL_CASES`): the labels, score or file text
+  they give, or the error's class and message.
 - `api`: one line with the sorted `kindicators.__all__`, the field names of
   `KindapParams`, `KmeansParams`, `SrParams` and `SynthSpec`, and each
   subcommand's flags from `cli.build_parser()`, so a change to the public
@@ -55,9 +60,12 @@ import numpy as np
 import kindicators
 from kindicators import cli
 from kindicators.baselines import KmeansParams, SrParams
+from kindicators.core import make_indicator
 from kindicators.embedding import knn_graph, spectral_embed
+from kindicators.evaluation import accuracy
 from kindicators.kindap import KindapParams
 from kindicators.synthgen import SynthSpec, generate
+from test_cli import LABEL_CASES
 
 CELLS = [
     SynthSpec(k=k, rho=rho, seed=seed)
@@ -86,6 +94,19 @@ REJECTED_FLAGS = [
 BENCH_SWEEP = ["bench", "--k-list", "3", "--rho-list", "0.5", "--methods", ",".join(cli.METHODS),
                "--replications", str(REPLICATIONS), "--seeds", "1", "--per-cluster", "10",
                "--ambient-dim", "12"]
+
+
+def _write_fractional_labels(path: Path) -> str:
+    cli.write_labels_csv(path, [1.7, 2.2])
+    return path.read_text()
+
+
+# Library calls given fractional labels, each named by its call.
+LIBRARY_LABEL_CASES = {
+    "make_indicator([0.5, 1.7], 2).labels": lambda path: make_indicator([0.5, 1.7], 2).labels.tolist(),
+    "accuracy([0.9, 1.2, 1.9], [0, 1, 1])": lambda path: accuracy([0.9, 1.2, 1.9], [0, 1, 1]),
+    "write_labels_csv(path, [1.7, 2.2])": _write_fractional_labels,
+}
 
 
 def _sha(array) -> str:
@@ -181,6 +202,25 @@ def cluster_and_file_digests() -> None:
             _emit({"usage": " ".join(flags), "exit": code, "stderr": err.getvalue()})
 
 
+def _outcome(call, tmp: Path):
+    """What `call(tmp / "labels.csv")` returns, or its error with `tmp` cut from the message."""
+    try:
+        return {"value": call(tmp / "labels.csv")}
+    except Exception as exc:
+        return {"error": f"{type(exc).__name__}: {str(exc).replace(f'{tmp}/', '')}"}
+
+
+def label_digests() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, (text, _) in LABEL_CASES.items():
+            (tmp / "labels.csv").write_bytes(text.encode())
+            _emit({"labels": name, **_outcome(lambda path: cli.read_labels_csv(path).tolist(), tmp)})
+        for name, call in LIBRARY_LABEL_CASES.items():
+            (tmp / "labels.csv").unlink(missing_ok=True)
+            _emit({"truncation": name, **_outcome(call, tmp)})
+
+
 def api_digest() -> None:
     (commands,) = (action for action in cli.build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction))
@@ -196,6 +236,7 @@ def main() -> int:
     solve_digests()
     front_end_digest()
     cluster_and_file_digests()
+    label_digests()
     api_digest()
     return 0
 

@@ -128,6 +128,17 @@ def test_labels_csv_bytes_match_the_per_label_writer(tmp_path, labels):
     assert shipped.read_bytes() == reference.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "labels", [[1.7, 2.2], [0, np.nan], [0, 2.0**63]], ids=["fractional", "nan", "two_to_63"]
+)
+def test_write_labels_csv_rejects_non_integer_labels(tmp_path, labels):
+    # The int cast used to write 1.7 and 2.2 as 1 and 2.
+    path = tmp_path / "labels.csv"
+    with pytest.raises(ClusteringError, match=r"^label \S+ at index [01] is not an integer id$"):
+        write_labels_csv(path, labels)
+    assert not path.exists()
+
+
 def test_labels_csv_round_trip_is_exact_above_two_to_53(tmp_path):
     # As floats, 2^53 + 1 rounds to 2^53: two clusters would read as one.
     labels = np.array([2**53 + 1, 2**53, -(2**53 + 1)])
@@ -960,11 +971,24 @@ LABEL_CASES = {
     "negative": ("-1\n2\n", [-1, 2]),
     "underscore": ("1_0\n2\n", [10, 2]),
     "two_to_62": (f"{2**62}\n1\n", [2**62, 1]),
+    "int64_max": (f"{2**63 - 1}\n0\n", [2**63 - 1, 0]),
+    "int64_min": (f"{-2**63}\n0\n", [-2**63, 0]),
     "whitespace_line": ("1\n \t \n2\n", [1, 2]),
     "quoted": ('0\n"1"\n', [0, 1]),
     "fractional": ("0\n1.7\n", "labels.csv: label 1.7 in row 2 is not an integer id"),
     "huge": ("0\n1e30\n", "labels.csv: label 1e+30 in row 2 is not an integer id"),
     "two_to_63": (f"{2**63}\n", "in row 1 is not an integer id"),
+    # As floats both rows read 2^53, so two ids would merge into one cluster.
+    "float_spelled_above_two_to_53": (
+        f"{2**53 + 1}.0\n{2**53}\n",
+        "label 9007199254740992.0 in row 1 is not an integer id; "
+        "ids of 2^53 or more must be plain integers within int64",
+    ),
+    "quoted_above_two_to_53": (
+        f'"{2**53 + 1}"\n{2**53}\n',
+        "label 9007199254740992.0 in row 1 is not an integer id; "
+        "ids of 2^53 or more must be plain integers within int64",
+    ),
     "inf": ("0\ninf\n", "labels.csv:2: non-finite value"),
     "two_columns": ("1,2\n", "labels.csv: expected one label per line, got 2 columns"),
     "empty": ("", "labels.csv: empty matrix"),

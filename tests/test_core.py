@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 from unittest import mock
 
@@ -55,28 +56,53 @@ def test_make_indicator_empty_cluster():
         make_indicator([0, 0], 2)
 
 
-@pytest.mark.parametrize(
-    "k, message",
-    [(0, "k must be >= 1, got 0"), (True, "k must be an integer, got True"),
-     (2.0, "k must be an integer, got 2.0")],
-    ids=["zero", "bool", "float"],
-)
+BAD_K = [(0, "k must be >= 1, got 0"), (True, "k must be an integer, got True"),
+         (2.0, "k must be an integer, got 2.0")]
+BAD_K_IDS = ["zero", "bool", "float"]
+# An int cast used to truncate 1.7 to 1, and to turn NaN and inf into garbage with a warning.
+BAD_LABELS = [([], 2, "labels must be a nonempty 1-D sequence"),
+              ([[0, 1]], 2, "labels must be a nonempty 1-D sequence"),
+              ([0, 2, 2], 3, "cluster 1 is empty"), ([0, 1, 1], 4, "cluster 2 is empty"),
+              ([0.5, 1.7], 2, "label 0.5 at index 0 is not an integer id"),
+              ([0, np.nan], 2, "label nan at index 1 is not an integer id"),
+              ([0, np.inf], 2, "label inf at index 1 is not an integer id"),
+              ([0, -np.inf], 2, "label -inf at index 1 is not an integer id"),
+              ([0, 2.0**63], 2, "label 9.223372036854776e+18 at index 1 is not an integer id")]
+BAD_LABEL_IDS = ["empty", "two_d", "inner_cluster_empty", "trailing_clusters_empty",
+                 "fractional", "nan", "inf", "minus_inf", "two_to_63"]
+
+
+@pytest.mark.parametrize("k, message", BAD_K, ids=BAD_K_IDS)
 def test_make_indicator_rejects_bad_k(k, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         make_indicator([0, 0], k)
 
 
-@pytest.mark.parametrize(
-    "labels, k, message",
-    [([], 2, "labels must be a nonempty 1-D sequence"),
-     ([[0, 1]], 2, "labels must be a nonempty 1-D sequence"),
-     ([0, 2, 2], 3, "cluster 1 is empty"), ([0, 1, 1], 4, "cluster 2 is empty")],
-    ids=["empty", "two_d", "inner_cluster_empty", "trailing_clusters_empty"],
-)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("labels, k, message", BAD_LABELS, ids=BAD_LABEL_IDS)
 def test_make_indicator_rejects_bad_labels(labels, k, message):
-    # Split between make_indicator (checks that need k) and IndicatorMatrix.
-    with pytest.raises(ClusteringError, match=f"^{message}$"):
+    # IndicatorMatrix runs every check; the k it is given names the empty clusters.
+    with pytest.raises(ClusteringError, match=f"^{re.escape(message)}$"):
         make_indicator(labels, k)
+
+
+@pytest.mark.parametrize(
+    "labels, k",
+    [([0, 0], k) for k, _ in BAD_K] + [(labels, k) for labels, k, _ in BAD_LABELS],
+    ids=[f"k_{name}" for name in BAD_K_IDS] + BAD_LABEL_IDS,
+)
+def test_indicator_matrix_and_make_indicator_raise_alike(labels, k):
+    with pytest.raises((ValueError, ClusteringError)) as direct:
+        IndicatorMatrix(labels, k)
+    with pytest.raises((ValueError, ClusteringError)) as delegated:
+        make_indicator(labels, k)
+    assert (type(direct.value), str(direct.value)) == (type(delegated.value), str(delegated.value))
+
+
+def test_make_indicator_takes_integral_floats_and_other_integer_dtypes():
+    assert make_indicator([1.0, 0.0, 1.0], 2).labels.tolist() == [1, 0, 1]
+    labels = np.array([1, 0, 1], dtype=np.int32)
+    assert make_indicator(labels, 2).labels.dtype == int
 
 
 def test_make_indicator_bad_label():
@@ -249,13 +275,7 @@ def test_relaxed_assignment_rejects_nan():
         RelaxedAssignment(np.full((3, 2), np.nan))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         RelaxedAssignment(np.array([[0.0, 1.0], [np.nan, 0.25]]))
-    assert RelaxedAssignment(np.empty((0, 2))).n == 0
-
-
-def test_binary_indicator_from_labels():
-    b = BinaryIndicator.from_labels([1, 0, 1], 2)
-    np.testing.assert_array_equal(b.matrix, [[0, 1], [1, 0], [0, 1]])
-    np.testing.assert_array_equal(b.matrix.sum(axis=1), [1, 1, 1])
+    assert RelaxedAssignment(np.empty((0, 2))).matrix.shape[0] == 0
 
 
 def test_binary_indicator_rejects_multiple_ones():
@@ -265,16 +285,16 @@ def test_binary_indicator_rejects_multiple_ones():
 
 def test_indicator_matrix_rejects_invalid_partitions():
     with pytest.raises(ClusteringError, match="^cluster 1 is empty$"):
-        IndicatorMatrix(np.array([0, 2]))
-    with pytest.raises(ClusteringError, match="^labels must be nonnegative$"):
-        IndicatorMatrix(np.array([-1, 0]))
-    h = IndicatorMatrix(np.array([1, 0]))
+        IndicatorMatrix(np.array([0, 2]), 3)
+    with pytest.raises(ClusteringError, match=r"^labels must lie in 0\.\.1$"):
+        IndicatorMatrix(np.array([-1, 0]), 2)
+    h = IndicatorMatrix(np.array([1, 0]), 2)
     assert (h.n, h.k) == (2, 2)
 
 
 def test_indicator_matrix_derives_its_values_from_the_labels():
-    h = IndicatorMatrix([1, 0, 1, 1])
-    assert [f.name for f in fields(IndicatorMatrix)] == ["labels"]
+    h = IndicatorMatrix([1, 0, 1, 1], 2)
+    assert [f.name for f in fields(IndicatorMatrix)] == ["labels", "k"]
     assert np.array_equal(h.values, 1.0 / np.sqrt([3, 1, 3, 3]))
     assert np.array_equal(h.matrix, make_indicator([1, 0, 1, 1], 2).matrix)
 
@@ -283,12 +303,14 @@ def test_indicator_matrix_derives_its_values_from_the_labels():
     "labels, kind, kmeans, error, message",
     [
         ([0, -1], 0.0, 0.0, ClusteringError, "labels must be nonnegative"),
+        ([0, 1.7], 0.0, 0.0, ClusteringError, "label 1.7 at index 1 is not an integer id"),
         ([0, 1], np.nan, 0.0, ValueError, "kind objective must be finite"),
         ([0, 1], np.inf, 0.0, ValueError, "kind objective must be finite"),
         ([0, 1], None, np.nan, ValueError, "k-means objective must be finite and nonnegative"),
         ([0, 1], None, -1.0, ValueError, "k-means objective must be finite and nonnegative"),
     ],
-    ids=["negative_label", "nan_kind", "inf_kind", "nan_kmeans", "negative_kmeans"],
+    ids=["negative_label", "fractional_label", "nan_kind", "inf_kind", "nan_kmeans",
+         "negative_kmeans"],
 )
 def test_cluster_result_rejects_bad_values(labels, kind, kmeans, error, message):
     with pytest.raises(error, match=f"^{message}$"):

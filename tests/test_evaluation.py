@@ -139,8 +139,12 @@ def test_accuracy_length_mismatch():
 @pytest.mark.parametrize(
     "pred, truth, message",
     [([], [], "labels must be nonempty"), ([0, -1], [0, 1], "labels must be nonnegative"),
-     ([0, 1], [-1, 0], "labels must be nonnegative")],
-    ids=["empty", "negative_pred", "negative_truth"],
+     ([0, 1], [-1, 0], "labels must be nonnegative"),
+     # An int cast used to truncate these to [0, 1, 1], scoring 1.0.
+     ([0.9, 1.2, 1.9], [0, 1, 1], "label 0.9 at index 0 is not an integer id"),
+     ([0, 1, 1], [0, 1, np.nan], "label nan at index 2 is not an integer id"),
+     ([0, np.inf], [0, 1], "label inf at index 1 is not an integer id")],
+    ids=["empty", "negative_pred", "negative_truth", "fractional_pred", "nan_truth", "inf_pred"],
 )
 def test_accuracy_rejects_bad_labels(pred, truth, message):
     with pytest.raises(ClusteringError, match=f"^{message}$"):
