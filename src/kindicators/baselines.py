@@ -31,7 +31,7 @@ CANCELLATION_BAND = 1e-8
 REPLICATION_TIE_RTOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class KmeansParams:
     replications: int = 10
     max_iters: int = 300
@@ -47,7 +47,7 @@ class KmeansParams:
             raise ValueError(f"replications must be <= {np.iinfo(np.intp).max}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SrParams(KmeansParams):
     max_iters: int = 100
 
@@ -159,7 +159,7 @@ def _kind_objective_if_embedded(x: np.ndarray, labels: np.ndarray) -> float | No
 
 
 def lloyd_solve(
-    data, k: int, init_centers, params: KmeansParams | None = None, *, _row_norms=None
+    data, k: int, init_centers, params: KmeansParams = KmeansParams(), *, _row_norms=None
 ) -> ClusterResult:
     """Standard assign/update k-means iteration from the given centers.
 
@@ -172,8 +172,6 @@ def lloyd_solve(
     ("cap"); the trace's `stop_reasons` holds that one reason. The kind
     objective is reported when the data is column-orthonormal.
     """
-    if params is None:
-        params = KmeansParams()
     if _row_norms is None:
         x = _check_k_and_data(data, k)
         x_sq = (x**2).sum(axis=1)
@@ -244,7 +242,7 @@ def _best_of(params: KmeansParams, starts, run) -> tuple[np.ndarray, SolverTrace
     )
 
 
-def kmeans_solve(data, k: int, params: KmeansParams | None = None) -> ClusterResult:
+def kmeans_solve(data, k: int, params: KmeansParams = KmeansParams()) -> ClusterResult:
     """Best of `params.replications` k-means++ starts of :func:`lloyd_solve` (:func:`_best_of`).
 
     All replications' starts come from one lockstep :func:`kmeans_pp_init`
@@ -253,8 +251,6 @@ def kmeans_solve(data, k: int, params: KmeansParams | None = None) -> ClusterRes
     once for the Lloyd runs, and the kind objective is scored for the
     winner alone.
     """
-    if params is None:
-        params = KmeansParams()
     x = _check_k_and_data(data, k)
     x_sq = (x**2).sum(axis=1)
 
@@ -326,7 +322,7 @@ def _sr_once(basis: EmbeddedData, rotation: np.ndarray, params: SrParams):
     return out_labels, out_obj, history, stop
 
 
-def sr_solve(basis: EmbeddedData, params: SrParams | None = None) -> ClusterResult:
+def sr_solve(basis: EmbeddedData, params: SrParams = SrParams()) -> ClusterResult:
     """Spectral rotation: fit a binary indicator to a rotation of the basis.
 
     Best of `params.replications` runs of :func:`_sr_once` from random
@@ -335,8 +331,6 @@ def sr_solve(basis: EmbeddedData, params: SrParams | None = None) -> ClusterResu
     numberings tie within its last bits). The result reports the winner's
     kind and k-means objectives for cross-model comparison.
     """
-    if params is None:
-        params = SrParams()
     labels, trace = _best_of(
         params,
         lambda rngs: [_random_orthogonal(basis.k, rng) for rng in rngs],

@@ -28,6 +28,7 @@ from .core import (
     EmbeddedData,
     NumericalError,
     SolverTrace,
+    _first_non_id,
     _integer_labels,
     make_indicator,
     require_counts,
@@ -185,27 +186,24 @@ def write_matrix_csv(path, matrix) -> None:
 
 
 def read_labels_csv(path) -> np.ndarray:
-    """Read one 0-based integer label per line, as a one-column :func:`read_matrix_csv`.
-
-    A label may be spelled as a float ("3.0"), but not be fractional. Floats
+    """Read one cluster id (an integer in 0..2^63 - 1) per line, as a one-column
+    :func:`read_matrix_csv`. An id may be spelled as a float ("3.0"). Floats
     merge neighbouring ids from 2^53 up, so a file holding such an id is read
-    again as int64, which needs plain integers. Errors name the 1-based row.
-    """
+    again as int64, which needs plain integers. Errors name the 1-based row."""
     values = read_matrix_csv(path)
     if values.shape[1] != 1:
         raise ClusteringError(f"{path}: expected one label per line, got {values.shape[1]} columns")
-    bad, rule = np.flatnonzero(values != np.trunc(values)), ""
-    if not bad.size and np.abs(values).max() >= 2.0**53:
-        labels = _load_plain_numeric(path, np.int64)
-        if labels is not None:
-            return labels[:, 0]
-        bad = np.flatnonzero(np.abs(values) >= 2.0**53)
-        rule = "; ids of 2^53 or more must be plain integers within int64"
-    if bad.size:
-        raise ClusteringError(
-            f"{path}: label {float(values[bad[0], 0])} in row {bad[0] + 1} is not an integer id{rule}"
-        )
-    return values[:, 0].astype(int)
+    labels = values[:, 0]
+    i = _first_non_id(np.minimum(labels, 2.0**53))  # the re-read judges ids from 2^53 up
+    if i is not None:
+        raise ClusteringError(f"{path}: label {labels[i]} in row {i + 1} is not an integer id")
+    if labels.max() < 2.0**53:
+        return labels.astype(int)
+    exact = _load_plain_numeric(path, np.int64)
+    if exact is None:
+        raise ClusteringError(f"{path}: the id in row {np.argmax(labels >= 2.0**53) + 1} is 2^53 "
+                              "or more, so it must be a plain integer within int64")
+    return exact[:, 0]
 
 
 def write_labels_csv(path, labels) -> None:

@@ -62,17 +62,27 @@ def require_positive(**values) -> None:
 
 
 def _integer_labels(labels) -> np.ndarray:
-    """`labels` as ints; ClusteringError names the first that is not an integer within int64."""
+    """`labels` as a nonempty 1-D int array of cluster ids; else ClusteringError."""
     values = np.asarray(labels)
-    if values.dtype.kind in "iu":  # not scanned, and an int array is not copied
-        return values.astype(int, copy=False)
-    floats = values.astype(float, copy=False)
-    # NaN fails the first test, before the cast, which would warn and return garbage.
-    bad = ~(np.abs(floats) < 2.0**63) | (floats != np.trunc(floats))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ClusteringError(f"label {floats.flat[i]} at index {i} is not an integer id")
-    return floats.astype(int)
+    if values.ndim != 1 or values.size == 0:
+        raise ClusteringError("labels must be a nonempty 1-D sequence")
+    if values.dtype.kind not in "biuf":  # bool, int, uint or float
+        raise ClusteringError(f"labels must be integer ids, got dtype {values.dtype}")
+    i = _first_non_id(values)
+    if i is not None:
+        raise ClusteringError(f"label {values[i]} at index {i} is not an integer id")
+    return values.astype(int, copy=False)
+
+
+def _first_non_id(values: np.ndarray) -> int | None:
+    """Index of the first entry of 1-D real `values` not an integer in 0..2^63 - 1, or None."""
+    if values.dtype.kind in "biu":  # two reductions, no copy or n-sized temporary
+        if values.min() >= 0 and values.max() <= 2**63 - 1:
+            return None
+        bad = (values < 0) | (values > 2**63 - 1)
+    else:  # NaN fails the range test; a float64 bound keeps float16 from overflowing
+        bad = ~((values >= 0) & (values < np.float64(2.0**63))) | (values != np.trunc(values))
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def _fix_column_signs_in_place(m: np.ndarray) -> np.ndarray:
@@ -158,9 +168,7 @@ class IndicatorMatrix:
     def __post_init__(self):
         require_counts(1, k=self.k)
         self.labels = _readonly(_integer_labels(self.labels), dtype=int)
-        if self.labels.ndim != 1 or self.labels.size == 0:
-            raise ClusteringError("labels must be a nonempty 1-D sequence")
-        if self.labels.min() < 0 or self.labels.max() >= self.k:
+        if self.labels.max() >= self.k:
             raise ClusteringError(f"labels must lie in 0..{self.k - 1}")
         sizes = self.cluster_sizes
         if not sizes.all():
@@ -209,7 +217,7 @@ class BinaryIndicator:
 
     def __post_init__(self):
         self.matrix = _readonly(self.matrix)
-        self.labels = _readonly(self.labels, dtype=int)
+        self.labels = _readonly(_integer_labels(self.labels), dtype=int)
         n, k = self.matrix.shape
         if self.labels.shape != (n,):
             raise ValueError("labels length must match the row count")
@@ -269,8 +277,6 @@ class ClusterResult:
 
     def __post_init__(self):
         self.labels = _integer_labels(self.labels)
-        if self.labels.min(initial=0) < 0:
-            raise ClusteringError("labels must be nonnegative")
         if self.kind_objective is not None and not np.isfinite(self.kind_objective):
             raise ValueError("kind objective must be finite")
         if not np.isfinite(self.kmeans_objective) or self.kmeans_objective < 0:

@@ -45,14 +45,8 @@ def accuracy(pred, truth) -> float:
     """
     pred = _integer_labels(pred)
     truth = _integer_labels(truth)
-    if pred.ndim != 1 or truth.ndim != 1 or pred.shape != truth.shape:
-        raise ClusteringError(
-            f"label lengths differ: {pred.shape} vs {truth.shape}"
-        )
-    if pred.size == 0:
-        raise ClusteringError("labels must be nonempty")
-    if pred.min() < 0 or truth.min() < 0:
-        raise ClusteringError("labels must be nonnegative")
+    if pred.shape != truth.shape:
+        raise ClusteringError(f"label lengths differ: {pred.shape} vs {truth.shape}")
     pred = np.unique(pred, return_inverse=True)[1]
     truth_ids, truth = np.unique(truth, return_inverse=True)
     cols = truth_ids.size

@@ -36,7 +36,7 @@ OBJECTIVE_FLOOR = 1e-12
 INNER_BUDGET = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class KindapParams:
     """Solver knobs.
 
@@ -171,7 +171,7 @@ def round_to_indicator(n_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return labels, kept / norms[labels]
 
 
-def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> ClusterResult:
+def kindap_solve(basis: EmbeddedData, params: KindapParams = KindapParams()) -> ClusterResult:
     """Cluster a column-orthonormal embedding by double-layer alternating projections.
 
     Starting from the identity rotation, each outer iteration runs
@@ -211,8 +211,6 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
     :func:`inner_solve` call. The result's `relaxed` is that buffer itself,
     frozen, not a copy.
     """
-    if params is None:
-        params = KindapParams()
     n, k = basis.matrix.shape
     trace = SolverTrace()
     rotation = np.eye(k)
@@ -275,8 +273,7 @@ def kindap_solve(basis: EmbeddedData, params: KindapParams | None = None) -> Clu
 
 def warm_start_centers(basis: EmbeddedData, result: ClusterResult) -> np.ndarray:
     """Per-cluster means of the embedded rows, for warm-starting Lloyd iterations."""
-    labels = np.asarray(result.labels, dtype=int)
-    if labels.shape != (basis.n,):
+    if result.labels.shape != (basis.n,):
         raise ValueError("labels length must match the embedding")
-    sizes = make_indicator(labels, basis.k).cluster_sizes  # raises on an empty cluster
-    return cluster_sums(basis.matrix, labels, basis.k) / sizes[:, None]
+    sizes = make_indicator(result.labels, basis.k).cluster_sizes  # raises on an empty cluster
+    return cluster_sums(basis.matrix, result.labels, basis.k) / sizes[:, None]

@@ -17,7 +17,7 @@ from .core import (
 from .projections import GRAM_EIGH_RATIO
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthSpec:
     """Parameters for the separable-cluster generator.
 

@@ -29,8 +29,10 @@ Prints one JSON line per output, so the lines printed with two versions of
 - `labels`: for each label-file text in `test_cli.LABEL_CASES`, the ids
   `cli.read_labels_csv` reads from it, or its error's class and message.
 - `truncation`: `make_indicator`, `accuracy` and `write_labels_csv` given
-  fractional labels (`LIBRARY_LABEL_CASES`): the labels, score or file text
-  they give, or the error's class and message.
+  fractional labels, and those three and `ClusterResult` (`LABEL_CALLS`,
+  `accuracy` on each side) given each input of `test_cli.BAD_LABEL_INPUTS`
+  (together `LIBRARY_LABEL_CASES`): the labels, score or file text they
+  give, or the error's class and message.
 - `api`: one line with the sorted `kindicators.__all__`, the field names of
   `KindapParams`, `KmeansParams`, `SrParams` and `SynthSpec`, and each
   subcommand's flags from `cli.build_parser()`, so a change to the public
@@ -48,6 +50,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -60,12 +63,12 @@ import numpy as np
 import kindicators
 from kindicators import cli
 from kindicators.baselines import KmeansParams, SrParams
-from kindicators.core import make_indicator
+from kindicators.core import ClusterResult, make_indicator
 from kindicators.embedding import knn_graph, spectral_embed
 from kindicators.evaluation import accuracy
 from kindicators.kindap import KindapParams
 from kindicators.synthgen import SynthSpec, generate
-from test_cli import LABEL_CASES
+from test_cli import BAD_LABEL_INPUTS, LABEL_CASES
 
 CELLS = [
     SynthSpec(k=k, rho=rho, seed=seed)
@@ -96,16 +99,30 @@ BENCH_SWEEP = ["bench", "--k-list", "3", "--rho-list", "0.5", "--methods", ",".j
                "--ambient-dim", "12"]
 
 
-def _write_fractional_labels(path: Path) -> str:
-    cli.write_labels_csv(path, [1.7, 2.2])
+def _write_labels(labels, path: Path) -> str:
+    cli.write_labels_csv(path, labels)
     return path.read_text()
 
 
-# Library calls given fractional labels, each named by its call.
+# Each library call that takes labels, as a template for its name and a
+# function of the labels and the path a label file goes to.
+LABEL_CALLS = {
+    "make_indicator({}, 2).labels": lambda labels, path: make_indicator(labels, 2).labels.tolist(),
+    "ClusterResult({}).labels": lambda labels, path: ClusterResult(labels, None, 0.0).labels.tolist(),
+    "accuracy({}, [0, 1])": lambda labels, path: accuracy(labels, [0, 1]),
+    "accuracy([0, 1], {})": lambda labels, path: accuracy([0, 1], labels),
+    "write_labels_csv(path, {})": _write_labels,
+}
+# Library calls given fractional labels or a bad input, each named by its call.
 LIBRARY_LABEL_CASES = {
     "make_indicator([0.5, 1.7], 2).labels": lambda path: make_indicator([0.5, 1.7], 2).labels.tolist(),
     "accuracy([0.9, 1.2, 1.9], [0, 1, 1])": lambda path: accuracy([0.9, 1.2, 1.9], [0, 1, 1]),
-    "write_labels_csv(path, [1.7, 2.2])": _write_fractional_labels,
+    "write_labels_csv(path, [1.7, 2.2])": functools.partial(_write_labels, [1.7, 2.2]),
+    **{
+        template.format(name): functools.partial(call, labels)
+        for name, (labels, _) in BAD_LABEL_INPUTS.items()
+        for template, call in LABEL_CALLS.items()
+    },
 }
 
 

@@ -24,7 +24,13 @@ from kindicators.cli import (
     write_labels_csv,
     write_matrix_csv,
 )
-from kindicators.core import ClusteringError, NumericalError, make_indicator
+from kindicators.core import (
+    BinaryIndicator,
+    ClusteringError,
+    ClusterResult,
+    NumericalError,
+    make_indicator,
+)
 from kindicators.evaluation import accuracy
 
 from oracles import reference_write_labels_csv, reference_write_matrix_csv
@@ -118,9 +124,7 @@ def test_labels_csv_round_trip(tmp_path):
     assert np.array_equal(read_labels_csv(path), labels)
 
 
-@pytest.mark.parametrize(
-    "labels", [[0, 1, 9, 10, 12345, 2**53 - 1, 2**53 + 1, 2**63 - 1], []], ids=["ids", "empty"]
-)
+@pytest.mark.parametrize("labels", [[0, 1, 9, 10, 12345, 2**53 - 1, 2**53 + 1, 2**63 - 1]], ids=["ids"])
 def test_labels_csv_bytes_match_the_per_label_writer(tmp_path, labels):
     shipped, reference = tmp_path / "shipped.csv", tmp_path / "reference.csv"
     write_labels_csv(shipped, labels)
@@ -139,9 +143,44 @@ def test_write_labels_csv_rejects_non_integer_labels(tmp_path, labels):
     assert not path.exists()
 
 
+# One rule for a cluster id: a nonempty 1-D bool, int, uint or float array of
+# integers in 0..2^63 - 1. Every entry point that takes labels applies it
+# alike, with the same error, and writes no file.
+BAD_LABEL_INPUTS = {
+    "uint64_max": (np.array([2**64 - 1, 3], dtype=np.uint64),
+                   "label 18446744073709551615 at index 0 is not an integer id"),
+    "two_d": ([[0, 1]], "labels must be a nonempty 1-D sequence"),
+    "scalar": (3, "labels must be a nonempty 1-D sequence"),
+    "empty": ([], "labels must be a nonempty 1-D sequence"),
+    "negative": ([-1, 0], "label -1 at index 0 is not an integer id"),
+    "strings": (["a", "b"], "labels must be integer ids, got dtype <U1"),
+    "complex": (np.array([1 + 1j, 0]), "labels must be integer ids, got dtype complex128"),
+    "fractional": ([0.5, 1], "label 0.5 at index 0 is not an integer id"),
+    "nan": ([0, np.nan], "label nan at index 1 is not an integer id"),
+}
+LABEL_ENTRY_POINTS = {
+    "make_indicator": lambda labels, path: make_indicator(labels, 2),
+    "ClusterResult": lambda labels, path: ClusterResult(labels, None, 0.0),
+    "BinaryIndicator": lambda labels, path: BinaryIndicator(np.eye(2), labels),
+    "accuracy_pred": lambda labels, path: accuracy(labels, [0, 1]),
+    "accuracy_truth": lambda labels, path: accuracy([0, 1], labels),
+    "write_labels_csv": lambda labels, path: write_labels_csv(path, labels),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", LABEL_ENTRY_POINTS.values(), ids=LABEL_ENTRY_POINTS.keys())
+@pytest.mark.parametrize("labels, message", BAD_LABEL_INPUTS.values(), ids=BAD_LABEL_INPUTS.keys())
+def test_every_label_entry_point_applies_one_rule(tmp_path, labels, message, call):
+    path = tmp_path / "labels.csv"
+    with pytest.raises(ClusteringError, match=f"^{re.escape(message)}$"):
+        call(labels, path)
+    assert not path.exists()
+
+
 def test_labels_csv_round_trip_is_exact_above_two_to_53(tmp_path):
     # As floats, 2^53 + 1 rounds to 2^53: two clusters would read as one.
-    labels = np.array([2**53 + 1, 2**53, -(2**53 + 1)])
+    labels = np.array([2**53 + 1, 2**53, 2**63 - 1])
     path = tmp_path / "labels.csv"
     write_labels_csv(path, labels)
     assert read_labels_csv(path).tolist() == labels.tolist()
@@ -961,6 +1000,7 @@ def test_labels_csv_accepts_integral_floats(tmp_path):
     assert read_labels_csv(path).tolist() == [3, 3, 0]
 
 
+ABOVE_TWO_TO_53 = "is 2^53 or more, so it must be a plain integer within int64"
 # Label files as one-column matrix CSVs: the values read, or the error's text.
 LABEL_CASES = {
     "ints": ("3\n0\n", [3, 0]),
@@ -968,26 +1008,28 @@ LABEL_CASES = {
     "blank_lines": ("1\n\n2\n\n", [1, 2]),
     "crlf": ("1\r\n2\r\n", [1, 2]),
     "padded": (" 1 \n2\n", [1, 2]),
-    "negative": ("-1\n2\n", [-1, 2]),
+    "negative": ("-1\n2\n", "labels.csv: label -1.0 in row 1 is not an integer id"),
     "underscore": ("1_0\n2\n", [10, 2]),
     "two_to_62": (f"{2**62}\n1\n", [2**62, 1]),
     "int64_max": (f"{2**63 - 1}\n0\n", [2**63 - 1, 0]),
-    "int64_min": (f"{-2**63}\n0\n", [-2**63, 0]),
+    "int64_min": (
+        f"{-2**63}\n0\n", "labels.csv: label -9.223372036854776e+18 in row 1 is not an integer id"
+    ),
+    # The sign is checked before ids of 2^53 or more are read again as int64.
+    "negative_beside_two_to_53": (
+        f"{2**53 + 1}\n-1\n", "labels.csv: label -1.0 in row 2 is not an integer id"
+    ),
     "whitespace_line": ("1\n \t \n2\n", [1, 2]),
     "quoted": ('0\n"1"\n', [0, 1]),
     "fractional": ("0\n1.7\n", "labels.csv: label 1.7 in row 2 is not an integer id"),
-    "huge": ("0\n1e30\n", "labels.csv: label 1e+30 in row 2 is not an integer id"),
-    "two_to_63": (f"{2**63}\n", "in row 1 is not an integer id"),
+    "huge": ("0\n1e30\n", f"labels.csv: the id in row 2 {ABOVE_TWO_TO_53}"),
+    "two_to_63": (f"{2**63}\n", f"labels.csv: the id in row 1 {ABOVE_TWO_TO_53}"),
     # As floats both rows read 2^53, so two ids would merge into one cluster.
     "float_spelled_above_two_to_53": (
-        f"{2**53 + 1}.0\n{2**53}\n",
-        "label 9007199254740992.0 in row 1 is not an integer id; "
-        "ids of 2^53 or more must be plain integers within int64",
+        f"{2**53 + 1}.0\n{2**53}\n", f"labels.csv: the id in row 1 {ABOVE_TWO_TO_53}"
     ),
     "quoted_above_two_to_53": (
-        f'"{2**53 + 1}"\n{2**53}\n',
-        "label 9007199254740992.0 in row 1 is not an integer id; "
-        "ids of 2^53 or more must be plain integers within int64",
+        f'"{2**53 + 1}"\n{2**53}\n', f"labels.csv: the id in row 1 {ABOVE_TWO_TO_53}"
     ),
     "inf": ("0\ninf\n", "labels.csv:2: non-finite value"),
     "two_columns": ("1,2\n", "labels.csv: expected one label per line, got 2 columns"),

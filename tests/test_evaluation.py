@@ -138,8 +138,9 @@ def test_accuracy_length_mismatch():
 
 @pytest.mark.parametrize(
     "pred, truth, message",
-    [([], [], "labels must be nonempty"), ([0, -1], [0, 1], "labels must be nonnegative"),
-     ([0, 1], [-1, 0], "labels must be nonnegative"),
+    [([], [], "labels must be a nonempty 1-D sequence"),
+     ([0, -1], [0, 1], "label -1 at index 1 is not an integer id"),
+     ([0, 1], [-1, 0], "label -1 at index 0 is not an integer id"),
      # An int cast used to truncate these to [0, 1, 1], scoring 1.0.
      ([0.9, 1.2, 1.9], [0, 1, 1], "label 0.9 at index 0 is not an integer id"),
      ([0, 1, 1], [0, 1, np.nan], "label nan at index 2 is not an integer id"),

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import re
 import tracemalloc
 from functools import lru_cache
@@ -12,6 +14,7 @@ from kindicators.core import (
     make_indicator,
     validate_embedding,
 )
+from kindicators.baselines import KmeansParams, SrParams, kmeans_solve, lloyd_solve, sr_solve
 from kindicators.core import SolverTrace
 from kindicators.evaluation import accuracy, kind_objective
 from kindicators import core, kindap
@@ -68,6 +71,27 @@ def test_params_accept_integer_and_numpy_tolerances():
 def test_params_accept_numpy_integer_caps():
     params = KindapParams(max_outer=np.int64(7), max_inner=np.int32(5))
     assert (params.max_outer, params.max_inner) == (7, 5)
+
+
+@pytest.mark.parametrize(
+    "params", [KindapParams(), KmeansParams(), SrParams(), SynthSpec(k=2)],
+    ids=["KindapParams", "KmeansParams", "SrParams", "SynthSpec"],
+)
+def test_parameter_types_are_frozen(params):
+    # Assigning a field used to skip the checks: with max_outer = 0,
+    # kindap_solve died on a bare AssertionError.
+    name = dataclasses.fields(params)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(params, name, 0)
+    with pytest.raises(ValueError, match=f"^{name} must be >= "):
+        dataclasses.replace(params, **{name: 0})
+
+
+def test_solvers_default_to_their_parameter_types():
+    defaults = [(kindap_solve, KindapParams()), (lloyd_solve, KmeansParams()),
+                (kmeans_solve, KmeansParams()), (sr_solve, SrParams())]
+    for solve, params in defaults:
+        assert inspect.signature(solve).parameters["params"].default == params
 
 
 def test_inner_solve_indicator_fixed_point():
