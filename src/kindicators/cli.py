@@ -31,11 +31,9 @@ from .core import (
     _first_non_id,
     _integer_labels,
     make_indicator,
-    require_counts,
-    require_positive,
     validate_embedding,
 )
-from .embedding import knn_graph, spectral_embed
+from .embedding import WEIGHT_SCHEMES, knn_graph, spectral_embed
 from .evaluation import accuracy, kind_objective, kmeans_objective, soft_indicator
 from .kindap import KindapParams, kindap_solve, warm_start_centers
 from .synthgen import SynthSpec, generate
@@ -201,8 +199,9 @@ def read_labels_csv(path) -> np.ndarray:
         return labels.astype(int)
     exact = _load_plain_numeric(path, np.int64)
     if exact is None:
-        raise ClusteringError(f"{path}: the id in row {np.argmax(labels >= 2.0**53) + 1} is 2^53 "
-                              "or more, so it must be a plain integer within int64")
+        raise ClusteringError(f"{path}: row {np.argmax(labels >= 2.0**53) + 1} holds an id of "
+                              "2^53 or more, which reads exactly only when every row is a plain "
+                              "integer within int64")
     return exact[:, 0]
 
 
@@ -401,8 +400,8 @@ def run_bench(
     methods,
     replications: int,
     seeds,
-    per_cluster: int = 40,
-    ambient_dim: int = 300,
+    per_cluster: int = SynthSpec.per_cluster,
+    ambient_dim: int = SynthSpec.ambient_dim,
     quiet: bool = True,
 ) -> list[BenchCell]:
     """Full-factorial sweep over (k, rho, method, seed) on synthetic data.
@@ -410,11 +409,12 @@ def run_bench(
     Every method within a cell group sees the same dataset (generated from the
     group's seed); solver randomness is seeded per cell by
     :func:`stable_cell_seed`, and a row's `replications` is the count its
-    method ran. A value that one field checks on its own raises UsageError
-    before any cell runs; other per-cell failures become rows with an
-    `error` value and the sweep continues, so the row count always equals
-    the product of the list cardinalities. Rows come back sorted by (k, rho,
-    method, seed).
+    method ran. Every `SynthSpec` and params pair of the sweep is built
+    before any cell runs, so a value that `synth` or `cluster` would refuse
+    raises UsageError with the same message; a failure of `generate` or of a
+    solver becomes rows with an `error` value and the sweep continues, so
+    the row count always equals the product of the list cardinalities. Rows
+    come back sorted by (k, rho, method, seed).
     """
     k_list = list(k_list)
     rho_list = list(rho_list)
@@ -425,52 +425,46 @@ def run_bench(
     for method in methods:
         if method not in METHODS:
             raise UsageError(f"unknown method {method!r}")
-    try:  # SynthSpec's order, so a bad value gets the message `synth` gives it
-        for k in k_list:
-            require_counts(2, k=k)
-        require_counts(1, per_cluster=per_cluster, ambient_dim=ambient_dim)
-        for seed in seeds:
-            require_counts(0, seed=seed)
-        for rho in rho_list:
-            require_positive(rho=rho)
-        KmeansParams(replications=replications)
+    try:  # every spec before any params, so a bad value gets the message `synth` gives it
+        specs = [
+            (i, SynthSpec(k=k, per_cluster=per_cluster, rho=rho, ambient_dim=ambient_dim, seed=seed))
+            for k in k_list for rho in rho_list for i, seed in enumerate(seeds)
+        ]
+        groups = [
+            (spec, [(method, _method_params(method, replications, stable_cell_seed(
+                spec.seed, spec.k, spec.rho, method, i))) for method in methods])
+            for i, spec in specs
+        ]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    sizes = {"per_cluster": per_cluster, "ambient_dim": ambient_dim}
     cells: list[BenchCell] = []
-    for k in k_list:
-        for rho in rho_list:
-            for seed_index, seed in enumerate(seeds):
-                data, error = None, None
+    for spec, cell_params in groups:
+        data, error = None, None
+        try:
+            data = generate(spec)
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+        for method, params in cell_params:
+            cell = BenchCell(method, spec.k, spec.rho, params[1].replications, spec.seed, error=error)
+            cells.append(cell)
+            if data is not None:
                 try:
-                    data = generate(SynthSpec(k=k, rho=rho, seed=seed, **sizes))
+                    started = time.perf_counter()
+                    result, stage_one = run_method(method, data.embedded, *params)
+                    cell.wall_time_seconds = time.perf_counter() - started
+                    cell.accuracy = accuracy(result.labels, data.truth)
+                    cell.kind_objective = result.kind_objective
+                    cell.kmeans_objective = result.kmeans_objective
+                    cell.outer_iters, cell.inner_iters_total = _iteration_counts(result, stage_one)
+                    cell.trace = result.trace
                 except Exception as exc:
-                    error = f"{type(exc).__name__}: {exc}"
-                for method in methods:
-                    cell_seed = stable_cell_seed(seed, k, rho, method, seed_index)
-                    params = _method_params(method, replications, cell_seed)
-                    cell = BenchCell(method, k, rho, params[1].replications, seed, error=error)
-                    cells.append(cell)
-                    if data is not None:
-                        try:
-                            started = time.perf_counter()
-                            result, stage_one = run_method(method, data.embedded, *params)
-                            cell.wall_time_seconds = time.perf_counter() - started
-                            cell.accuracy = accuracy(result.labels, data.truth)
-                            cell.kind_objective = result.kind_objective
-                            cell.kmeans_objective = result.kmeans_objective
-                            cell.outer_iters, cell.inner_iters_total = _iteration_counts(
-                                result, stage_one
-                            )
-                            cell.trace = result.trace
-                        except Exception as exc:
-                            cell.error = f"{type(exc).__name__}: {exc}"
-                    if not quiet:
-                        status = cell.error or f"accuracy={cell.accuracy:.4f}"
-                        print(
-                            f"bench k={k} rho={rho} method={method} seed={seed}: {status}",
-                            file=sys.stderr,
-                        )
+                    cell.error = f"{type(exc).__name__}: {exc}"
+            if not quiet:
+                status = cell.error or f"accuracy={cell.accuracy:.4f}"
+                print(
+                    f"bench k={spec.k} rho={spec.rho} method={method} seed={spec.seed}: {status}",
+                    file=sys.stderr,
+                )
     cells.sort(key=lambda c: (c.k, c.rho, c.method, c.seed))
     return cells
 
@@ -495,14 +489,8 @@ def _require_out(args, kind="path"):
 
 def _cmd_synth(args) -> int:
     out_dir = _require_out(args, "directory")
-    try:
-        spec = SynthSpec(
-            k=args.k,
-            per_cluster=args.per_cluster,
-            rho=args.rho,
-            ambient_dim=args.ambient_dim,
-            seed=args.seed,
-        )
+    try:  # each flag's dest is the field's name
+        spec = SynthSpec(**{f.name: getattr(args, f.name) for f in fields(SynthSpec)})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     data = generate(spec)
@@ -665,10 +653,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", parents=[common], help="generate a separable synthetic dataset")
     p_synth.add_argument("--k", type=int, required=True, help="number of clusters")
-    p_synth.add_argument("--rho", type=float, default=0.33, help="cluster sphere radius")
-    p_synth.add_argument("--per-cluster", type=int, default=40, help="points per cluster")
-    p_synth.add_argument("--ambient-dim", type=int, default=300, help="ambient dimension")
-    p_synth.add_argument("--seed", type=int, default=0, help="random seed")
+    p_synth.add_argument("--rho", type=float, default=SynthSpec.rho, help="cluster sphere radius")
+    p_synth.add_argument(
+        "--per-cluster", type=int, default=SynthSpec.per_cluster, help="points per cluster"
+    )
+    p_synth.add_argument(
+        "--ambient-dim", type=int, default=SynthSpec.ambient_dim, help="ambient dimension"
+    )
+    p_synth.add_argument("--seed", type=int, default=SynthSpec.seed, help="random seed")
     p_synth.set_defaults(func=_cmd_synth)
 
     p_embed = sub.add_parser("embed", parents=[common], help="spectral-embed a raw matrix CSV")
@@ -676,14 +668,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_embed.add_argument("--k", type=int, required=True, help="embedding width / cluster count")
     p_embed.add_argument("--knn", type=int, default=5, help="neighbor count")
     p_embed.add_argument("--row-normalize", action="store_true", help="unit-normalize rows")
-    p_embed.add_argument("--weight", choices=("binary", "gaussian"), default="binary")
+    p_embed.add_argument("--weight", choices=WEIGHT_SCHEMES, default="binary")
     p_embed.set_defaults(func=_cmd_embed)
 
     p_cluster = sub.add_parser("cluster", parents=[common], help="cluster an embedded matrix CSV")
     p_cluster.add_argument("input", help="embedded matrix CSV")
     p_cluster.add_argument("--method", choices=METHODS, required=True)
-    p_cluster.add_argument("--replications", type=int, default=10)
-    p_cluster.add_argument("--seed", type=int, default=0, help="base random seed")
+    p_cluster.add_argument("--replications", type=int, default=KmeansParams.replications)
+    p_cluster.add_argument("--seed", type=int, default=KmeansParams.seed, help="base random seed")
     # Solver flags default to None: the params types hold the defaults.
     p_cluster.add_argument(
         "--max-outer", type=int, help=f"KindAP outer-phase cap (default {KindapParams.max_outer})"
@@ -721,10 +713,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--k-list", required=True, help="comma-separated cluster counts")
     p_bench.add_argument("--rho-list", required=True, help="comma-separated radii")
     p_bench.add_argument("--methods", required=True, help="comma-separated methods")
-    p_bench.add_argument("--replications", type=int, default=10)
-    p_bench.add_argument("--seeds", default="0", help="comma-separated dataset seeds")
-    p_bench.add_argument("--per-cluster", type=int, default=40)
-    p_bench.add_argument("--ambient-dim", type=int, default=300)
+    p_bench.add_argument("--replications", type=int, default=KmeansParams.replications)
+    p_bench.add_argument("--seeds", default=str(SynthSpec.seed), help="comma-separated dataset seeds")
+    p_bench.add_argument("--per-cluster", type=int, default=SynthSpec.per_cluster)
+    p_bench.add_argument("--ambient-dim", type=int, default=SynthSpec.ambient_dim)
     p_bench.set_defaults(func=_cmd_bench)
 
     return parser

@@ -35,8 +35,9 @@ Prints one JSON line per output, so the lines printed with two versions of
   give, or the error's class and message.
 - `api`: one line with the sorted `kindicators.__all__`, the field names of
   `KindapParams`, `KmeansParams`, `SrParams` and `SynthSpec`, and each
-  subcommand's flags from `cli.build_parser()`, so a change to the public
-  surface shows as this one differing line.
+  subcommand's flags from `cli.build_parser()` with their defaults, so a
+  change to the public surface or to a default shows as this one differing
+  line.
 
 It uses only names that older versions of the package also have, so it runs
 unchanged on both sides of a change.
@@ -93,6 +94,8 @@ REJECTED_FLAGS = [
     ["bench", "--k-list", "3", "--rho-list", "0.5", "--methods", "kmeans", "--per-cluster", "0"],
     ["bench", "--k-list", "3", "--rho-list", "0.5", "--methods", "kmeans", "--seeds", "-1"],
     ["bench", "--k-list", "3", "--rho-list", "0.5", "--methods", ","],
+    ["bench", "--k-list", "3,8", "--rho-list", "0.5", "--methods", "kmeans", "--per-cluster", "4",
+     "--ambient-dim", "4"],
 ]
 BENCH_SWEEP = ["bench", "--k-list", "3", "--rho-list", "0.5", "--methods", ",".join(cli.METHODS),
                "--replications", str(REPLICATIONS), "--seeds", "1", "--per-cluster", "10",
@@ -241,8 +244,8 @@ def label_digests() -> None:
 def api_digest() -> None:
     (commands,) = (action for action in cli.build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction))
-    flags = {name: sorted(flag for action in parser._actions
-                          for flag in action.option_strings or [action.dest])
+    flags = {name: {flag: action.default for action in parser._actions
+                    for flag in action.option_strings or [action.dest]}
              for name, parser in commands.choices.items()}
     params = {cls.__name__: [field.name for field in dataclasses.fields(cls)]
               for cls in (KindapParams, KmeansParams, SrParams, SynthSpec)}

@@ -1000,7 +1000,10 @@ def test_labels_csv_accepts_integral_floats(tmp_path):
     assert read_labels_csv(path).tolist() == [3, 3, 0]
 
 
-ABOVE_TWO_TO_53 = "is 2^53 or more, so it must be a plain integer within int64"
+ABOVE_TWO_TO_53 = (
+    "holds an id of 2^53 or more, which reads exactly only when every row is a plain integer "
+    "within int64"
+)
 # Label files as one-column matrix CSVs: the values read, or the error's text.
 LABEL_CASES = {
     "ints": ("3\n0\n", [3, 0]),
@@ -1022,15 +1025,17 @@ LABEL_CASES = {
     "whitespace_line": ("1\n \t \n2\n", [1, 2]),
     "quoted": ('0\n"1"\n', [0, 1]),
     "fractional": ("0\n1.7\n", "labels.csv: label 1.7 in row 2 is not an integer id"),
-    "huge": ("0\n1e30\n", f"labels.csv: the id in row 2 {ABOVE_TWO_TO_53}"),
-    "two_to_63": (f"{2**63}\n", f"labels.csv: the id in row 1 {ABOVE_TWO_TO_53}"),
+    "huge": ("0\n1e30\n", f"labels.csv: row 2 {ABOVE_TWO_TO_53}"),
+    "two_to_63": (f"{2**63}\n", f"labels.csv: row 1 {ABOVE_TWO_TO_53}"),
     # As floats both rows read 2^53, so two ids would merge into one cluster.
     "float_spelled_above_two_to_53": (
-        f"{2**53 + 1}.0\n{2**53}\n", f"labels.csv: the id in row 1 {ABOVE_TWO_TO_53}"
+        f"{2**53 + 1}.0\n{2**53}\n", f"labels.csv: row 1 {ABOVE_TWO_TO_53}"
     ),
     "quoted_above_two_to_53": (
-        f'"{2**53 + 1}"\n{2**53}\n', f"labels.csv: the id in row 1 {ABOVE_TWO_TO_53}"
+        f'"{2**53 + 1}"\n{2**53}\n', f"labels.csv: row 1 {ABOVE_TWO_TO_53}"
     ),
+    # Row 1 is a plain int64; row 2's float spelling is what stops the int64 re-read.
+    "two_to_53_beside_a_float": (f"{2**53 + 1}\n3.0\n", f"labels.csv: row 1 {ABOVE_TWO_TO_53}"),
     "inf": ("0\ninf\n", "labels.csv:2: non-finite value"),
     "two_columns": ("1,2\n", "labels.csv: expected one label per line, got 2 columns"),
     "empty": ("", "labels.csv: empty matrix"),
@@ -1091,14 +1096,25 @@ def test_bench_row_count_and_sorting(tmp_path):
     assert len(payload["rows"]) == len(rows)
 
 
-def test_bench_records_cell_failures_and_continues(tmp_path):
+def _fail_generate_at_k8(monkeypatch):
+    """Make `generate` raise for k = 8, so that group's cells fail while k = 3 runs."""
+    def generate(spec):
+        if spec.k == 8:
+            raise ValueError("no data for k = 8")
+        return real(spec)
+
+    real = cli.generate
+    monkeypatch.setattr(cli, "generate", generate)
+
+
+def test_bench_records_cell_failures_and_continues(tmp_path, monkeypatch):
+    _fail_generate_at_k8(monkeypatch)
     out = tmp_path / "bench"
-    # k=8 exceeds ambient_dim=4, so those cells fail while k=3 succeeds.
     code = main(
         [
             "bench", "--k-list", "3,8", "--rho-list", "0.5", "--methods", "kindap",
             "--replications", "1", "--seeds", "1", "--per-cluster", "4",
-            "--ambient-dim", "4", "--out", str(out), "--quiet",
+            "--ambient-dim", "8", "--out", str(out), "--quiet",
         ]
     )
     assert code == 0
@@ -1107,7 +1123,7 @@ def test_bench_records_cell_failures_and_continues(tmp_path):
     by_k = {int(r["k"]): r for r in rows}
     assert by_k[3]["error"] == ""
     assert by_k[3]["accuracy"] == "1.0"
-    assert by_k[8]["error"] != ""
+    assert by_k[8]["error"] == "ValueError: no data for k = 8"
     assert by_k[8]["accuracy"] == ""
 
 
@@ -1188,12 +1204,19 @@ def test_bench_methods_are_stripped_like_the_other_lists(tmp_path):
         (["--ambient-dim", "0"], ["--ambient-dim", "0"]),
         (["--seeds", "1,-1"], ["--seed", "-1"]),
         (["--seeds", "-1", "--per-cluster", "0"], ["--seed", "-1", "--per-cluster", "0"]),
+        # Values that relate two settings: ambient_dim below a k, and a raw
+        # matrix over numpy's size limit (refused before anything is allocated).
+        (["--k-list", "3,8", "--per-cluster", "4", "--ambient-dim", "4"],
+         ["--k", "8", "--per-cluster", "4", "--ambient-dim", "4"]),
+        (["--per-cluster", "1000000000000", "--ambient-dim", "1000000"],
+         ["--per-cluster", "1000000000000", "--ambient-dim", "1000000"]),
     ],
-    ids=["k", "rho_zero", "rho_inf", "per_cluster", "ambient_dim", "seed", "seed_and_per_cluster"],
+    ids=["k", "rho_zero", "rho_inf", "per_cluster", "ambient_dim", "seed", "seed_and_per_cluster",
+         "ambient_dim_below_k", "too_large"],
 )
 def test_bench_checks_synth_values_before_the_sweep(tmp_path, capsys, bench_flags, synth_flags):
-    # A value SynthSpec rejects on its own stops the sweep before any cell,
-    # with the message `synth` gives it.
+    # A value SynthSpec rejects stops the sweep before any cell, with the
+    # message `synth` gives it.
     def run(argv):
         code = main([*argv, "--out", str(tmp_path / "out"), "--quiet"])
         return code, capsys.readouterr().err
@@ -1235,21 +1258,21 @@ def test_eval_rejects_a_result_whose_trace_is_not_an_object(tmp_path, capsys):
     assert capsys.readouterr().err == "data error: trace must be an object\n"
 
 
-def test_bench_prints_one_progress_line_per_row(tmp_path, capsys):
-    # k=8 exceeds ambient_dim=4, so generate fails for that group's cells.
+def test_bench_prints_one_progress_line_per_row(tmp_path, capsys, monkeypatch):
+    _fail_generate_at_k8(monkeypatch)
     out = tmp_path / "bench"
     code = main(
         [
             "bench", "--k-list", "3,8", "--rho-list", "0.5", "--methods", "kindap,sr",
             "--replications", "1", "--seeds", "1", "--per-cluster", "4",
-            "--ambient-dim", "4", "--out", str(out),
+            "--ambient-dim", "8", "--out", str(out),
         ]
     )
     assert code == 0
     rows = _read_rows(out / "bench.csv")
     progress = [line for line in capsys.readouterr().err.splitlines() if line.startswith("bench ")]
     assert len(progress) == len(rows) == 4
-    assert sum("ValueError: ambient_dim must be >= k" in line for line in progress) == 2
+    assert sum("ValueError: no data for k = 8" in line for line in progress) == 2
 
 
 def test_bench_method_accuracy_on_separable_data():
