@@ -240,7 +240,7 @@ class SolverTrace:
     replication and the per-replication objectives/histories.
 
     `stop_reasons` says why each iterative run ended: one entry per KindAP
-    inner phase ("tol", "budget" or "cap"), one per spectral-rotation
+    inner phase ("floor", "tol", "budget" or "cap"), one per spectral-rotation
     replication ("floor", "tol", "cap" or "uphill") and one per Lloyd run
     or k-means replication ("tol" or "cap"). `outer_stop_reason`
     says why KindAP's outer loop ended ("floor", "tol", or "cap" when it

@@ -4,7 +4,10 @@ Test-only surface: these enumerate partitions or sample rotations
 exhaustively, so they stay out of the installed package and are capped at
 sizes where exponential work is still instant. `reference_kindap_solve`
 keeps the KindAP loop in its first, allocate-every-iteration form, as the
-path the production kernel must reproduce. `reference_procrustes_rotation`
+path the production kernel must reproduce; it starts from the same
+pivoted-QR rotation, with the pivots from `reference_start_pivots`, a greedy
+pass over all n rows per pivot that the lazy `start_pivots` is gated
+against, and stops an inner phase at the same gap floor. `reference_procrustes_rotation`
 keeps the Procrustes step as one SVD; the KindAP and spectral-rotation
 references call it, so they never take the eigendecomposition route of the
 `procrustes_rotation` they gate. `dense_knn_graph`,
@@ -332,6 +335,29 @@ def reference_procrustes_rotation(cross):
     return p @ qt, sigma
 
 
+def reference_start_pivots(matrix) -> np.ndarray:
+    """Column-pivoted QR of B' as first written: a greedy pass over all n rows
+    per pivot, each taking the largest squared residual norm (the lowest row
+    index on a tie) and then downdating every row's norm by (B q)^2, where q
+    is the pivot row's residual direction."""
+    b = np.asarray(matrix, dtype=float)
+    n, k = b.shape
+    d = (b**2).sum(axis=1)
+    basis = np.zeros((k, 0))
+    pivots = []
+    for _ in range(k):
+        i = int(np.argmax(d))
+        q = b[i].copy()
+        for _ in range(2):  # Gram-Schmidt, twice for orthogonality
+            q -= basis @ (basis.T @ q)
+        q /= np.linalg.norm(q)
+        d -= (b @ q) ** 2
+        d[i] = -np.inf
+        basis = np.column_stack([basis, q])
+        pivots.append(i)
+    return np.array(pivots)
+
+
 def _reference_inner_solve(start, basis, params, trace=None):
     """The KindAP inner loop as first written: fresh n x k temporaries every
     iteration and the gap summed entrywise as ||U - N||_F^2."""
@@ -349,6 +375,8 @@ def _reference_inner_solve(start, basis, params, trace=None):
         iters = t
         if trace is not None and sigma[-1] < DEGENERATE_SV_TOL:
             trace.warnings.append(f"degenerate projection at inner iteration {t}")
+        if gap <= OBJECTIVE_FLOOR:
+            break
         if prev is not None and prev - gap <= params.tol_inner * max(prev, OBJECTIVE_FLOOR):
             break
         prev = gap
@@ -369,7 +397,9 @@ def reference_kindap_solve(basis, params=None):
     if n < k:
         raise ClusteringError(f"{n} objects cannot form {k} clusters")
     trace = SolverTrace()
-    current = RotatedBasis(basis.matrix, np.eye(k))
+    # KindAP's start: the polar factor of the pivot rows' transpose.
+    start = reference_procrustes_rotation(basis.matrix[reference_start_pivots(basis.matrix)].T)[0]
+    current = RotatedBasis(basis.matrix @ start, start)
     best_f = np.inf
     best_labels = None
     last_relaxed = None

@@ -587,13 +587,13 @@ def test_cluster_deterministic_modulo_timing(tmp_path):
 
 @pytest.mark.parametrize("method", ["kindap", "kindap+l"])
 def test_cluster_scores_relaxed_rows_with_no_positive_entry(tmp_path, method):
-    # Row 19 of this embedding's relaxed assignment is all zero: it prefers
+    # Row 15 of this embedding's relaxed assignment is all zero: it prefers
     # no cluster, so its confidence is 0.
     emb_path, out = tmp_path / "emb.csv", tmp_path / "r.json"
     write_matrix_csv(emb_path, np.random.default_rng(0).standard_normal((100, 3)))
     assert main(["cluster", str(emb_path), "--method", method, "--out", str(out)]) == 0
     soft = json.loads(out.read_text())["soft_indicator"]
-    assert len(soft) == 100 and soft[19] == 0.0
+    assert len(soft) == 100 and soft[15] == 0.0
 
 
 def test_cluster_json_writes_every_trace_field_but_replication_histories(tmp_path):

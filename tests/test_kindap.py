@@ -16,6 +16,7 @@ from kindicators.core import (
 )
 from kindicators.baselines import KmeansParams, SrParams, kmeans_solve, lloyd_solve, sr_solve
 from kindicators.core import SolverTrace
+from kindicators.embedding import knn_graph, spectral_embed
 from kindicators.evaluation import accuracy, kind_objective
 from kindicators import core, kindap
 from kindicators.kindap import (
@@ -24,6 +25,7 @@ from kindicators.kindap import (
     inner_solve,
     kindap_solve,
     round_to_indicator,
+    start_pivots,
     warm_start_centers,
 )
 from kindicators.synthgen import SynthSpec, generate
@@ -32,8 +34,10 @@ from oracles import (
     exhaustive_best,
     gaussian_blobs,
     random_orthonormal,
+    reference_fix_column_signs,
     reference_kindap_solve,
     reference_round_to_indicator,
+    reference_start_pivots,
 )
 from procrustes_grid import kindap_failures
 
@@ -195,12 +199,15 @@ def test_round_fails_when_fewer_rows_than_columns():
 
 
 def test_kindap_records_degenerate_projection_warnings():
-    # A basis column that clamps to zero makes the first Procrustes step
-    # singular; the solver notes it in the trace and keeps going.
+    # From the identity rotation, a basis column that clamps to zero makes
+    # the first Procrustes step singular; the phase notes it in the trace and
+    # keeps going. (kindap_solve's pivoted start avoids this step here.)
     basis = validate_embedding(np.array([[1.0, 0.0], [0.0, -1.0], [0.0, 0.0]]))
-    result = kindap_solve(basis)
-    assert any("degenerate" in w for w in result.trace.warnings)
-    assert set(result.labels) == {0, 1}
+    trace = SolverTrace()
+    n_mat, rotation, _, _ = inner_solve(np.eye(2), basis, KindapParams(), trace, 3)
+    assert trace.warnings[0] == "degenerate projection at inner iteration 1"
+    np.testing.assert_allclose(rotation.T @ rotation, np.eye(2), atol=1e-12)
+    assert set(round_to_indicator(n_mat)[0]) == {0, 1}
 
 
 def test_kindap_survives_all_negative_basis():
@@ -244,22 +251,109 @@ def test_kindap_deterministic():
     assert first.kind_objective == second.kind_objective
 
 
+def _unbalanced_blobs(k: int, ratio: float, sigma: float = 0.1, seed: int = 0):
+    """Gaussian clusters built as `oracles.gaussian_blobs` builds them, with
+    sizes geometric from 10 * ratio down to 10: the small clusters' rows have
+    the largest leverage, so the START_CANDIDATES * k rows of largest leverage
+    miss the big clusters."""
+    sizes = np.rint(10.0 * ratio ** np.linspace(1.0, 0.0, k)).astype(int)
+    truth = np.repeat(np.arange(k), sizes)
+    n = truth.size
+    raw = sigma * np.random.default_rng(seed).standard_normal((n, k))
+    raw[np.arange(n), truth] += np.sqrt(2.0)
+    left = np.linalg.svd(raw, full_matrices=False)[0]
+    return validate_embedding(reference_fix_column_signs(left)), truth
+
+
+def _spectral_basis(spec):
+    """The embedding `raw_pipeline` solves: the 10-NN graph's spectral basis of the raw points."""
+    raw = generate(spec).raw
+    return spectral_embed(knn_graph(raw, 10), spec.k)
+
+
+START_PIVOT_CELLS = {
+    "synth_k10": lambda: generate(SynthSpec(k=10, rho=0.33, per_cluster=40, seed=1)).embedded,
+    "synth_k25": lambda: generate(SynthSpec(k=25, rho=0.66, per_cluster=40, seed=2)).embedded,
+    # The benchmark's datasets (perfbench/workload.py WORKLOAD_SPECS).
+    "large_n": lambda: generate(SynthSpec(k=50, per_cluster=2000, rho=0.66, ambient_dim=300)).embedded,
+    "many_k_rho0.33": lambda: generate(SynthSpec(k=100, per_cluster=40, rho=0.33)).embedded,
+    "many_k_rho0.66": lambda: generate(SynthSpec(k=100, per_cluster=40, rho=0.66)).embedded,
+    "raw_pipeline": lambda: _spectral_basis(SynthSpec(k=20, per_cluster=100, rho=0.66)),
+    "blobs": lambda: gaussian_blobs(20, 0.35, seed=1).embedded,
+}
+
+
+@pytest.mark.parametrize("cell", sorted(START_PIVOT_CELLS))
+def test_start_pivots_match_the_reference(cell):
+    basis = START_PIVOT_CELLS[cell]()
+    assert start_pivots(basis.matrix).tolist() == reference_start_pivots(basis.matrix).tolist()
+
+
+def test_start_pivots_refresh_reaches_clusters_the_candidates_miss():
+    basis, truth = _unbalanced_blobs(20, 50.0)
+    n, k = basis.matrix.shape
+    leverage = np.einsum("ij,ij->i", basis.matrix, basis.matrix)
+    top = np.argsort(-leverage, kind="stable")[: kindap.START_CANDIDATES * k]
+    assert np.unique(truth[top]).size < k  # so the search must refresh
+    pivots = start_pivots(basis.matrix)
+    assert pivots.tolist() == reference_start_pivots(basis.matrix).tolist()
+    assert np.unique(truth[pivots]).size == k
+
+
+# SynthSpec and Gaussian-blob cells for the basis and row-order properties;
+# on the unbalanced one the start's pivot search refreshes.
+PROPERTY_CELLS = {
+    "synth_k4_seed13": lambda: generate(SynthSpec(k=4, rho=0.4, per_cluster=8, ambient_dim=20, seed=13)).embedded,
+    "synth_k4_seed17": lambda: generate(SynthSpec(k=4, rho=0.4, per_cluster=8, ambient_dim=20, seed=17)).embedded,
+    "synth_k10": lambda: generate(SynthSpec(k=10, rho=0.66, per_cluster=20, ambient_dim=60, seed=2)).embedded,
+    "synth_k50": lambda: generate(SynthSpec(k=50, rho=0.33, per_cluster=40, seed=1)).embedded,
+    "blobs_k20": lambda: gaussian_blobs(20, 0.35, seed=1).embedded,
+    "blobs_k50": lambda: gaussian_blobs(50, 0.25, seed=0).embedded,
+    "unbalanced": lambda: _unbalanced_blobs(20, 50.0)[0],
+}
+
+
 def test_kindap_permutation_equivariant():
-    data = generate(SynthSpec(k=4, rho=0.4, per_cluster=8, ambient_dim=20, seed=13))
     rng = np.random.default_rng(3)
-    perm = rng.permutation(data.embedded.n)
-    base = kindap_solve(data.embedded)
-    permuted = kindap_solve(validate_embedding(data.embedded.matrix[perm]))
-    assert np.array_equal(permuted.labels, base.labels[perm])
+    for cell, make in PROPERTY_CELLS.items():
+        basis = make()
+        perm = rng.permutation(basis.n)
+        base = kindap_solve(basis)
+        permuted = kindap_solve(validate_embedding(basis.matrix[perm]))
+        assert np.array_equal(permuted.labels, base.labels[perm]), cell
 
 
 def test_kindap_partition_invariant_to_basis_rotation():
-    data = generate(SynthSpec(k=4, rho=0.4, per_cluster=8, ambient_dim=20, seed=17))
+    # B and B Q span one subspace: the pivots, B R_0 and so the whole path
+    # agree up to rounding, which leaves the partition as it is.
     rng = np.random.default_rng(4)
-    rotation = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-    base = kindap_solve(data.embedded)
-    rotated = kindap_solve(validate_embedding(data.embedded.matrix @ rotation))
-    assert accuracy(rotated.labels, base.labels) == 1.0
+    for cell, make in PROPERTY_CELLS.items():
+        basis = make()
+        base = kindap_solve(basis)
+        for _ in range(3):
+            q = np.linalg.qr(rng.standard_normal((basis.k, basis.k)))[0]
+            rotated = kindap_solve(validate_embedding(basis.matrix @ q))
+            assert accuracy(rotated.labels, base.labels) == 1.0, cell
+            assert rotated.kind_objective == pytest.approx(base.kind_objective, rel=1e-9, abs=1e-12), cell
+
+
+def test_inner_phase_stops_at_the_gap_floor():
+    # The basis spans unevenly weighted indicators, so the pivoted start puts
+    # B R in the box: the gap is zero from the first iteration on, and every
+    # phase stops there, though the normalized indicator scores above zero.
+    rng = np.random.default_rng(5)
+    truth = np.repeat(np.arange(4), 10)
+    h = np.zeros((40, 4))
+    h[np.arange(40), truth] = rng.uniform(0.5, 2.0, 40)
+    h /= np.linalg.norm(h, axis=0)
+    basis = validate_embedding(h @ np.linalg.qr(rng.standard_normal((4, 4)))[0])
+    result = kindap_solve(basis)
+    trace = result.trace
+    assert trace.stop_reasons == ["floor", "floor"] and trace.inner_iters_per_outer == [1, 1]
+    assert max(trace.objective_history) <= OBJECTIVE_FLOOR < result.kind_objective
+    assert trace.outer_stop_reason == "tol"
+    assert accuracy(result.labels, truth) == 1.0
+    _replay_budget_rule(trace, KindapParams(), kindap.INNER_BUDGET)
 
 
 def test_kindap_best_objective_tracking():
@@ -494,6 +588,9 @@ def _replay_budget_rule(trace, params, budget):
             assert limit < params.max_inner and count == limit
         elif stop == "cap":
             assert limit == params.max_inner and count == limit
+        elif stop == "floor":
+            gap = trace.objective_history[sum(trace.inner_iters_per_outer[: i + 1]) - 1]
+            assert gap <= OBJECTIVE_FLOOR and count <= limit
         else:
             assert stop == "tol" and count <= limit
         stalled = i > 0 and f[i - 1] - f[i] <= params.tol_outer * max(f[i - 1], OBJECTIVE_FLOOR)
@@ -591,7 +688,8 @@ def test_stalled_budget_phase_is_resumed_not_restarted(monkeypatch):
                 first_gap = trace.objective_history[ends[i - 1]]
                 assert first_gap <= last_gap + 1e-12 * max(1.0, last_gap)
         restarts = trace.outer_iters - 1 - resumed
-        assert len(calls) == sum(inner) + restarts
+        # One projection per inner iteration and restart, and one for the start.
+        assert len(calls) == sum(inner) + restarts + 1
         resumes += resumed
     assert resumes
 
