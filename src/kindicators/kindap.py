@@ -7,9 +7,9 @@ it, and projects it back onto the rotation set to restart (or resumes the
 inner phase, when the budget cut it short and the score stalled). Both
 projections are exact, so the inner gap is nonincreasing by construction,
 and the whole solve is deterministic for fixed inputs. The first phase starts
-from the rotation that column-pivoted QR picks (:func:`start_pivots`), so the
-answer depends on the subspace the basis spans and on the row order, not on
-the basis.
+from the rotation that column-pivoted QR picks (:func:`start_pivots`, a greedy
+search over residual norms that only fall), so the answer depends on the
+subspace the basis spans and on the row order, not on the basis.
 """
 
 from __future__ import annotations
@@ -143,67 +143,56 @@ def start_pivots(b: np.ndarray) -> np.ndarray:
 
     Greedy (Businger & Golub 1965), as in Damle, Minden & Ying, "Simple,
     direct and efficient multi-way spectral clustering" (2019): each pivot
-    is the row of largest residual norm once the span of the earlier pivots
-    is projected out, the lowest row index on a tie. The search is lazy.
-    `d` holds every row's squared residual norm as of its last refresh
-    (at first ||b_i||^2), which only falls as pivots are added. A greedy
-    pivoted Cholesky factorization of the residual Gram matrix of the
-    START_CANDIDATES * k rows of largest `d` picks pivots, one GEMV and one
-    rank-j correction each, for as long as the best candidate is at least
-    the largest `d` left outside: no outside row can then be larger. When
-    one could, `d` is recomputed for every row against the pivots so far and
-    the search goes on from fresh candidates. The result depends on the
-    subspace and the row order only, as ||b_i Q||^2 = ||b_i||^2 for
-    orthogonal Q; exact ties in `d` are the one place where a row
-    permutation can change it.
+    is the row of largest residual norm, the lowest row index on a tie. Its
+    residual direction, the row Gram-Schmidt'ed twice against the earlier
+    ones, is the next column q_j of `q`, and lowers every squared residual
+    norm by (b_i q_j)^2. The search is lazy: `d` holds the squared norms (at
+    first ||b_i||^2), and only the START_CANDIDATES * k rows of largest `d`
+    are downdated per pivot, while the best of them is at least the largest
+    `d` outside: no outside row can then be larger. When one could, every
+    row's `d` is downdated by the directions added since the last such pass
+    and the search goes on from fresh candidates. As ||b_i Q|| = ||b_i|| for
+    orthogonal Q, the result depends on the subspace and the row order only
+    (but for exact ties in `d`, where a row permutation can change it).
 
-    Costs O(nk) for the row norms, O(nkj) for a refresh at j pivots (one on
-    the `large_n` and `many_k` data) and O(START_CANDIDATES * k^3) for the
-    search. Besides three n-vectors (`d`, the row norms and an index), its
-    memory is O(START_CANDIDATES * k^2) and row blocks of _ROW_BLOCK x k.
+    Costs O(nk) for the row norms, O(nk) per direction in a pass over every
+    row (one pass on the `large_n` and `many_k` data) and
+    O(START_CANDIDATES * k^2) per pivot; memory O(n + START_CANDIDATES * k^2)
+    besides row blocks of _ROW_BLOCK x k.
     """
     n, k = b.shape
     m = min(n, START_CANDIDATES * k)
-    norms = np.einsum("ij,ij->i", b, b)
-    d = norms.copy()
+    d = np.einsum("ij,ij->i", b, b)
+    q = np.empty((k, k), order="F")
     piv: list[int] = []
     while True:
-        if n > m:
-            order = np.argpartition(d, n - m)
-            bound = d[order[: n - m]].max()
-            cand = np.sort(order[n - m :])
-        else:
-            bound = -np.inf
-            cand = np.arange(n)
+        order = np.argpartition(d, n - m)
+        bound = d[order[: n - m]].max(initial=-np.inf)
+        cand = np.sort(order[n - m :])
         a = b[cand]
-        if piv:  # q spans the pivots, from the refresh below
-            a -= (a @ q) @ q.T
         dc = d[cand]
-        chol = np.empty((cand.size, k - len(piv)), order="F")
         found = len(piv)
-        for j in range(k - len(piv)):
+        for j in range(found, k):
             t = dc.argmax()
-            top = float(dc[t])
+            top = dc[t]
             if top < bound or top <= 0.0:
                 break
-            col = chol[:, j]
-            np.matmul(a, a[t], out=col)
-            col -= chol[:, :j] @ chol[t, :j]
-            col /= math.sqrt(top)
-            dc -= col * col
+            earlier = q[:, :j]
+            v = a[t] - earlier @ (a[t] @ earlier)
+            v -= earlier @ (v @ earlier)
+            v /= math.sqrt(v @ v)
+            q[:, j] = v
+            dc -= (a @ v) ** 2
             dc[t] = -np.inf
             piv.append(int(cand[t]))
         if len(piv) == k:
             return np.array(piv)
         if len(piv) == found:  # even the largest residual is zero
-            raise NumericalError(f"the embedding has rank {len(piv)} < {k}")
-        # A row outside the candidates may now lead: refresh every row's residual.
-        q = np.linalg.qr(b[piv].T)[0]
+            raise NumericalError(f"the embedding has rank {found} < {k}")
+        # A row outside the candidates may now lead: downdate every row.
         for start in range(0, n, _ROW_BLOCK):
-            proj = b[start : start + _ROW_BLOCK] @ q
-            d[start : start + _ROW_BLOCK] = norms[start : start + _ROW_BLOCK] - np.einsum(
-                "ij,ij->i", proj, proj
-            )
+            proj = b[start : start + _ROW_BLOCK] @ q[:, found : len(piv)]
+            d[start : start + _ROW_BLOCK] -= np.einsum("ij,ij->i", proj, proj)
         d[piv] = -np.inf
 
 

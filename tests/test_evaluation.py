@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kindicators.core import (
+    ORTHONORMAL_TOL,
     ClusteringError,
     EmbeddedData,
     RelaxedAssignment,
@@ -277,6 +278,25 @@ def test_kmeans_objective_rejects_empty_cluster():
     basis = validate_embedding(np.eye(4)[:, :3])
     with pytest.raises(ClusteringError, match="^cluster 2 is empty$"):
         kmeans_objective(basis, [0, 0, 1, 1])
+
+
+def test_objectives_drift_from_their_exact_forms_by_k_minus_the_squared_norm():
+    # The indicator forms put k where the exact forms put ||U||_F^2, so on an
+    # input that validate_embedding passes through they differ from their
+    # exact values by exactly k - ||U||_F^2, at most k * ORTHONORMAL_TOL.
+    u = np.eye(2) + 4e-9 * np.random.default_rng(5).standard_normal((2, 2))
+    basis = validate_embedding(u)
+    assert not basis.orthonormalized
+    drift = 2.0 - float(np.vdot(u, u))
+    assert 1e-9 < drift <= 2 * ORTHONORMAL_TOL
+    # Two singleton clusters: the within-cluster scatter is exactly 0.
+    assert kmeans_objective(basis, [0, 1]) == pytest.approx(drift, abs=1e-15)
+    # The exact squared distance is min over rotations R of ||U - R||_F^2.
+    sigma = np.linalg.svd(u, compute_uv=False)
+    exact = float(((sigma - 1.0) ** 2).sum())
+    assert kind_objective(basis, make_indicator([0, 1], 2)) == pytest.approx(
+        exact + drift, abs=1e-15
+    )
 
 
 def test_objectives_build_no_dense_indicator():

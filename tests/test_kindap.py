@@ -10,6 +10,7 @@ import pytest
 from kindicators.core import (
     ClusteringError,
     ClusterResult,
+    NumericalError,
     RelaxedAssignment,
     make_indicator,
     validate_embedding,
@@ -280,6 +281,10 @@ START_PIVOT_CELLS = {
     "many_k_rho0.66": lambda: generate(SynthSpec(k=100, per_cluster=40, rho=0.66)).embedded,
     "raw_pipeline": lambda: _spectral_basis(SynthSpec(k=20, per_cluster=100, rho=0.66)),
     "blobs": lambda: gaussian_blobs(20, 0.35, seed=1).embedded,
+    # The k = 200 and k = 400 sizes of tests/budget_grid.py; at k = 400 the
+    # search passes over every row twice.
+    "large_k200": lambda: generate(SynthSpec(k=200, per_cluster=40, rho=0.33)).embedded,
+    "large_k400": lambda: generate(SynthSpec(k=400, per_cluster=40, rho=0.33, ambient_dim=500)).embedded,
 }
 
 
@@ -298,6 +303,14 @@ def test_start_pivots_refresh_reaches_clusters_the_candidates_miss():
     pivots = start_pivots(basis.matrix)
     assert pivots.tolist() == reference_start_pivots(basis.matrix).tolist()
     assert np.unique(truth[pivots]).size == k
+
+
+def test_start_pivots_raise_on_a_rank_deficient_basis():
+    # Every residual is exactly 0 after two pivots; without the guard the
+    # search would take fresh candidates forever.
+    b = np.array([[1.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 0]])
+    with pytest.raises(NumericalError, match=r"^the embedding has rank 2 < 3$"):
+        start_pivots(b)
 
 
 # SynthSpec and Gaussian-blob cells for the basis and row-order properties;
